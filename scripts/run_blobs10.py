@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from fedmd.experiments import blobs10_config, run_experiment
+from fedmd.cli import parse_config
+from fedmd.experiments import run_experiment
 
 
 def main() -> int:
@@ -20,7 +22,10 @@ def main() -> int:
 
     gains, gaps = [], []
     for seed in args.seeds:
-        cfg = blobs10_config(seed=seed, out_dir=os.path.join(args.out, f"seed{seed}"))
+        out_dir = os.path.join(args.out, f"seed{seed}")
+        cfg = parse_config(
+            os.path.join(ROOT, "configs", "blobs10.json"), [f"seed={seed}", f"out_dir={out_dir}"]
+        )
         log, summary = run_experiment(cfg)
         base = np.mean([log.baseline_accuracy(k) for k in range(10)])
         final = np.mean([log.final_accuracy(k) for k in range(10)])

@@ -5,9 +5,11 @@ import argparse
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from fedmd.experiments import noniid_probe_config, run_noniid_probe
+from fedmd.cli import parse_config
+from fedmd.experiments import run_noniid_probe
 
 
 def main() -> int:
@@ -18,7 +20,9 @@ def main() -> int:
     chance = 1.0 / 3.0
     print("seed  party  baseline  final   unseen-pre  unseen-post")
     for seed in args.seeds:
-        probe = run_noniid_probe(noniid_probe_config(seed=seed))
+        probe = run_noniid_probe(
+            parse_config(os.path.join(ROOT, "configs", "noniid.json"), [f"seed={seed}"])
+        )
         for k in range(len(probe.pre_unseen)):
             print(
                 f"{seed:4d} {k:6d} {probe.baseline[k]:9.3f} {probe.final[k]:7.3f}"

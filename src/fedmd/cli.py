@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,8 +65,6 @@ def _resolve_out_dir(cfg: experiments.ExperimentConfig) -> experiments.Experimen
     if cfg.out_dir:
         return cfg
     out = os.environ.get(OUT_DIR_ENV) or os.path.join("runs", cfg.name)
-    from dataclasses import replace
-
     return replace(cfg, out_dir=out)
 
 
@@ -93,8 +92,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    from dataclasses import replace
-
     cfg = _resolve_out_dir(parse_config(args.config, args.override))
     cfg = replace(
         cfg, collab=replace(cfg.collab, rounds=0), pooled=args.kind == "pooled"
@@ -140,19 +137,13 @@ def _cmd_serve(args) -> int:
     cfg = parse_config(args.config, args.override)
     task = experiments.build_task(cfg)
     m = cfg.collab.parties
-    listener = transport.serve(_parse_addr(args.addr))
+    listener = transport.serve(_parse_addr(args.addr), backlog=m)
     print(f"serving {m} parties on {listener.address[0]}:{listener.address[1]}")
     channels = {}
     try:
-        for _ in range(m):
-            chan = listener.accept()
-            hello = chan.recv()
-            if not isinstance(hello, transport.ScoreReport) or hello.round != 0:
-                raise ProtocolError(f"expected a hello score report, got {hello!r}")
-            channels[hello.party] = chan
-            print(f"party {hello.party} joined")
-        if sorted(channels) != list(range(m)):
-            raise ProtocolError(f"parties {sorted(channels)} joined, expected 0..{m - 1}")
+        channels = protocol.accept_parties((listener.accept() for _ in range(m)), m)
+        for k in sorted(channels):
+            print(f"party {k} joined")
         protocol.server_loop(channels, cfg.collab, task.public.n)
         print(f"completed {cfg.collab.rounds} rounds")
     finally:
@@ -169,22 +160,15 @@ def _cmd_join(args) -> int:
         raise ConfigError(f"party id {k} outside 0..{cfg.collab.parties - 1}")
     task = experiments.build_task(cfg)
     party = experiments.build_parties(cfg, task)[k]
-    import time
-
-    from .metrics import BASELINE, MetricsRow
-
-    t0 = time.perf_counter()
-    protocol.transfer_learn(party, task.public, cfg.collab)
-    baseline_acc = nn.accuracy(party.net, task.test)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    print(f"party {k} baseline accuracy {baseline_acc:.4f}")
+    baseline = protocol.prologue(party, task.public, task.test, cfg.collab)
+    print(f"party {k} baseline accuracy {baseline.accuracy:.4f}")
     chan = transport.connect(_parse_addr(args.addr))
     try:
         rounds = protocol.party_loop(party, task.public, task.test, cfg.collab, chan)
     finally:
         chan.close()
     log = MetricsLog(seed=cfg.seed, config_hash=experiments.config_hash(cfg))
-    log.rows.append(MetricsRow(BASELINE, k, baseline_acc, None, None, wall_ms))
+    log.rows.append(baseline)
     log.rows.extend(r.as_row() for r in rounds)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, f"party_{k}.csv")

@@ -394,87 +394,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return cfg.validated()
 
 
-# --- canonical experiments -------------------------------------------------------
-
-
-def blobs10_config(seed: int = 0, out_dir: "str | None" = None) -> ExperimentConfig:
-    """The canonical desk-scale run: 10 heterogeneous parties, 3 private samples per class.
-
-    The wide public task (spread 4 vs the private task's 1.5) keeps the round
-    subsets covering the region where the private classes live, which is what
-    lets the consensus carry class knowledge between parties.
-    """
-    return ExperimentConfig(
-        collab=CollaborationConfig(
-            parties=10,
-            rounds=10,
-            subset_size=512,
-            digest_epochs=40,
-            digest_batch_size=128,
-            revisit_epochs=2,
-            revisit_batch_size=32,
-            patience=120,
-            max_epochs=400,
-            transfer_batch_size=32,
-            seed=seed,
-        ),
-        data=BlobsSpec(
-            classes=6,
-            dim=16,
-            spread=1.5,
-            public_spread=4.0,
-            public_per_class=500,
-            pool_per_class=40,
-            test_per_class=200,
-        ),
-        partition_mode="iid",
-        per_class=3,
-        architectures=CANONICAL_WIDTHS,
-        pooled=True,
-        out_dir=out_dir,
-        name="blobs-10",
-    ).validated()
-
-
-def noniid_probe_config(seed: int = 0, out_dir: "str | None" = None) -> ExperimentConfig:
-    """Two parties, three superclasses of two subclasses each; tests knowledge transfer.
-
-    Each party sees one subclass per superclass, so at test time it can rank a
-    never-seen subclass correctly only through what its peer communicated.
-    """
-    return ExperimentConfig(
-        collab=CollaborationConfig(
-            parties=2,
-            rounds=10,
-            subset_size=512,
-            digest_epochs=60,
-            digest_batch_size=128,
-            revisit_epochs=2,
-            revisit_batch_size=32,
-            patience=120,
-            max_epochs=400,
-            transfer_batch_size=32,
-            seed=seed,
-        ),
-        data=BlobsSpec(
-            classes=6,
-            dim=16,
-            spread=2.25,
-            public_spread=3.0,
-            public_per_class=800,
-            pool_per_class=70,
-            test_per_class=150,
-        ),
-        partition_mode="noniid",
-        per_class=30,
-        subclass_map={0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2},
-        architectures=((48,), (32, 32)),
-        pooled=False,
-        out_dir=out_dir,
-        name="noniid-probe",
-    ).validated()
-
-
 @dataclass
 class NonIidProbe:
     """Per-party accuracy on subclasses the party never trained on."""

@@ -191,11 +191,14 @@ def distill_loss(
     if kind not in DISTILL_LOSSES:
         raise ConfigError(f"unknown distillation loss {kind!r}")
     d = logits - targets
+    # the loss value takes its difference in float64, where squaring cannot
+    # amplify float32 rounding; the gradient keeps the float32 difference
+    d64 = logits.astype(np.float64) - targets.astype(np.float64)
     if kind == "mae":
-        loss = float(np.mean(np.abs(d), dtype=np.float64))
+        loss = float(np.mean(np.abs(d64)))
         grad = np.sign(d) / d.size
     else:
-        loss = float(np.mean(np.square(d), dtype=np.float64))
+        loss = float(np.mean(np.square(d64)))
         grad = (2.0 / d.size) * d
     return loss, grad.astype(logits.dtype)
 

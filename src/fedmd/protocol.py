@@ -148,7 +148,6 @@ class PartyState:
     opt: AdamParams = field(default_factory=AdamParams)
     master_seed: int = 0
     stream_key: "int | None" = None
-    adam_state: "nn.AdamState | None" = None  # most recent phase state, informational
 
     @property
     def key(self) -> int:
@@ -217,6 +216,20 @@ def transfer_learn(
         cfg.min_improvement,
     )
     return rep_public, rep_private
+
+
+def prologue(party: PartyState, public: Dataset, test: Dataset, cfg: CollaborationConfig) -> MetricsRow:
+    """Transfer-learn one party and measure its baseline test accuracy.
+
+    The clock starts once the compute lock is held, so ``wall_ms`` counts this
+    party's own work and not the time it waited for other parties.
+    """
+    with _COMPUTE_LOCK:
+        t0 = time.perf_counter()
+        transfer_learn(party, public, cfg)
+        baseline_acc = nn.accuracy(party.net, test)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+    return MetricsRow(BASELINE, party.id, baseline_acc, None, None, wall_ms)
 
 
 def select_subset(n0: int, subset_size: int, rng: np.random.Generator, round_index: int) -> SubsetSelection:
@@ -326,35 +339,37 @@ def _party_round(
     return RoundPartyMetrics(j, party.id, acc, digest_loss, revisit_loss, wall_ms)
 
 
-def run_round(
-    parties: list[PartyState],
-    public: Dataset,
-    test: Dataset,
-    cfg: CollaborationConfig,
-    round_index: int,
-    events: "list | None" = None,
-) -> list[RoundPartyMetrics]:
-    """One synchronous round: communicate, aggregate, distribute, digest, revisit."""
-    cfg = cfg.validated()
-    selection = select_subset(
-        public.n, min(cfg.subset_size, public.n), rng_stream(cfg.seed, "subset", round_index),
-        round_index,
-    )
-    reports = []
-    for party in parties:
-        reports.append(compute_scores(party, public, selection))
-        if events is not None:
-            events.append(("scores", round_index, party.id))
-    consensus = aggregate(reports, cfg.weights)
-    if events is not None:
-        events.append(("aggregate", round_index))
-    out = []
-    for party, scores in zip(parties, reports):
-        out.append(_party_round(party, public, test, cfg, selection, scores, consensus, events))
-    return out
-
-
 # --- channel-driven execution ---------------------------------------------------
+
+
+def accept_parties(channels, m: int) -> "dict[int, object]":
+    """Key m server-side channels by the party id in each one's hello frame.
+
+    ``channels`` yields the channels to read (bus endpoints, or TCP
+    connections accepted one by one). A hello is an empty score report for
+    round 0; the ids must be exactly 0..m-1. On any failure every channel
+    taken so far is closed, so no party waits on a server that gave up.
+    """
+    keyed = {}
+    taken = []
+    try:
+        for chan in channels:
+            taken.append(chan)
+            hello = chan.recv()
+            if not isinstance(hello, transport.ScoreReport) or hello.round != 0:
+                raise ProtocolError(f"expected a hello score report, got {hello!r}")
+            if not 0 <= hello.party < m:
+                raise ProtocolError(f"hello from party {hello.party}, expected 0..{m - 1}")
+            if hello.party in keyed:
+                raise ProtocolError(f"two hellos from party {hello.party}")
+            keyed[hello.party] = chan
+        if len(keyed) != m:
+            raise ProtocolError(f"parties {sorted(keyed)} joined, expected 0..{m - 1}")
+    except BaseException:
+        for chan in taken:
+            chan.close()
+        raise
+    return keyed
 
 
 def server_loop(
@@ -458,12 +473,7 @@ def _party_worker(
     after_transfer,
 ) -> None:
     try:
-        t0 = time.perf_counter()
-        with _COMPUTE_LOCK:
-            transfer_learn(party, public, cfg)
-            baseline_acc = nn.accuracy(party.net, test)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        result.baseline = MetricsRow(BASELINE, party.id, baseline_acc, None, None, wall_ms)
+        result.baseline = prologue(party, public, test, cfg)
         if after_transfer is not None:
             after_transfer(party)
         result.step = "rounds"
@@ -511,13 +521,14 @@ def run_fedmd(
 
     if transport_kind == "bus":
         pairs = [transport.bus_pair() for _ in parties]
-        server_channels = {p.id: pairs[i][0] for i, p in enumerate(parties)}
-        party_channels = {p.id: pairs[i][1] for i, p in enumerate(parties)}
+        incoming = [server_end for server_end, _ in pairs]
+        party_channels = {p.id: party_end for p, (_, party_end) in zip(parties, pairs)}
         listener = None
     elif transport_kind == "tcp":
-        listener = transport.serve(addr or ("127.0.0.1", 0))
+        # every party connects before the first accept, so the backlog must hold them all
+        listener = transport.serve(addr or ("127.0.0.1", 0), backlog=cfg.parties)
         party_channels = {p.id: transport.connect(listener.address) for p in parties}
-        server_channels = {}
+        incoming = (listener.accept() for _ in parties)
     else:
         raise ConfigError(f"unknown transport {transport_kind!r}")
 
@@ -534,27 +545,15 @@ def run_fedmd(
         t.start()
 
     server_error: "BaseException | None" = None
+    server_channels = {}
     try:
-        if listener is not None:
-            # identify each incoming connection by its hello frame
-            for _ in parties:
-                chan = listener.accept()
-                hello = chan.recv()
-                if not isinstance(hello, transport.ScoreReport) or hello.round != 0:
-                    raise ProtocolError(f"expected a hello score report, got {hello!r}")
-                server_channels[hello.party] = chan
-        else:
-            for k, chan in server_channels.items():
-                hello = chan.recv()
-                if not isinstance(hello, transport.ScoreReport) or hello.round != 0:
-                    raise ProtocolError(f"expected a hello score report, got {hello!r}")
-        if sorted(server_channels) != list(range(cfg.parties)):
-            raise ProtocolError(f"parties {sorted(server_channels)} connected, expected 0..{cfg.parties - 1}")
+        server_channels = accept_parties(incoming, cfg.parties)
         server_loop(server_channels, cfg, public.n, events)
     except BaseException as exc:
         server_error = exc
     finally:
-        for chan in server_channels.values():
+        # a failed handshake may leave bus ends unread; closing them releases their parties
+        for chan in incoming if listener is None else server_channels.values():
             chan.close()
         if listener is not None:
             listener.close()

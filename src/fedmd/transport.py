@@ -24,6 +24,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,7 +323,7 @@ class TcpListener:
 
 
 def serve(addr: tuple[str, int], backlog: int = 16, timeout: float = DEFAULT_TIMEOUT) -> TcpListener:
-    """Bind and listen; must be called before any connect()."""
+    """Bind and listen; ``backlog`` must hold every connect() made before the first accept()."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     sock.bind(addr)
@@ -331,9 +332,21 @@ def serve(addr: tuple[str, int], backlog: int = 16, timeout: float = DEFAULT_TIM
 
 
 def connect(addr: tuple[str, int], timeout: float = DEFAULT_TIMEOUT) -> TcpChannel:
-    try:
-        sock = socket.create_connection(addr, timeout=timeout)
-    except OSError as exc:
-        raise ChannelError(f"connect to {addr} failed: {exc}") from exc
+    """Connect to a server, retrying a refused connection until ``timeout`` has passed.
+
+    A party process may start before its server listens, so a refusal only
+    means the server is not up yet.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            sock = socket.create_connection(addr, timeout=timeout)
+            break
+        except ConnectionRefusedError as exc:
+            if time.monotonic() >= deadline:
+                raise ChannelError(f"connect to {addr} failed: {exc}") from exc
+            time.sleep(0.05)
+        except OSError as exc:
+            raise ChannelError(f"connect to {addr} failed: {exc}") from exc
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return TcpChannel(sock, timeout)

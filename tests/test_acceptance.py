@@ -5,16 +5,25 @@ lines and per-seed details.
 """
 
 import math
+import os
 import time
 
 import numpy as np
 
-from fedmd import experiments, nn, transport
+from fedmd import cli, experiments, nn, transport
 from fedmd.data import synth_blobs
 from fedmd.errors import CodecError
-from fedmd.experiments import blobs10_config, noniid_probe_config, run_experiment
+from fedmd.experiments import run_experiment
 from fedmd.metrics import MetricsLog
 from fedmd.protocol import CollaborationConfig, ScoreMatrix, aggregate, make_party, run_fedmd
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
+
+def canonical(name: str, seed: int) -> experiments.ExperimentConfig:
+    """One of the canonical experiments in ``configs/``, at the given seed."""
+    return cli.parse_config(os.path.join(CONFIGS, name), [f"seed={seed}"])
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -116,7 +125,7 @@ def test_criterion_4_desk_scale_gain():
     gains, gaps = [], []
     pooled_never_materially_worse = True
     for seed in range(5):
-        log, summary = run_experiment(blobs10_config(seed=seed))
+        log, summary = run_experiment(canonical("blobs10.json", seed))
         base = [log.baseline_accuracy(k) for k in range(10)]
         final = [log.final_accuracy(k) for k in range(10)]
         pooled = [log.pooled_accuracy(k) for k in range(10)]
@@ -143,7 +152,7 @@ def test_criterion_5_noniid_knowledge_transfer():
     chance = 1.0 / 3.0
     good_seeds = 0
     for seed in range(5):
-        probe = experiments.run_noniid_probe(noniid_probe_config(seed=seed))
+        probe = experiments.run_noniid_probe(canonical("noniid.json", seed))
         pre_ok = all(abs(p - chance) <= 0.10 for p in probe.pre_unseen)
         post_ok = all(p >= chance + 0.15 for p in probe.post_unseen)
         good_seeds += pre_ok and post_ok
@@ -237,7 +246,7 @@ def test_criterion_7_wire_protocol():
 
 def test_criterion_8_determinism():
     def one_run():
-        cfg = blobs10_config(seed=3)
+        cfg = canonical("blobs10.json", 3)
         from dataclasses import replace
 
         cfg = replace(

@@ -1,19 +1,18 @@
 """Experiment-layer tests: configs, metrics log, summaries, baselines, file outputs."""
 
 import json
+import os
 
 import pytest
 
-from fedmd import experiments
+from fedmd import cli, experiments
 from fedmd.errors import ConfigError, DataError
 from fedmd.experiments import (
     BlobsSpec,
     ExperimentConfig,
-    blobs10_config,
     build_task,
     config_from_dict,
     config_to_dict,
-    noniid_probe_config,
     run_experiment,
 )
 from fedmd.metrics import BASELINE, POOLED, MetricsLog, MetricsRow, summarize
@@ -122,11 +121,14 @@ def test_summarize_requires_baseline():
 # --- config serialization -------------------------------------------------------------
 
 
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
+
 def test_config_dict_round_trip():
-    cfg = blobs10_config(seed=7)
+    cfg = cli.parse_config(os.path.join(CONFIGS, "blobs10.json"), ["seed=7"])
     again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
     assert again == cfg
-    cfg2 = noniid_probe_config(seed=3)
+    cfg2 = cli.parse_config(os.path.join(CONFIGS, "noniid.json"), ["seed=3"])
     assert config_from_dict(config_to_dict(cfg2)) == cfg2
 
 

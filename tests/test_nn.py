@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmd import nn
@@ -164,6 +164,7 @@ def test_distill_matches_float64_bruteforce():
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
+@example(rows=1, cols=1, seed=3)  # float32 rounding of the difference, squared, once missed 1e-6
 @settings(max_examples=60, deadline=None)
 def test_distill_oracle_property(rows, cols, seed):
     rng = np.random.default_rng(seed)

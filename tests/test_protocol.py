@@ -1,22 +1,25 @@
 """Protocol tests: subset selection, aggregation oracle, rounds, end-to-end runs."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from fedmd import nn
+from fedmd import nn, transport
 from fedmd.data import synth_blobs
-from fedmd.errors import ConfigError, ProtocolError, ShapeError
+from fedmd.errors import ChannelError, ConfigError, ProtocolError, ShapeError
 from fedmd.protocol import (
     CollaborationConfig,
     PartyState,
     ScoreMatrix,
     SubsetSelection,
+    accept_parties,
     aggregate,
     compute_scores,
     make_party,
     rng_stream,
     run_fedmd,
-    run_round,
     select_subset,
     transfer_learn,
 )
@@ -255,20 +258,6 @@ def test_symmetric_parties_get_identical_metrics():
         assert rows[0].revisit_loss == rows[1].revisit_loss
 
 
-def test_run_round_event_ordering():
-    cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
-    for p in parties:
-        transfer_learn(p, public, cfg)
-    events = []
-    run_round(parties, public, test, cfg, 1, events=events)
-    agg = events.index(("aggregate", 1))
-    for k in range(3):
-        assert events.index(("scores", 1, k)) < agg
-        digest = events.index(("digest", 1, k))
-        revisit = events.index(("revisit", 1, k))
-        assert agg < digest < revisit
-
-
 def test_run_fedmd_event_ordering_with_threads():
     cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
     events = []
@@ -280,6 +269,29 @@ def test_run_fedmd_event_ordering_with_threads():
             digest = events.index(("digest", j, k))
             revisit = events.index(("revisit", j, k))
             assert agg < digest < revisit
+
+
+def test_baseline_wall_ms_counts_only_own_compute():
+    # the prologues run one at a time, so their compute times fit inside the call
+    cfg, parties, public, test = small_world(3, rounds=0, max_epochs=15)
+    t0 = time.perf_counter()
+    log = run_fedmd(cfg, parties, public, test)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    baseline_ms = sum(r.wall_ms for r in log.rows if r.round == "baseline")
+    assert baseline_ms <= wall_ms
+
+
+def test_run_fedmd_tcp_more_parties_than_default_backlog():
+    cfg, parties, public, test = small_world(18, rounds=1, max_epochs=2, per_class=1)
+    done = {}
+    worker = threading.Thread(
+        target=lambda: done.update(log=run_fedmd(cfg, parties, public, test, transport_kind="tcp")),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "an 18-party TCP run did not finish within 60 s"
+    assert sorted({r.party for r in done["log"].rows}) == list(range(18))
 
 
 def test_run_fedmd_deterministic_per_seed():
@@ -335,3 +347,53 @@ def test_config_weight_renormalization():
     cfg = CollaborationConfig(parties=2, rounds=0, weights=(2.0, 6.0)).validated()
     assert cfg.weights == (0.25, 0.75)
     assert abs(sum(cfg.weights) - 1.0) <= 1e-9
+
+
+# --- hello handshake ------------------------------------------------------------------
+
+
+def hello(party, rnd=0):
+    return transport.ScoreReport(rnd, party, np.zeros((0, 3), dtype=np.float32))
+
+
+def handshake(frames, m):
+    """accept_parties over one bus pair per frame, each party end having sent its frame."""
+    server_ends = []
+    for frame in frames:
+        server_end, party_end = transport.bus_pair(timeout=5.0)
+        party_end.send(frame)
+        server_ends.append(server_end)
+    return accept_parties(server_ends, m)
+
+
+def test_accept_parties_keys_channels_by_hello():
+    pairs = [transport.bus_pair(timeout=5.0) for _ in range(2)]
+    for (_, party_end), k in zip(pairs, (1, 0)):
+        party_end.send(hello(k))
+    keyed = accept_parties([server_end for server_end, _ in pairs], 2)
+    assert keyed == {1: pairs[0][0], 0: pairs[1][0]}
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        ([hello(0), transport.RoundComplete(0)], "hello"),
+        ([hello(0, rnd=1), hello(1)], "hello"),
+        ([hello(1), hello(1)], "party 1"),
+        ([hello(0), hello(2)], "party 2"),
+        ([hello(0)], "joined"),
+    ],
+    ids=["not-a-score-report", "not-round-0", "duplicate-id", "id-out-of-range", "too-few"],
+)
+def test_accept_parties_rejects_bad_hellos(frames, message):
+    with pytest.raises(ProtocolError, match=message):
+        handshake(frames, 2)
+
+
+def test_accept_parties_closes_taken_channels_on_rejection():
+    server_end, party_end = transport.bus_pair(timeout=5.0)
+    party_end.send(hello(3))
+    with pytest.raises(ProtocolError):
+        accept_parties([server_end], 2)
+    with pytest.raises(ChannelError, match="closed"):
+        party_end.recv()

@@ -1,6 +1,8 @@
 """Wire-format and channel tests: golden bytes, round-trips, fuzz, ordering."""
 
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +255,40 @@ def test_tcp_connection_loss_surfaces_channel_error():
         client.recv()
     client.close()
     listener.close()
+
+
+def unused_port():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def test_tcp_connect_waits_for_a_server_that_starts_late():
+    port = unused_port()
+    result = {}
+
+    def late_server():
+        time.sleep(0.3)
+        listener = serve(("127.0.0.1", port), timeout=10)
+        chan = listener.accept()
+        result["msg"] = chan.recv()
+        chan.close()
+        listener.close()
+
+    t = threading.Thread(target=late_server)
+    t.start()
+    client = connect(("127.0.0.1", port), timeout=10)
+    client.send(RoundComplete(5))
+    t.join()
+    client.close()
+    assert result["msg"] == RoundComplete(5)
+
+
+def test_tcp_connect_gives_up_at_its_timeout():
+    t0 = time.monotonic()
+    with pytest.raises(ChannelError, match="refused"):
+        connect(("127.0.0.1", unused_port()), timeout=0.3)
+    assert time.monotonic() - t0 < 5.0
 
 
 def test_encode_rejects_oversized_declarations():
