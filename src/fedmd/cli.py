@@ -169,7 +169,7 @@ def _cmd_join(args) -> int:
         chan.close()
     log = MetricsLog(seed=cfg.seed, config_hash=experiments.config_hash(cfg))
     log.rows.append(baseline)
-    log.rows.extend(r.as_row() for r in rounds)
+    log.rows.extend(rounds)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, f"party_{k}.csv")
     with open(out_path, "w") as f:

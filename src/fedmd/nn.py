@@ -33,7 +33,6 @@ class Network:
 
     layers: list[Layer]
     output_dim: int
-    arch_id: str = ""
 
     def __post_init__(self):
         if not self.layers:
@@ -81,7 +80,6 @@ class Network:
         return Network(
             [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers],
             self.output_dim,
-            self.arch_id,
         )
 
 
@@ -90,7 +88,6 @@ def build_network(
     hidden: tuple[int, ...],
     num_classes: int,
     rng: np.random.Generator,
-    arch_id: str = "",
     dtype=np.float32,
 ) -> Network:
     """Fresh network with He-style uniform init (bound sqrt(6/fan_in)) and zero biases."""
@@ -103,9 +100,7 @@ def build_network(
         b = np.zeros(fan_out, dtype=dtype)
         act = "relu" if i < len(dims) - 2 else "identity"
         layers.append(Layer(w, b, act))
-    if not arch_id:
-        arch_id = "mlp-" + "x".join(str(d) for d in dims)
-    return Network(layers, num_classes, arch_id)
+    return Network(layers, num_classes)
 
 
 def forward(net: Network, batch: np.ndarray) -> np.ndarray:
@@ -149,13 +144,6 @@ def _backward(net: Network, cache, dlogits: np.ndarray) -> list[np.ndarray]:
         if i > 0:
             delta = delta @ lyr.weight.T
     return grads
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

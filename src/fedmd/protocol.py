@@ -9,7 +9,11 @@ digests the consensus (score-matching descent) and then revisits its private
 data for a few supervised epochs. Test accuracy is recorded after the revisit.
 
 The round loop runs over channels (in-process bus or TCP loopback), one party
-per worker thread, so simulation and networked runs share one code path.
+per worker thread, so simulation and networked runs share one code path. The
+wire messages of ``transport`` are the round's data types: a subset is a
+``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the consensus a
+``ConsensusBroadcast``, from the moment they are made to the moment they are
+used. ``expect`` checks each one once, where it is received.
 """
 
 import threading
@@ -21,9 +25,10 @@ import numpy as np
 
 from . import nn, transport
 from .data import Dataset
-from .errors import ChannelError, ConfigError, DivergenceError, ProtocolError, ShapeError
+from .errors import ChannelError, ConfigError, ProtocolError, ShapeError
 from .metrics import BASELINE, MetricsLog, MetricsRow
 from .nn import AdamParams, Network, TrainReport
+from .transport import ConsensusBroadcast, RoundComplete, ScoreReport, SubsetAnnouncement
 
 
 # Party compute is single-owner and order-independent, so concurrency buys
@@ -107,31 +112,6 @@ class CollaborationConfig:
     @property
     def opt(self) -> AdamParams:
         return AdamParams(self.lr, self.beta1, self.beta2, self.epsilon)
-
-
-@dataclass(frozen=True)
-class SubsetSelection:
-    round: int
-    indices: np.ndarray  # unique indices into the public set
-
-
-@dataclass(frozen=True)
-class ScoreMatrix:
-    party: int
-    round: int
-    scores: np.ndarray  # [|subset|, C] float32 raw logits
-
-    def __post_init__(self):
-        if self.scores.ndim != 2:
-            raise ShapeError(f"scores must be 2-d, got shape {self.scores.shape}")
-        if not np.isfinite(self.scores).all():
-            raise DivergenceError(f"party {self.party} produced non-finite scores")
-
-
-@dataclass(frozen=True)
-class ConsensusTargets:
-    round: int
-    targets: np.ndarray  # [|subset|, C] float32
 
 
 @dataclass
@@ -232,21 +212,21 @@ def prologue(party: PartyState, public: Dataset, test: Dataset, cfg: Collaborati
     return MetricsRow(BASELINE, party.id, baseline_acc, None, None, wall_ms)
 
 
-def select_subset(n0: int, subset_size: int, rng: np.random.Generator, round_index: int) -> SubsetSelection:
+def select_subset(n0: int, subset_size: int, rng: np.random.Generator, round_index: int) -> SubsetAnnouncement:
     """Uniform sample without replacement from the public set."""
     if not 1 <= subset_size <= n0:
         raise ConfigError(f"subset_size {subset_size} outside [1, {n0}]")
     indices = rng.choice(n0, size=subset_size, replace=False)
-    return SubsetSelection(round_index, indices.astype(np.int64))
+    return SubsetAnnouncement(round_index, indices.astype(np.int64))
 
 
-def compute_scores(party: PartyState, public: Dataset, selection: SubsetSelection) -> ScoreMatrix:
+def compute_scores(party: PartyState, public: Dataset, selection: SubsetAnnouncement) -> ScoreReport:
     """Raw logits on the selected public samples, in selection order. No softmax."""
     logits = nn.forward(party.net, public.features[selection.indices])
-    return ScoreMatrix(party.id, selection.round, logits)
+    return ScoreReport(selection.round, party.id, logits)
 
 
-def aggregate(reports: list[ScoreMatrix], weights: "tuple[float, ...] | list[float]") -> ConsensusTargets:
+def aggregate(reports: list[ScoreReport], weights: "tuple[float, ...] | list[float]") -> ConsensusBroadcast:
     """Weighted elementwise average of score matrices, positionally paired with weights."""
     if len(reports) != len(weights):
         raise ProtocolError(f"{len(reports)} reports vs {len(weights)} weights")
@@ -272,22 +252,7 @@ def aggregate(reports: list[ScoreMatrix], weights: "tuple[float, ...] | list[flo
     acc = np.zeros(shape, dtype=np.float64)
     for rep, w in zip(reports, weights):
         acc += w * rep.scores.astype(np.float64)
-    return ConsensusTargets(rnd, acc.astype(np.float32))
-
-
-@dataclass(frozen=True)
-class RoundPartyMetrics:
-    round: int
-    party: int
-    accuracy: float
-    digest_loss: float  # distance to consensus before digesting
-    revisit_loss: "float | None"  # final-epoch mean supervised loss, None when skipped
-    wall_ms: float
-
-    def as_row(self) -> MetricsRow:
-        return MetricsRow(
-            self.round, self.party, self.accuracy, self.digest_loss, self.revisit_loss, self.wall_ms
-        )
+    return ConsensusBroadcast(rnd, acc.astype(np.float32))
 
 
 def _party_round(
@@ -295,11 +260,11 @@ def _party_round(
     public: Dataset,
     test: Dataset,
     cfg: CollaborationConfig,
-    selection: SubsetSelection,
-    scores: ScoreMatrix,
-    consensus: ConsensusTargets,
+    selection: SubsetAnnouncement,
+    scores: ScoreReport,
+    consensus: ConsensusBroadcast,
     events: "list | None",
-) -> RoundPartyMetrics:
+) -> MetricsRow:
     """Digest the consensus, revisit private data, then measure test accuracy."""
     t0 = time.perf_counter()
     j = selection.round
@@ -319,7 +284,7 @@ def _party_round(
             cfg.distill,
         )
     except Exception as exc:
-        raise ProtocolError(f"party {party.id} failed in round-{j} digest: {exc}") from exc
+        raise ProtocolError(f"party {party.id} round {j}: digest failed: {exc}") from exc
     if events is not None:
         events.append(("revisit", j, party.id))
     try:
@@ -332,14 +297,52 @@ def _party_round(
             party.stream("revisit", j),
         )
     except Exception as exc:
-        raise ProtocolError(f"party {party.id} failed in round-{j} revisit: {exc}") from exc
+        raise ProtocolError(f"party {party.id} round {j}: revisit failed: {exc}") from exc
     revisit_loss = revisit.epoch_losses[-1] if revisit.epoch_losses else None
     acc = nn.accuracy(party.net, test)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    return RoundPartyMetrics(j, party.id, acc, digest_loss, revisit_loss, wall_ms)
+    return MetricsRow(j, party.id, acc, digest_loss, revisit_loss, wall_ms)
 
 
 # --- channel-driven execution ---------------------------------------------------
+
+# each frame kind's name in error messages, and the field that holds its array
+_FRAMES = {
+    ScoreReport: ("scores", "scores"),
+    ConsensusBroadcast: ("consensus", "targets"),
+    SubsetAnnouncement: ("subset", "indices"),
+    RoundComplete: ("completion", None),
+}
+
+
+def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int | None" = None):
+    """Receive one frame: a ``kind`` for ``round`` whose array has ``shape`` (None: any size).
+
+    A score report must come from ``party``, whose channel carried it (None at
+    the hello, before the sender is known). Subset indices must lie below
+    ``below``; scores and consensus must be finite. A failure raises
+    ``ProtocolError`` starting ``party K round J:``.
+    """
+    msg = channel.recv()
+    what, array_field = ("hello", "scores") if round == 0 else _FRAMES[kind]
+    sender = party if party is not None else getattr(msg, "party", "?")
+    where = f"party {sender} round {round}:"
+    if not isinstance(msg, kind) or msg.round != round:
+        raise ProtocolError(f"{where} expected a {what}, got a round-{msg.round} {type(msg).__name__}")
+    if party is not None and getattr(msg, "party", party) != party:
+        raise ProtocolError(f"{where} its channel delivered the {what} of party {msg.party}")
+    if array_field is None:
+        return msg
+    arr = getattr(msg, array_field)
+    if arr.ndim != len(shape) or any(w is not None and w != n for n, w in zip(arr.shape, shape)):
+        expected = " x ".join("*" if d is None else str(d) for d in shape)
+        raise ProtocolError(f"{where} {what} of shape {arr.shape}, expected {expected}")
+    if kind is SubsetAnnouncement:
+        if arr.size and arr.max() >= below:
+            raise ProtocolError(f"{where} subset index {arr.max()} outside 0..{below - 1}")
+    elif not np.isfinite(arr).all():
+        raise ProtocolError(f"{where} non-finite {what}")
+    return msg
 
 
 def accept_parties(channels, m: int) -> "dict[int, object]":
@@ -355,14 +358,12 @@ def accept_parties(channels, m: int) -> "dict[int, object]":
     try:
         for chan in channels:
             taken.append(chan)
-            hello = chan.recv()
-            if not isinstance(hello, transport.ScoreReport) or hello.round != 0:
-                raise ProtocolError(f"expected a hello score report, got {hello!r}")
-            if not 0 <= hello.party < m:
-                raise ProtocolError(f"hello from party {hello.party}, expected 0..{m - 1}")
-            if hello.party in keyed:
-                raise ProtocolError(f"two hellos from party {hello.party}")
-            keyed[hello.party] = chan
+            k = expect(chan, ScoreReport, 0, None, (0, None)).party
+            if not 0 <= k < m:
+                raise ProtocolError(f"party {k} round 0: hello from outside 0..{m - 1}")
+            if k in keyed:
+                raise ProtocolError(f"party {k} round 0: two hellos")
+            keyed[k] = chan
         if len(keyed) != m:
             raise ProtocolError(f"parties {sorted(keyed)} joined, expected 0..{m - 1}")
     except BaseException:
@@ -384,31 +385,22 @@ def server_loop(
     report for the round has arrived.
     """
     cfg = cfg.validated()
-    m = cfg.parties
     subset_size = min(cfg.subset_size, n0)
     for j in range(1, cfg.rounds + 1):
         selection = select_subset(n0, subset_size, rng_stream(cfg.seed, "subset", j), j)
-        announce = transport.SubsetAnnouncement(j, selection.indices)
         for k in sorted(channels):
-            channels[k].send(announce)
-        reports = []
-        for k in sorted(channels):
-            msg = channels[k].recv()
-            if not isinstance(msg, transport.ScoreReport) or msg.round != j:
-                raise ProtocolError(f"expected round-{j} scores from party {k}, got {msg!r}")
-            if msg.party != k:
-                raise ProtocolError(f"channel of party {k} delivered scores of party {msg.party}")
-            reports.append(ScoreMatrix(msg.party, msg.round, msg.scores))
+            channels[k].send(selection)
+        reports = [
+            expect(channels[k], ScoreReport, j, k, (subset_size, None))
+            for k in sorted(channels)
+        ]
         consensus = aggregate(reports, cfg.weights)
         if events is not None:
             events.append(("aggregate", j))
-        broadcast = transport.ConsensusBroadcast(j, consensus.targets)
         for k in sorted(channels):
-            channels[k].send(broadcast)
+            channels[k].send(consensus)
         for k in sorted(channels):
-            msg = channels[k].recv()
-            if not isinstance(msg, transport.RoundComplete) or msg.round != j:
-                raise ProtocolError(f"expected round-{j} completion from party {k}, got {msg!r}")
+            expect(channels[k], RoundComplete, j, k)
 
 
 def party_loop(
@@ -418,46 +410,39 @@ def party_loop(
     cfg: CollaborationConfig,
     channel,
     events: "list | None" = None,
-) -> list[RoundPartyMetrics]:
+) -> list[MetricsRow]:
     """Follow the server through P rounds on one channel.
 
     Starts with a hello frame (an empty 0xC score report for round 0) so the
     server can map the connection to this party before round 1.
     """
     cfg = cfg.validated()
-    channel.send(
-        transport.ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32))
-    )
+    channel.send(ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32)))
+    subset_size = min(cfg.subset_size, public.n)
     metrics = []
     for j in range(1, cfg.rounds + 1):
-        msg = channel.recv()
-        if not isinstance(msg, transport.SubsetAnnouncement) or msg.round != j:
-            raise ProtocolError(f"party {party.id} expected round-{j} subset, got {msg!r}")
-        selection = SubsetSelection(j, msg.indices)
+        selection = expect(channel, SubsetAnnouncement, j, party.id, (subset_size,), public.n)
         try:
             with _COMPUTE_LOCK:
                 scores = compute_scores(party, public, selection)
         except Exception as exc:
-            raise ProtocolError(f"party {party.id} failed in round-{j} communicate: {exc}") from exc
+            raise ProtocolError(f"party {party.id} round {j}: communicate failed: {exc}") from exc
         if events is not None:
             events.append(("scores", j, party.id))
-        channel.send(transport.ScoreReport(j, party.id, scores.scores))
-        msg = channel.recv()
-        if not isinstance(msg, transport.ConsensusBroadcast) or msg.round != j:
-            raise ProtocolError(f"party {party.id} expected round-{j} consensus, got {msg!r}")
-        consensus = ConsensusTargets(j, msg.targets)
+        channel.send(scores)
+        consensus = expect(channel, ConsensusBroadcast, j, party.id, scores.scores.shape)
         with _COMPUTE_LOCK:
             metrics.append(
                 _party_round(party, public, test, cfg, selection, scores, consensus, events)
             )
-        channel.send(transport.RoundComplete(j))
+        channel.send(RoundComplete(j))
     return metrics
 
 
 @dataclass
 class _WorkerResult:
     baseline: "MetricsRow | None" = None
-    rounds: "list[RoundPartyMetrics]" = field(default_factory=list)
+    rounds: "list[MetricsRow]" = field(default_factory=list)
     error: "BaseException | None" = None
     step: str = "transfer"
 
@@ -578,9 +563,8 @@ def run_fedmd(
     log = MetricsLog(seed=cfg.seed)
     for k in sorted(results):
         log.rows.append(results[k].baseline)
-    per_round = sorted(
-        (m for r in results.values() for m in r.rounds), key=lambda m: (m.round, m.party)
+    log.rows.extend(
+        sorted((m for r in results.values() for m in r.rounds), key=lambda m: (m.round, m.party))
     )
-    log.rows.extend(m.as_row() for m in per_round)
     log.validate()
     return log

@@ -89,9 +89,6 @@ class RoundComplete:
     round: int
 
 
-Message = "ScoreReport | ConsensusBroadcast | SubsetAnnouncement | RoundComplete"
-
-
 def _u32(value: int, what: str) -> bytes:
     if not 0 <= value < 2**32:
         raise CodecError(f"{what} {value} does not fit in u32")

@@ -15,7 +15,7 @@ from fedmd.data import synth_blobs
 from fedmd.errors import CodecError
 from fedmd.experiments import run_experiment
 from fedmd.metrics import MetricsLog
-from fedmd.protocol import CollaborationConfig, ScoreMatrix, aggregate, make_party, run_fedmd
+from fedmd.protocol import CollaborationConfig, aggregate, make_party, run_fedmd
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
@@ -47,7 +47,7 @@ def test_criterion_1_consensus_oracle_equivalence():
         mats = [rng.uniform(-8, 8, size=(rows, cols)).astype(np.float32) for _ in range(m)]
         raw_w = rng.uniform(0.0, 1.0, size=m)
         weights = (raw_w / raw_w.sum()).tolist()
-        out = aggregate([ScoreMatrix(k, 1, mat) for k, mat in enumerate(mats)], weights)
+        out = aggregate([transport.ScoreReport(1, k, mat) for k, mat in enumerate(mats)], weights)
         for i in range(rows):  # float64 brute force, elementwise
             for j in range(cols):
                 expected = 0.0
@@ -58,7 +58,7 @@ def test_criterion_1_consensus_oracle_equivalence():
 
     # one-hot identity, exact
     mats = [rng.normal(size=(6, 4)).astype(np.float32) for _ in range(4)]
-    reports = [ScoreMatrix(k, 2, m_) for k, m_ in enumerate(mats)]
+    reports = [transport.ScoreReport(2, k, m_) for k, m_ in enumerate(mats)]
     for k in range(4):
         w = [0.0] * 4
         w[k] = 1.0

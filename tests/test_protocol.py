@@ -12,15 +12,15 @@ from fedmd.errors import ChannelError, ConfigError, ProtocolError, ShapeError
 from fedmd.protocol import (
     CollaborationConfig,
     PartyState,
-    ScoreMatrix,
-    SubsetSelection,
     accept_parties,
     aggregate,
     compute_scores,
     make_party,
+    party_loop,
     rng_stream,
     run_fedmd,
     select_subset,
+    server_loop,
     transfer_learn,
 )
 
@@ -139,7 +139,7 @@ def test_compute_scores_zero_net():
 
 def test_compute_scores_single_sample_matches_forward():
     cfg, parties, public, _ = small_world(1)
-    sel = SubsetSelection(1, np.array([4]))
+    sel = transport.SubsetAnnouncement(1, np.array([4]))
     sm = compute_scores(parties[0], public, sel)
     direct = nn.forward(parties[0].net, public.features[4:5])
     assert np.array_equal(sm.scores, direct)
@@ -159,7 +159,7 @@ def test_compute_scores_batched_equals_rowwise():
 
 
 def score(party, arr, rnd=1):
-    return ScoreMatrix(party, rnd, np.asarray(arr, dtype=np.float32))
+    return transport.ScoreReport(rnd, party, np.asarray(arr, dtype=np.float32))
 
 
 def test_aggregate_single_party_identity():
@@ -382,8 +382,16 @@ def test_accept_parties_keys_channels_by_hello():
         ([hello(1), hello(1)], "party 1"),
         ([hello(0), hello(2)], "party 2"),
         ([hello(0)], "joined"),
+        ([hello(0), transport.ScoreReport(0, 1, np.zeros((2, 3), dtype=np.float32))], "hello"),
     ],
-    ids=["not-a-score-report", "not-round-0", "duplicate-id", "id-out-of-range", "too-few"],
+    ids=[
+        "not-a-score-report",
+        "not-round-0",
+        "duplicate-id",
+        "id-out-of-range",
+        "too-few",
+        "non-empty-scores",
+    ],
 )
 def test_accept_parties_rejects_bad_hellos(frames, message):
     with pytest.raises(ProtocolError, match=message):
@@ -397,3 +405,55 @@ def test_accept_parties_closes_taken_channels_on_rejection():
         accept_parties([server_end], 2)
     with pytest.raises(ChannelError, match="closed"):
         party_end.recv()
+
+
+# --- frames from a faulty peer --------------------------------------------------------
+
+
+def scores_of(party, rows, fill=0.0):
+    return transport.ScoreReport(1, party, np.full((rows, 3), fill, dtype=np.float32))
+
+
+def drive_round(side, frames):
+    """One round of server_loop or party_loop over bus pairs whose peer ends hold ``frames``.
+
+    Server side: ``frames[k]`` is what party k sends. Party side: ``frames`` is
+    what the server sends to the one party of ``small_world``, which has 120
+    public samples and subsets of 64.
+    """
+    if side == "server":
+        cfg = small_cfg(len(frames), rounds=1, subset_size=4)
+        channels = {}
+        for k, sent in enumerate(frames):
+            channels[k], party_end = transport.bus_pair(timeout=5.0)
+            for frame in sent + [transport.RoundComplete(1)]:
+                party_end.send(frame)
+        server_loop(channels, cfg, 10)
+    else:
+        cfg, parties, public, test = small_world(1, rounds=1)
+        server_end, party_end = transport.bus_pair(timeout=5.0)
+        for frame in frames:
+            server_end.send(frame)
+        party_loop(parties[0], public, test, cfg, party_end)
+
+
+@pytest.mark.parametrize(
+    "side, frames, message",
+    [
+        ("server", [[scores_of(0, 4)], [scores_of(1, 4, np.nan)]], "party 1 round 1: non-finite scores"),
+        ("server", [[scores_of(0, 3)]], r"party 0 round 1: scores of shape \(3, 3\)"),
+        (
+            "party",
+            [
+                transport.SubsetAnnouncement(1, np.arange(64)),
+                transport.ConsensusBroadcast(1, np.full((64, 3), np.inf, dtype=np.float32)),
+            ],
+            "party 0 round 1: non-finite consensus",
+        ),
+        ("party", [transport.SubsetAnnouncement(1, np.arange(57, 121))], "party 0 round 1: subset index 120"),
+    ],
+    ids=["non-finite-scores", "short-scores", "non-finite-consensus", "subset-index-out-of-range"],
+)
+def test_bad_frame_from_peer_names_party_and_round(side, frames, message):
+    with np.errstate(all="ignore"), pytest.raises(ProtocolError, match=message):
+        drive_round(side, frames)
