@@ -141,10 +141,10 @@ def _cmd_serve(args) -> int:
     print(f"serving {m} parties on {listener.address[0]}:{listener.address[1]}")
     channels = {}
     try:
-        channels = protocol.accept_parties((listener.accept() for _ in range(m)), m)
+        channels = protocol.accept_parties((listener.accept() for _ in range(m)), m, task.num_classes)
         for k in sorted(channels):
             print(f"party {k} joined")
-        protocol.server_loop(channels, cfg.collab, task.public.n)
+        protocol.server_loop(channels, cfg.collab, task.public.n, task.num_classes)
         print(f"completed {cfg.collab.rounds} rounds")
     finally:
         for chan in channels.values():

@@ -27,7 +27,8 @@ from .data import (
 )
 from .errors import ConfigError
 from .metrics import POOLED, MetricsLog, MetricsRow, summarize
-from .protocol import CollaborationConfig, PartyState, make_party, run_fedmd, transfer_learn
+from .protocol import CollaborationConfig, PartyState, fit_private, make_party, run_fedmd
+from .protocol import transfer_learn  # noqa: F401  perfbench traces the prologue under this name too
 
 # ten heterogeneous hidden-layer layouts, one per party in the canonical run
 CANONICAL_WIDTHS: tuple[tuple[int, ...], ...] = (
@@ -211,12 +212,13 @@ def build_parties(cfg: ExperimentConfig, task: TaskData) -> list[PartyState]:
     ]
 
 
-def baseline_pooled(cfg: ExperimentConfig, task: TaskData) -> list[MetricsRow]:
+def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartyState]) -> list[MetricsRow]:
     """Per-architecture accuracy had every private set been declassified.
 
-    Each party's architecture is re-initialized from its own seed stream and
-    trained through the same transfer prologue, with the union of all private
-    sets standing in for its private data.
+    Each party's post-public network (``pretrained``, kept by its transfer
+    prologue) is copied and fitted by ``fit_private`` on the union of all
+    private sets, with the party's own ``transfer-private`` stream. The public
+    phase is not repeated; it would use the same streams and give the same network.
     """
     cfg = cfg.validated()
     pooled_private = Dataset(
@@ -226,15 +228,15 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData) -> list[MetricsRow]:
         name="pooled",
     )
     rows = []
-    for k in range(cfg.collab.parties):
+    for party in sorted(parties, key=lambda p: p.id):
+        if party.pretrained is None:
+            raise ConfigError(f"party {party.id} has no post-public network; run its prologue first")
         t0 = time.perf_counter()
-        party = make_party(
-            k, cfg.architectures[k], pooled_private, task.public.dim, task.num_classes, cfg.collab
-        )
-        transfer_learn(party, task.public, cfg.collab)
-        acc = nn.accuracy(party.net, task.test)
+        pooled = replace(party, net=party.pretrained.copy(), private=pooled_private)
+        fit_private(pooled, cfg.collab)
+        acc = nn.accuracy(pooled.net, task.test)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(MetricsRow(POOLED, k, acc, None, None, wall_ms))
+        rows.append(MetricsRow(POOLED, party.id, acc, None, None, wall_ms))
     return rows
 
 
@@ -254,7 +256,7 @@ def run_experiment(
     parties = build_parties(cfg, task)
     log = run_fedmd(cfg.collab, parties, task.public, task.test, transport_kind, events=events)
     if cfg.pooled:
-        log.rows.extend(baseline_pooled(cfg, task))
+        log.rows.extend(baseline_pooled(cfg, task, parties))
     log.config_hash = config_hash(cfg)
     log.version = __version__
     log.validate()

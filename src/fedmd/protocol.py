@@ -128,6 +128,7 @@ class PartyState:
     opt: AdamParams = field(default_factory=AdamParams)
     master_seed: int = 0
     stream_key: "int | None" = None
+    pretrained: "Network | None" = None  # copy of ``net`` after the public phase
 
     @property
     def key(self) -> int:
@@ -151,15 +152,8 @@ def make_party(
     return PartyState(party_id, net, private, cfg.opt, cfg.seed)
 
 
-def transfer_learn(
-    party: PartyState, public: Dataset, cfg: CollaborationConfig
-) -> tuple[TrainReport, TrainReport]:
-    """Train to convergence on public data, then on the party's private data.
-
-    Convergence on the public phase is monitored on a held-out slice of the
-    public set; the private phase (often a handful of samples) is monitored on
-    the private set itself.
-    """
+def pretrain_public(party: PartyState, public: Dataset, cfg: CollaborationConfig) -> TrainReport:
+    """Train to convergence on public data, monitored on a held-out slice of it."""
     if public.dim != party.net.input_dim:
         raise ShapeError(
             f"public feature dim {public.dim} does not match party {party.id} "
@@ -172,7 +166,7 @@ def transfer_learn(
         train = public.take(perm[n_val:])
     else:
         val = train = public
-    rep_public = nn.train_to_convergence(
+    return nn.train_to_convergence(
         party.net,
         train,
         val,
@@ -183,8 +177,12 @@ def transfer_learn(
         cfg.patience,
         cfg.min_improvement,
     )
+
+
+def fit_private(party: PartyState, cfg: CollaborationConfig) -> TrainReport:
+    """Train to convergence on the party's private data, monitored on that set itself."""
     batch = min(cfg.transfer_batch_size, max(party.private.n, 1))
-    rep_private = nn.train_to_convergence(
+    return nn.train_to_convergence(
         party.net,
         party.private,
         party.private,
@@ -195,7 +193,19 @@ def transfer_learn(
         cfg.patience,
         cfg.min_improvement,
     )
-    return rep_public, rep_private
+
+
+def transfer_learn(
+    party: PartyState, public: Dataset, cfg: CollaborationConfig
+) -> tuple[TrainReport, TrainReport]:
+    """``pretrain_public``, then ``fit_private``.
+
+    A copy of the post-public network is kept as ``party.pretrained``, so the
+    pooled baseline can continue from it instead of repeating the public phase.
+    """
+    rep_public = pretrain_public(party, public, cfg)
+    party.pretrained = party.net.copy()
+    return rep_public, fit_private(party, cfg)
 
 
 def prologue(party: PartyState, public: Dataset, test: Dataset, cfg: CollaborationConfig) -> MetricsRow:
@@ -316,7 +326,7 @@ _FRAMES = {
 
 
 def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int | None" = None):
-    """Receive one frame: a ``kind`` for ``round`` whose array has ``shape`` (None: any size).
+    """Receive one frame: a ``kind`` for ``round`` whose array has exactly ``shape``.
 
     A score report must come from ``party``, whose channel carried it (None at
     the hello, before the sender is known). Subset indices must lie below
@@ -334,9 +344,8 @@ def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int
     if array_field is None:
         return msg
     arr = getattr(msg, array_field)
-    if arr.ndim != len(shape) or any(w is not None and w != n for n, w in zip(arr.shape, shape)):
-        expected = " x ".join("*" if d is None else str(d) for d in shape)
-        raise ProtocolError(f"{where} {what} of shape {arr.shape}, expected {expected}")
+    if arr.shape != tuple(shape):
+        raise ProtocolError(f"{where} {what} of shape {arr.shape}, expected {tuple(shape)}")
     if kind is SubsetAnnouncement:
         if arr.size and arr.max() >= below:
             raise ProtocolError(f"{where} subset index {arr.max()} outside 0..{below - 1}")
@@ -345,20 +354,21 @@ def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int
     return msg
 
 
-def accept_parties(channels, m: int) -> "dict[int, object]":
+def accept_parties(channels, m: int, num_classes: int) -> "dict[int, object]":
     """Key m server-side channels by the party id in each one's hello frame.
 
     ``channels`` yields the channels to read (bus endpoints, or TCP
-    connections accepted one by one). A hello is an empty score report for
-    round 0; the ids must be exactly 0..m-1. On any failure every channel
-    taken so far is closed, so no party waits on a server that gave up.
+    connections accepted one by one). A hello is an empty 0 x ``num_classes``
+    score report for round 0; the ids must be exactly 0..m-1. On any failure
+    every channel taken so far is closed, so no party waits on a server that
+    gave up.
     """
     keyed = {}
     taken = []
     try:
         for chan in channels:
             taken.append(chan)
-            k = expect(chan, ScoreReport, 0, None, (0, None)).party
+            k = expect(chan, ScoreReport, 0, None, (0, num_classes)).party
             if not 0 <= k < m:
                 raise ProtocolError(f"party {k} round 0: hello from outside 0..{m - 1}")
             if k in keyed:
@@ -377,12 +387,13 @@ def server_loop(
     channels: "dict[int, object]",
     cfg: CollaborationConfig,
     n0: int,
+    num_classes: int,
     events: "list | None" = None,
 ) -> None:
     """Drive P rounds over per-party channels (keyed by party id).
 
     The aggregate step is a barrier: it blocks until every party's score
-    report for the round has arrived.
+    report for the round, subset rows by ``num_classes`` columns, has arrived.
     """
     cfg = cfg.validated()
     subset_size = min(cfg.subset_size, n0)
@@ -391,7 +402,7 @@ def server_loop(
         for k in sorted(channels):
             channels[k].send(selection)
         reports = [
-            expect(channels[k], ScoreReport, j, k, (subset_size, None))
+            expect(channels[k], ScoreReport, j, k, (subset_size, num_classes))
             for k in sorted(channels)
         ]
         consensus = aggregate(reports, cfg.weights)
@@ -532,8 +543,8 @@ def run_fedmd(
     server_error: "BaseException | None" = None
     server_channels = {}
     try:
-        server_channels = accept_parties(incoming, cfg.parties)
-        server_loop(server_channels, cfg, public.n, events)
+        server_channels = accept_parties(incoming, cfg.parties, test.num_classes)
+        server_loop(server_channels, cfg, public.n, test.num_classes, events)
     except BaseException as exc:
         server_error = exc
     finally:

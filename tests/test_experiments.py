@@ -2,21 +2,26 @@
 
 import json
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fedmd import cli, experiments
+from fedmd import cli, experiments, nn
+from fedmd.data import Dataset
 from fedmd.errors import ConfigError, DataError
 from fedmd.experiments import (
     BlobsSpec,
     ExperimentConfig,
+    baseline_pooled,
+    build_parties,
     build_task,
     config_from_dict,
     config_to_dict,
     run_experiment,
 )
 from fedmd.metrics import BASELINE, POOLED, MetricsLog, MetricsRow, summarize
-from fedmd.protocol import CollaborationConfig
+from fedmd.protocol import CollaborationConfig, fit_private, make_party, transfer_learn
 
 
 def tiny_config(seed=0, parties=2, rounds=1, pooled=False, **data_kw):
@@ -185,6 +190,39 @@ def test_single_party_pooled_equals_baseline():
     cfg = tiny_config(parties=1, rounds=0, pooled=True)
     log, _ = run_experiment(cfg)
     assert log.pooled_accuracy(0) == log.baseline_accuracy(0)
+
+
+def test_pooled_rows_continue_from_prologue_snapshot(monkeypatch):
+    # oracle: the pooled fit as it used to run, a fresh party through the whole prologue
+    cfg = replace(tiny_config(parties=3, rounds=1, pooled=True), architectures=((8,), (6, 5), (4,)))
+    fitted = {}
+
+    def recording_fit_private(party, collab):
+        fitted[party.id] = party.net
+        return fit_private(party, collab)
+
+    monkeypatch.setattr(experiments, "fit_private", recording_fit_private)
+    log, _ = run_experiment(cfg)
+    task = build_task(cfg)
+    pooled_private = Dataset(
+        np.concatenate([d.features for d in task.privates]),
+        np.concatenate([d.labels for d in task.privates]),
+        task.num_classes,
+    )
+    for k, arch in enumerate(cfg.architectures):
+        old = make_party(k, arch, pooled_private, task.public.dim, task.num_classes, cfg.collab)
+        transfer_learn(old, task.public, cfg.collab)
+        new_params = fitted[k].parameters()
+        assert len(new_params) == len(old.net.parameters()) == 2 * (len(arch) + 1)
+        assert all(np.array_equal(a, b) for a, b in zip(new_params, old.net.parameters()))
+        assert log.pooled_accuracy(k) == nn.accuracy(old.net, task.test)
+
+
+def test_pooled_without_snapshot_names_the_party():
+    cfg = tiny_config(parties=2, pooled=True)
+    task = build_task(cfg)
+    with pytest.raises(ConfigError, match="party 0"):
+        baseline_pooled(cfg, task, build_parties(cfg, task))
 
 
 def test_pooled_rows_one_per_party():

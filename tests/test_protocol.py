@@ -85,6 +85,16 @@ def test_transfer_learn_identical_parties_identical_baselines():
     assert results[0] == results[1]
 
 
+def test_transfer_learn_snapshot_survives_further_training():
+    cfg, parties, public, _ = small_world(1)
+    party = parties[0]
+    transfer_learn(party, public, cfg)
+    snapshot = [p.copy() for p in party.pretrained.parameters()]
+    nn.train_supervised(party.net, party.private, 3, 4, party.opt, np.random.default_rng(0))
+    assert not all(np.array_equal(a, b) for a, b in zip(snapshot, party.net.parameters()))
+    assert all(np.array_equal(a, b) for a, b in zip(snapshot, party.pretrained.parameters()))
+
+
 def test_transfer_learn_dim_mismatch():
     cfg, parties, public, _ = small_world(1)
     bad_public = synth_blobs(3, 10, 9, 1.0, seed=0)
@@ -363,14 +373,14 @@ def handshake(frames, m):
         server_end, party_end = transport.bus_pair(timeout=5.0)
         party_end.send(frame)
         server_ends.append(server_end)
-    return accept_parties(server_ends, m)
+    return accept_parties(server_ends, m, 3)
 
 
 def test_accept_parties_keys_channels_by_hello():
     pairs = [transport.bus_pair(timeout=5.0) for _ in range(2)]
     for (_, party_end), k in zip(pairs, (1, 0)):
         party_end.send(hello(k))
-    keyed = accept_parties([server_end for server_end, _ in pairs], 2)
+    keyed = accept_parties([server_end for server_end, _ in pairs], 2, 3)
     assert keyed == {1: pairs[0][0], 0: pairs[1][0]}
 
 
@@ -383,6 +393,10 @@ def test_accept_parties_keys_channels_by_hello():
         ([hello(0), hello(2)], "party 2"),
         ([hello(0)], "joined"),
         ([hello(0), transport.ScoreReport(0, 1, np.zeros((2, 3), dtype=np.float32))], "hello"),
+        (
+            [hello(0), transport.ScoreReport(0, 1, np.zeros((0, 2), dtype=np.float32))],
+            r"party 1 round 0: hello of shape \(0, 2\)",
+        ),
     ],
     ids=[
         "not-a-score-report",
@@ -391,6 +405,7 @@ def test_accept_parties_keys_channels_by_hello():
         "id-out-of-range",
         "too-few",
         "non-empty-scores",
+        "wrong-class-count",
     ],
 )
 def test_accept_parties_rejects_bad_hellos(frames, message):
@@ -402,7 +417,7 @@ def test_accept_parties_closes_taken_channels_on_rejection():
     server_end, party_end = transport.bus_pair(timeout=5.0)
     party_end.send(hello(3))
     with pytest.raises(ProtocolError):
-        accept_parties([server_end], 2)
+        accept_parties([server_end], 2, 3)
     with pytest.raises(ChannelError, match="closed"):
         party_end.recv()
 
@@ -410,8 +425,8 @@ def test_accept_parties_closes_taken_channels_on_rejection():
 # --- frames from a faulty peer --------------------------------------------------------
 
 
-def scores_of(party, rows, fill=0.0):
-    return transport.ScoreReport(1, party, np.full((rows, 3), fill, dtype=np.float32))
+def scores_of(party, rows, fill=0.0, cols=3):
+    return transport.ScoreReport(1, party, np.full((rows, cols), fill, dtype=np.float32))
 
 
 def drive_round(side, frames):
@@ -428,7 +443,7 @@ def drive_round(side, frames):
             channels[k], party_end = transport.bus_pair(timeout=5.0)
             for frame in sent + [transport.RoundComplete(1)]:
                 party_end.send(frame)
-        server_loop(channels, cfg, 10)
+        server_loop(channels, cfg, 10, 3)
     else:
         cfg, parties, public, test = small_world(1, rounds=1)
         server_end, party_end = transport.bus_pair(timeout=5.0)
@@ -443,6 +458,12 @@ def drive_round(side, frames):
         ("server", [[scores_of(0, 4)], [scores_of(1, 4, np.nan)]], "party 1 round 1: non-finite scores"),
         ("server", [[scores_of(0, 3)]], r"party 0 round 1: scores of shape \(3, 3\)"),
         (
+            "server",
+            [[scores_of(0, 4)], [scores_of(1, 4, cols=2)]],
+            r"party 1 round 1: scores of shape \(4, 2\)",
+        ),
+        ("server", [[scores_of(0, 4, cols=2)]], r"party 0 round 1: scores of shape \(4, 2\)"),
+        (
             "party",
             [
                 transport.SubsetAnnouncement(1, np.arange(64)),
@@ -452,7 +473,14 @@ def drive_round(side, frames):
         ),
         ("party", [transport.SubsetAnnouncement(1, np.arange(57, 121))], "party 0 round 1: subset index 120"),
     ],
-    ids=["non-finite-scores", "short-scores", "non-finite-consensus", "subset-index-out-of-range"],
+    ids=[
+        "non-finite-scores",
+        "short-scores",
+        "narrow-scores-among-parties",
+        "narrow-scores-single-party",
+        "non-finite-consensus",
+        "subset-index-out-of-range",
+    ],
 )
 def test_bad_frame_from_peer_names_party_and_round(side, frames, message):
     with np.errstate(all="ignore"), pytest.raises(ProtocolError, match=message):
