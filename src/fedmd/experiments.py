@@ -11,7 +11,7 @@ import json
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,6 +71,13 @@ class IdxSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run: collaboration, data, partition and party models, checked when built.
+
+    An invalid value raises ``ConfigError``, in ``replace`` too. ``architectures``
+    (hidden widths, one tuple per party) is stored as int tuples, taken in turn
+    from ``CANONICAL_WIDTHS`` when empty.
+    """
+
     collab: CollaborationConfig
     data: "BlobsSpec | IdxSpec" = field(default_factory=BlobsSpec)
     partition_mode: str = "iid"
@@ -81,18 +88,12 @@ class ExperimentConfig:
     out_dir: "str | None" = None
     name: str = "experiment"
 
-    def validated(self) -> "ExperimentConfig":
-        collab = self.collab.validated()
-        archs = self.architectures
-        if not archs:
-            archs = tuple(
-                CANONICAL_WIDTHS[k % len(CANONICAL_WIDTHS)] for k in range(collab.parties)
-            )
+    def __post_init__(self) -> None:
+        m = self.collab.parties
+        archs = self.architectures or [CANONICAL_WIDTHS[k % len(CANONICAL_WIDTHS)] for k in range(m)]
         archs = tuple(tuple(int(w) for w in a) for a in archs)
-        if len(archs) != collab.parties:
-            raise ConfigError(
-                f"{len(archs)} architectures for {collab.parties} parties"
-            )
+        if len(archs) != m:
+            raise ConfigError(f"{len(archs)} architectures for {m} parties")
         for a in archs:
             if any(w < 1 for w in a):
                 raise ConfigError(f"hidden widths must be >= 1, got {a}")
@@ -102,7 +103,7 @@ class ExperimentConfig:
             raise ConfigError("noniid partition requires subclass_map")
         if self.per_class < 1:
             raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
-        return replace(self, collab=collab, architectures=archs)
+        object.__setattr__(self, "architectures", archs)
 
     @property
     def seed(self) -> int:
@@ -136,7 +137,6 @@ def _noniid_superclasses(mapping: dict[int, int]) -> int:
 
 
 def build_task(cfg: ExperimentConfig) -> TaskData:
-    cfg = cfg.validated()
     seed = cfg.seed
     spec = cfg.data
     plan = PartitionPlan(
@@ -205,7 +205,6 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
 
 
 def build_parties(cfg: ExperimentConfig, task: TaskData) -> list[PartyState]:
-    cfg = cfg.validated()
     return [
         make_party(k, cfg.architectures[k], task.privates[k], task.public.dim, task.num_classes, cfg.collab)
         for k in range(cfg.collab.parties)
@@ -220,7 +219,6 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartySt
     private sets, with the party's own ``transfer-private`` stream. The public
     phase is not repeated; it would use the same streams and give the same network.
     """
-    cfg = cfg.validated()
     pooled_private = Dataset(
         np.concatenate([d.features for d in task.privates]),
         np.concatenate([d.labels for d in task.privates]),
@@ -245,20 +243,14 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    transport_kind: str = "bus",
-    events: "list | None" = None,
-) -> tuple[MetricsLog, dict]:
+def run_experiment(cfg: ExperimentConfig, transport_kind: str = "bus") -> tuple[MetricsLog, dict]:
     """Full run: baselines, P rounds, optional pooled upper bound, file emission."""
-    cfg = cfg.validated()
     task = build_task(cfg)
     parties = build_parties(cfg, task)
-    log = run_fedmd(cfg.collab, parties, task.public, task.test, transport_kind, events=events)
+    log = run_fedmd(cfg.collab, parties, task.public, task.test, transport_kind)
     if cfg.pooled:
         log.rows.extend(baseline_pooled(cfg, task, parties))
     log.config_hash = config_hash(cfg)
-    log.version = __version__
     log.validate()
     summary = summarize(log)
     summary["name"] = cfg.name
@@ -286,33 +278,13 @@ def write_outputs(out_dir: str, log: MetricsLog, summary: dict, cfg: ExperimentC
 
 # --- config (de)serialization ---------------------------------------------------
 
-_COLLAB_KEYS = (
-    "parties",
-    "rounds",
-    "subset_size",
-    "weights",
-    "digest_epochs",
-    "digest_batch_size",
-    "revisit_epochs",
-    "revisit_batch_size",
-    "lr",
-    "beta1",
-    "beta2",
-    "epsilon",
-    "max_epochs",
-    "patience",
-    "min_improvement",
-    "transfer_batch_size",
-    "val_fraction",
-    "distill",
-    "seed",
-)
+_COLLAB_KEYS = tuple(f.name for f in fields(CollaborationConfig))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Flat JSON-ready dict of the effective config, every default included."""
     out = {k: getattr(cfg.collab, k) for k in _COLLAB_KEYS}
-    out["weights"] = None if cfg.collab.weights is None else list(cfg.collab.weights)
+    out["weights"] = list(cfg.collab.weights)
     out["data"] = asdict(cfg.data)
     out["partition"] = {
         "mode": cfg.partition_mode,
@@ -331,7 +303,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a validated config from a JSON-shaped dict, rejecting unknown keys."""
+    """Build a config from a JSON-shaped dict, rejecting unknown keys."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
     known_top = set(_COLLAB_KEYS) | {
@@ -348,8 +320,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     collab_kwargs = {k: raw[k] for k in _COLLAB_KEYS if k in raw}
     if "parties" not in collab_kwargs or "rounds" not in collab_kwargs:
         raise ConfigError("config must set at least 'parties' and 'rounds'")
-    if collab_kwargs.get("weights") is not None:
-        collab_kwargs["weights"] = tuple(float(w) for w in collab_kwargs["weights"])
     collab = CollaborationConfig(**collab_kwargs)
 
     data_raw = dict(raw.get("data") or {})
@@ -381,19 +351,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if sub_raw is not None:
         subclass_map = {int(k): int(v) for k, v in sub_raw.items()}
 
-    archs = tuple(tuple(int(w) for w in a) for a in raw.get("architectures") or ())
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         collab=collab,
         data=data,
         partition_mode=mode,
         per_class=int(per_class),
         subclass_map=subclass_map,
-        architectures=archs,
+        architectures=raw.get("architectures") or (),
         pooled=bool(raw.get("pooled", True)),
         out_dir=raw.get("out_dir"),
         name=str(raw.get("name", "experiment")),
     )
-    return cfg.validated()
 
 
 @dataclass
@@ -408,7 +376,6 @@ class NonIidProbe:
 
 def run_noniid_probe(cfg: ExperimentConfig, transport_kind: str = "bus") -> NonIidProbe:
     """Run a noniid experiment and measure never-seen-subclass accuracy before and after."""
-    cfg = cfg.validated()
     if cfg.partition_mode != "noniid":
         raise ConfigError("the probe needs a noniid config")
     task = build_task(cfg)

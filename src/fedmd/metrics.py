@@ -38,7 +38,6 @@ class MetricsLog:
     rows: list[MetricsRow] = field(default_factory=list)
     config_hash: str = ""
     seed: int = 0
-    version: str = ""
 
     def validate(self) -> None:
         parties = {r.party for r in self.rows}

@@ -19,7 +19,7 @@ used. ``expect`` checks each one once, where it is received.
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,11 @@ def rng_stream(master_seed: int, *tags) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CollaborationConfig:
-    """All protocol hyperparameters. ``validated()`` returns a normalized copy."""
+    """All protocol hyperparameters, checked when built (``replace`` included).
+
+    An invalid value raises ``ConfigError``. ``weights`` is stored summing to 1:
+    uniform when given as None, rescaled otherwise.
+    """
 
     parties: int
     rounds: int
@@ -73,7 +77,7 @@ class CollaborationConfig:
     distill: str = "mae"
     seed: int = 0
 
-    def validated(self) -> "CollaborationConfig":
+    def __post_init__(self) -> None:
         if self.parties < 1:
             raise ConfigError(f"parties must be >= 1, got {self.parties}")
         if self.rounds < 0:
@@ -92,22 +96,17 @@ class CollaborationConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.distill not in nn.DISTILL_LOSSES:
             raise ConfigError(f"distill must be one of {nn.DISTILL_LOSSES}, got {self.distill!r}")
-        weights = self.weights
-        if weights is None:
-            weights = tuple(1.0 / self.parties for _ in range(self.parties))
-        else:
-            if len(weights) != self.parties:
-                raise ConfigError(f"{len(weights)} weights for {self.parties} parties")
-            if any(w < 0 for w in weights):
-                raise ConfigError("consensus weights must be non-negative")
-            total = sum(weights)
-            if total <= 0:
-                raise ConfigError("consensus weights must not all be zero")
-            if abs(total - 1.0) > 1e-9:  # renormalize, but stay idempotent
-                weights = tuple(w / total for w in weights)
-            else:
-                weights = tuple(weights)
-        return replace(self, weights=weights)
+        weights = (1.0,) * self.parties if self.weights is None else tuple(map(float, self.weights))
+        if len(weights) != self.parties:
+            raise ConfigError(f"{len(weights)} weights for {self.parties} parties")
+        if any(w < 0 for w in weights):
+            raise ConfigError("consensus weights must be non-negative")
+        total = sum(weights)
+        if total <= 0:
+            raise ConfigError("consensus weights must not all be zero")
+        if abs(total - 1.0) > 1e-9:  # renormalize, but stay idempotent
+            weights = tuple(w / total for w in weights)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def opt(self) -> AdamParams:
@@ -273,15 +272,12 @@ def _party_round(
     selection: SubsetAnnouncement,
     scores: ScoreReport,
     consensus: ConsensusBroadcast,
-    events: "list | None",
 ) -> MetricsRow:
     """Digest the consensus, revisit private data, then measure test accuracy."""
     t0 = time.perf_counter()
     j = selection.round
     inputs = public.features[selection.indices]
     digest_loss, _ = nn.distill_loss(scores.scores, consensus.targets, cfg.distill)
-    if events is not None:
-        events.append(("digest", j, party.id))
     try:
         nn.train_distill(
             party.net,
@@ -295,8 +291,6 @@ def _party_round(
         )
     except Exception as exc:
         raise ProtocolError(f"party {party.id} round {j}: digest failed: {exc}") from exc
-    if events is not None:
-        events.append(("revisit", j, party.id))
     try:
         revisit = nn.train_supervised(
             party.net,
@@ -388,14 +382,12 @@ def server_loop(
     cfg: CollaborationConfig,
     n0: int,
     num_classes: int,
-    events: "list | None" = None,
 ) -> None:
     """Drive P rounds over per-party channels (keyed by party id).
 
     The aggregate step is a barrier: it blocks until every party's score
     report for the round, subset rows by ``num_classes`` columns, has arrived.
     """
-    cfg = cfg.validated()
     subset_size = min(cfg.subset_size, n0)
     for j in range(1, cfg.rounds + 1):
         selection = select_subset(n0, subset_size, rng_stream(cfg.seed, "subset", j), j)
@@ -406,8 +398,6 @@ def server_loop(
             for k in sorted(channels)
         ]
         consensus = aggregate(reports, cfg.weights)
-        if events is not None:
-            events.append(("aggregate", j))
         for k in sorted(channels):
             channels[k].send(consensus)
         for k in sorted(channels):
@@ -420,14 +410,12 @@ def party_loop(
     test: Dataset,
     cfg: CollaborationConfig,
     channel,
-    events: "list | None" = None,
 ) -> list[MetricsRow]:
     """Follow the server through P rounds on one channel.
 
     Starts with a hello frame (an empty 0xC score report for round 0) so the
     server can map the connection to this party before round 1.
     """
-    cfg = cfg.validated()
     channel.send(ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32)))
     subset_size = min(cfg.subset_size, public.n)
     metrics = []
@@ -438,14 +426,10 @@ def party_loop(
                 scores = compute_scores(party, public, selection)
         except Exception as exc:
             raise ProtocolError(f"party {party.id} round {j}: communicate failed: {exc}") from exc
-        if events is not None:
-            events.append(("scores", j, party.id))
         channel.send(scores)
         consensus = expect(channel, ConsensusBroadcast, j, party.id, scores.scores.shape)
         with _COMPUTE_LOCK:
-            metrics.append(
-                _party_round(party, public, test, cfg, selection, scores, consensus, events)
-            )
+            metrics.append(_party_round(party, public, test, cfg, selection, scores, consensus))
         channel.send(RoundComplete(j))
     return metrics
 
@@ -465,7 +449,6 @@ def _party_worker(
     cfg: CollaborationConfig,
     channel,
     result: _WorkerResult,
-    events: "list | None",
     after_transfer,
 ) -> None:
     try:
@@ -473,7 +456,7 @@ def _party_worker(
         if after_transfer is not None:
             after_transfer(party)
         result.step = "rounds"
-        result.rounds = party_loop(party, public, test, cfg, channel, events)
+        result.rounds = party_loop(party, public, test, cfg, channel)
     except BaseException as exc:  # surfaced as ProtocolError by the orchestrator
         result.error = exc
     finally:
@@ -487,7 +470,6 @@ def run_fedmd(
     test: Dataset,
     transport_kind: str = "bus",
     addr: "tuple[str, int] | None" = None,
-    events: "list | None" = None,
     after_transfer=None,
 ) -> MetricsLog:
     """Transfer-learning prologue for every party, then P collaboration rounds.
@@ -497,7 +479,6 @@ def run_fedmd(
     is an optional hook called with each party between its baseline measurement
     and the first round.
     """
-    cfg = cfg.validated()
     if len(parties) != cfg.parties:
         raise ConfigError(f"config names {cfg.parties} parties but {len(parties)} were given")
     ids = sorted(p.id for p in parties)
@@ -533,7 +514,7 @@ def run_fedmd(
     for p in parties:
         t = threading.Thread(
             target=_party_worker,
-            args=(p, public, test, cfg, party_channels[p.id], results[p.id], events, after_transfer),
+            args=(p, public, test, cfg, party_channels[p.id], results[p.id], after_transfer),
             name=f"party-{p.id}",
             daemon=True,
         )
@@ -544,7 +525,7 @@ def run_fedmd(
     server_channels = {}
     try:
         server_channels = accept_parties(incoming, cfg.parties, test.num_classes)
-        server_loop(server_channels, cfg, public.n, test.num_classes, events)
+        server_loop(server_channels, cfg, public.n, test.num_classes)
     except BaseException as exc:
         server_error = exc
     finally:

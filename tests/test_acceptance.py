@@ -256,7 +256,7 @@ def test_criterion_8_determinism():
             ),
             architectures=cfg.architectures[:3],
             name="determinism",
-        ).validated()
+        )
         log, _ = run_experiment(cfg)
         return log
 

@@ -40,7 +40,7 @@ def tiny_config(seed=0, parties=2, rounds=1, pooled=False, **data_kw):
         architectures=((8,),) * parties,
         pooled=pooled,
         name="tiny",
-    ).validated()
+    )
 
 
 # --- metrics log -------------------------------------------------------------------
@@ -158,6 +158,14 @@ def test_config_validation_errors_name_constraint():
         config_from_dict({"parties": 2, "rounds": 1, "subset_size": 0})
     with pytest.raises(ConfigError, match="architectures"):
         config_from_dict({"parties": 3, "rounds": 1, "architectures": [[8]]})
+    # a config built in code, or by replace, is checked the same way
+    cfg = cli.parse_config(os.path.join(CONFIGS, "blobs10.json"))
+    with pytest.raises(ConfigError, match="10 weights for 3 parties"):
+        replace(cfg.collab, parties=3)
+    with pytest.raises(ConfigError, match="3 architectures for 10 parties"):
+        replace(cfg, architectures=cfg.architectures[:3])
+    with pytest.raises(ConfigError, match="noniid partition requires subclass_map"):
+        ExperimentConfig(cfg.collab, partition_mode="noniid", subclass_map=None)
 
 
 # --- runs -----------------------------------------------------------------------------
@@ -257,7 +265,7 @@ def test_noniid_run_and_probe():
         architectures=((8,), (8,)),
         pooled=False,
         name="noniid-tiny",
-    ).validated()
+    )
     task = build_task(cfg)
     assert task.num_classes == 2
     assert task.test.num_classes == 2

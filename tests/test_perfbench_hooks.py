@@ -37,3 +37,29 @@ def test_every_traced_name_resolves():
 
 def test_benchmark_checks_pass_their_self_test():
     selftest.main()
+
+
+def test_runs_call_run_fedmd_through_the_experiments_module(monkeypatch):
+    # perfbench's Runner replaces experiments.run_fedmd to capture the log of each run
+    from fedmd import experiments
+
+    logs = []
+    inner = experiments.run_fedmd
+
+    def recorder(*args, **kwargs):
+        logs.append(inner(*args, **kwargs))
+        return logs[-1]
+
+    monkeypatch.setattr(experiments, "run_fedmd", recorder)
+    tiny = {"parties": 2, "rounds": 1, "subset_size": 32, "max_epochs": 5, "pooled": False,
+            "architectures": [[8], [8]]}
+    iid = dict(tiny, data={"classes": 3, "dim": 4, "public_per_class": 30,
+                           "pool_per_class": 12, "test_per_class": 30})
+    noniid = dict(tiny, data={"classes": 4, "dim": 4, "public_per_class": 30,
+                              "pool_per_class": 16, "test_per_class": 20},
+                  partition={"mode": "noniid", "per_class": 4,
+                             "subclass_map": {"0": 0, "1": 0, "2": 1, "3": 1}})
+    log, _ = experiments.run_experiment(experiments.config_from_dict(iid))
+    probe = experiments.run_noniid_probe(experiments.config_from_dict(noniid))
+    assert len(logs) == 2 and logs[0] is log
+    assert probe.final == [logs[1].final_accuracy(k) for k in range(2)]

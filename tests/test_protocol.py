@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from fedmd import nn, transport
+from fedmd import nn, protocol, transport
 from fedmd.data import synth_blobs
 from fedmd.errors import ChannelError, ConfigError, ProtocolError, ShapeError
 from fedmd.protocol import (
@@ -268,10 +268,34 @@ def test_symmetric_parties_get_identical_metrics():
         assert rows[0].revisit_loss == rows[1].revisit_loss
 
 
-def test_run_fedmd_event_ordering_with_threads():
+def test_run_fedmd_event_ordering_with_threads(monkeypatch):
     cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
     events = []
-    run_fedmd(cfg, parties, public, test, events=events)
+    calls = {}  # (step, party) -> rounds of that step the party has trained
+
+    def record(module, name, event):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            out = inner(*args)
+            events.append(event(*args))
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def round_step(step):
+        def event(*_args):
+            k = int(threading.current_thread().name.removeprefix("party-"))
+            calls[step, k] = calls.get((step, k), 0) + 1
+            return (step, calls[step, k], k)
+
+        return event
+
+    record(protocol, "compute_scores", lambda party, _public, sel: ("scores", sel.round, party.id))
+    record(protocol, "aggregate", lambda reports, _weights: ("aggregate", reports[0].round))
+    record(nn, "train_distill", round_step("digest"))
+    record(nn, "train_supervised", round_step("revisit"))
+    run_fedmd(cfg, parties, public, test)
     for j in (1, 2):
         agg = events.index(("aggregate", j))
         for k in range(3):
@@ -338,8 +362,8 @@ def test_cross_transport_runs_agree():
 
 def test_run_fedmd_validates_before_training():
     cfg, parties, public, test = small_world(2)
-    bad = CollaborationConfig(parties=2, rounds=1, weights=(0.5, -0.5))
     with pytest.raises(ConfigError, match="non-negative"):
+        bad = CollaborationConfig(parties=2, rounds=1, weights=(0.5, -0.5))
         run_fedmd(bad, parties, public, test)
     with pytest.raises(ConfigError, match="parties"):
         run_fedmd(small_cfg(3, 1), parties, public, test)
@@ -354,7 +378,7 @@ def test_run_fedmd_party_failure_identifies_party_and_step():
 
 
 def test_config_weight_renormalization():
-    cfg = CollaborationConfig(parties=2, rounds=0, weights=(2.0, 6.0)).validated()
+    cfg = CollaborationConfig(parties=2, rounds=0, weights=(2.0, 6.0))
     assert cfg.weights == (0.25, 0.75)
     assert abs(sum(cfg.weights) - 1.0) <= 1e-9
 
