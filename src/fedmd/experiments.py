@@ -56,6 +56,15 @@ class BlobsSpec:
     test_per_class: int = 200
     kind: str = "blobs"
 
+    def __post_init__(self) -> None:
+        for name in ("classes", "dim", "public_per_class", "pool_per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"data.{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("spread", "public_spread"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"data.{name} must be positive, got {value}")
+
 
 @dataclass(frozen=True)
 class IdxSpec:
@@ -67,6 +76,13 @@ class IdxSpec:
     test_images: str = ""
     test_labels: str = ""
     kind: str = "idx"
+
+
+def _noniid_superclasses(mapping: dict[int, int]) -> int:
+    supers = sorted(set(mapping.values()))
+    if supers != list(range(len(supers))):
+        raise ConfigError(f"superclass indices must be contiguous from 0, got {supers}")
+    return len(supers)
 
 
 @dataclass(frozen=True)
@@ -99,8 +115,10 @@ class ExperimentConfig:
                 raise ConfigError(f"hidden widths must be >= 1, got {a}")
         if self.partition_mode not in ("iid", "noniid"):
             raise ConfigError(f"unknown partition mode {self.partition_mode!r}")
-        if self.partition_mode == "noniid" and not self.subclass_map:
-            raise ConfigError("noniid partition requires subclass_map")
+        if self.partition_mode == "noniid":
+            if not self.subclass_map:
+                raise ConfigError("noniid partition requires subclass_map")
+            _noniid_superclasses(self.subclass_map)
         if self.per_class < 1:
             raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
         object.__setattr__(self, "architectures", archs)
@@ -127,13 +145,6 @@ class TaskData:
     assignment: "tuple[dict[int, int], ...] | None" = None  # noniid: superclass -> subclass
     test_subclasses: "np.ndarray | None" = None  # noniid: original subclass of test rows
     remainder: "Dataset | None" = None
-
-
-def _noniid_superclasses(mapping: dict[int, int]) -> int:
-    supers = sorted(set(mapping.values()))
-    if supers != list(range(len(supers))):
-        raise ConfigError(f"superclass indices must be contiguous from 0, got {supers}")
-    return len(supers)
 
 
 def build_task(cfg: ExperimentConfig) -> TaskData:

@@ -29,10 +29,13 @@ class Network:
 
     Two networks in the same collaboration may differ in depth and widths;
     only the input dim and class count must agree across participants.
+    Building one copies the layers' arrays into one contiguous vector ``flat``
+    and rebinds each weight and bias to a view of it.
     """
 
     layers: list[Layer]
     output_dim: int
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -58,6 +61,13 @@ class Network:
             raise ShapeError(
                 f"final layer out-dim {last.weight.shape[1]} vs declared class count {self.output_dim}"
             )
+        params = self.parameters()
+        self.flat = np.empty(sum(p.size for p in params), dtype=np.result_type(*params))
+        views = _views(self.flat, params)
+        for view, p in zip(views, params):
+            view[...] = p
+        for lyr, w, b in zip(self.layers, views[::2], views[1::2]):
+            lyr.weight, lyr.bias = w, b
 
     @property
     def input_dim(self) -> int:
@@ -70,17 +80,22 @@ class Network:
             out.append(lyr.bias)
         return out
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        if len(params) != 2 * len(self.layers):
-            raise ShapeError(f"expected {2 * len(self.layers)} arrays, got {len(params)}")
-        for i, lyr in enumerate(self.layers):
-            lyr.weight, lyr.bias = params[2 * i], params[2 * i + 1]
-
     def copy(self) -> "Network":
-        return Network(
-            [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers],
-            self.output_dim,
-        )
+        """An independent network; building it copies the arrays into a new flat vector."""
+        return Network([Layer(l.weight, l.bias, l.activation) for l in self.layers], self.output_dim)
+
+    def __reduce__(self):
+        # pickle and copy.deepcopy would copy each view on its own, cut off from ``flat``
+        return Network, ([Layer(l.weight, l.bias, l.activation) for l in self.layers], self.output_dim)
+
+
+def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` shaped like the arrays in ``like``."""
+    views, start = [], 0
+    for a in like:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
 
 def build_network(
@@ -120,30 +135,29 @@ def _forward_cached(net: Network, batch: np.ndarray):
     pre = []  # pre-activation per layer
     post = [batch]  # layer inputs, aligned so post[i] feeds layer i
     for lyr in net.layers:
-        z = h @ lyr.weight + lyr.bias
+        z = h @ lyr.weight
+        z += lyr.bias
         pre.append(z)
         h = np.maximum(z, 0) if lyr.activation == "relu" else z
         post.append(h)
     return h, (pre, post)
 
 
-def _backward(net: Network, cache, dlogits: np.ndarray) -> list[np.ndarray]:
-    """Parameter gradients for a loss whose logit gradient is ``dlogits``.
+def _backward(net: Network, cache, dlogits: np.ndarray, grads: list[np.ndarray]) -> None:
+    """Write the parameter gradients for a loss whose logit gradient is ``dlogits``.
 
-    Returns arrays aligned with ``net.parameters()``.
+    ``grads`` are arrays aligned with ``net.parameters()``; every entry is overwritten.
     """
     pre, post = cache
-    grads: list[np.ndarray] = [None] * (2 * len(net.layers))
     delta = dlogits
     for i in range(len(net.layers) - 1, -1, -1):
         lyr = net.layers[i]
         if lyr.activation == "relu":
-            delta = delta * (pre[i] > 0)
-        grads[2 * i] = post[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
+            delta *= pre[i] > 0  # delta is a fresh product here: the last layer is identity
+        np.matmul(post[i].T, delta, out=grads[2 * i])
+        delta.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
             delta = delta @ lyr.weight.T
-    return grads
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -155,13 +169,15 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         bad = labels[(labels < 0) | (labels >= c)][0]
         raise IndexError(f"label {bad} out of range for {c} classes")
+    rows = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     denom = e.sum(axis=1, dtype=np.float64)
-    loss = float(np.mean(np.log(denom) - shifted[np.arange(n), labels].astype(np.float64)))
-    probs = (e / denom[:, None]).astype(logits.dtype)
-    grad = probs
-    grad[np.arange(n), labels] -= 1
+    # float64 minus float32 widens the picked logits exactly
+    loss = float((np.log(denom) - shifted[rows, labels]).sum() / n)
+    # softmax divides in float64 and rounds to the logits' dtype
+    grad = np.divide(e, denom[:, None], out=e, casting="same_kind")
+    grad[rows, labels] -= 1
     grad /= n
     return loss, grad
 
@@ -250,10 +266,37 @@ class TrainReport:
         return len(self.epoch_losses)
 
 
+def _adam_in_place(p, g, m, v, tmp, hp: AdamParams, t: int) -> None:
+    """Step ``t`` of ``adam_step`` on flat vectors, written into ``p``, ``m`` and ``v``.
+
+    The ops and their order are ``adam_step``'s own, so the bits are too. The
+    scalars stay Python floats, which keeps every op in the vectors' dtype.
+    ``g`` is spent: it holds the update afterwards.
+    """
+    bc1 = 1.0 - hp.beta1**t
+    bc2 = 1.0 - hp.beta2**t
+    m *= hp.beta1
+    np.multiply(g, 1.0 - hp.beta1, out=tmp)
+    m += tmp
+    v *= hp.beta2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - hp.beta2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += hp.epsilon
+    np.divide(m, bc1, out=g)
+    g /= tmp
+    g *= hp.lr
+    p -= g
+
+
 def _run_epochs(net, inputs, loss_of_batch, epochs, batch_size, opt, rng, on_epoch=None) -> TrainReport:
     """Minibatch descent with one persistent Adam state across all epochs.
 
-    ``on_epoch(epoch_index, mean_loss)`` may return True to stop early.
+    Gradients, moments and scratch are flat vectors like ``net.flat`` that live
+    only for this call. ``on_epoch(epoch_index, mean_loss)`` may return True to
+    stop early.
     """
     n = inputs.shape[0]
     if n == 0:
@@ -262,7 +305,9 @@ def _run_epochs(net, inputs, loss_of_batch, epochs, batch_size, opt, rng, on_epo
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    state = AdamState.fresh(net.parameters(), opt)
+    grad, m, v, tmp = (np.zeros_like(net.flat) for _ in range(4))
+    grads = _views(grad, net.parameters())
+    t = 0
     report = TrainReport()
     for epoch in range(epochs):
         perm = rng.permutation(n)
@@ -273,9 +318,9 @@ def _run_epochs(net, inputs, loss_of_batch, epochs, batch_size, opt, rng, on_epo
             loss, dlogits = loss_of_batch(logits, idx)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss in epoch {epoch}")
-            grads = _backward(net, cache, dlogits)
-            new_params, state = adam_step(net.parameters(), grads, state)
-            net.set_parameters(new_params)
+            _backward(net, cache, dlogits, grads)
+            t += 1
+            _adam_in_place(net.flat, grad, m, v, tmp, opt, t)
             total += loss * len(idx)
         report.epoch_losses.append(total / n)
         if on_epoch is not None and on_epoch(epoch, report.epoch_losses[-1]):
@@ -425,7 +470,8 @@ def gradient_check(
             loss_fn = lambda lg: distill_loss(lg, targets, "mae")[0]
             _, dlogits = distill_loss(logits, targets, "mae")
         _, cache = _forward_cached(net, batch)
-        analytic = _backward(net, cache, dlogits)
+        analytic = [np.empty_like(p) for p in net.parameters()]
+        _backward(net, cache, dlogits, analytic)
         numeric = _fd_gradients(net, batch, loss_fn, h)
         worst = 0.0
         for a, f in zip(analytic, numeric):

@@ -166,6 +166,15 @@ def test_config_validation_errors_name_constraint():
         replace(cfg, architectures=cfg.architectures[:3])
     with pytest.raises(ConfigError, match="noniid partition requires subclass_map"):
         ExperimentConfig(cfg.collab, partition_mode="noniid", subclass_map=None)
+    # data values that only build_task used to reject
+    with pytest.raises(ConfigError, match="data.dim must be >= 1"):
+        BlobsSpec(dim=0)
+    with pytest.raises(ConfigError, match="data.public_per_class must be >= 1"):
+        replace(cfg.data, public_per_class=0)
+    with pytest.raises(ConfigError, match="data.public_per_class must be >= 1"):
+        config_from_dict({"parties": 2, "rounds": 1, "data": {"kind": "blobs", "public_per_class": 0}})
+    with pytest.raises(ConfigError, match="superclass indices must be contiguous"):
+        ExperimentConfig(cfg.collab, partition_mode="noniid", subclass_map={0: 0, 1: 2})
 
 
 # --- runs -----------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Kernel tests: forward/backward, losses against float64 oracles, Adam, training."""
 
+import copy
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedmd import nn
+from fedmd import cli, nn
 from fedmd.data import synth_blobs
 from fedmd.errors import ConfigError, DivergenceError, ShapeError
 
@@ -280,6 +283,27 @@ def test_train_supervised_divergence_names_epoch():
         nn.train_supervised(net, data, 5, 4, nn.AdamParams(lr=1e30), np.random.default_rng(5))
 
 
+@pytest.mark.parametrize(
+    "duplicate",
+    [nn.Network.copy, copy.copy, copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+    ids=["copy", "copy.copy", "deepcopy", "pickle"],
+)
+def test_copy_and_original_train_independently(duplicate):
+    data = synth_blobs(3, 10, 4, 0.5, seed=8)
+    net = rand_net(np.random.default_rng(9), (4, 6, 5, 3))
+    twin = duplicate(net)
+    assert not np.shares_memory(net.flat, twin.flat)
+    for trained, other in ((twin, net), (net, twin)):
+        untouched = [p.copy() for p in other.parameters()]
+        start = [p.copy() for p in trained.parameters()]
+        nn.train_supervised(trained, data, 2, 4, nn.AdamParams(), np.random.default_rng(10))
+        assert all(np.array_equal(a, b) for a, b in zip(untouched, other.parameters()))
+        assert not any(np.array_equal(a, b) for a, b in zip(start, trained.parameters()))
+    # training writes into flat and gradient_check through p.reshape(-1): both reach forward
+    for network in (net, twin):
+        assert all(np.shares_memory(p.reshape(-1), network.flat) for p in network.parameters())
+
+
 def test_train_distill_fixed_point_keeps_weights():
     rng = np.random.default_rng(12)
     net = rand_net(rng, (3, 5, 2))
@@ -363,3 +387,122 @@ def test_gradients_match_finite_differences():
     report = nn.gradient_check(num_nets=12, seed=123)
     assert report.max_rel_err < nn.GRADCHECK_TOLERANCE
     assert {c.loss for c in report.cases} == {"xent", "mae"}
+
+
+# --- fused training step against the list-based reference --------------------------
+#
+# The reference is the loop the fused one replaced: fresh gradient arrays per
+# layer, the pure adam_step, and the new arrays rebound into the layers. It
+# uses its own forward and cross-entropy too, so every op of the fused path is
+# checked against the one it replaced.
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+
+
+def config_architectures():
+    archs = []
+    for name in ("blobs10.json", "noniid.json"):
+        for arch in cli.parse_config(os.path.join(CONFIGS, name)).architectures:
+            if arch not in archs:
+                archs.append(arch)
+    return archs
+
+
+def reference_forward_cached(net, batch):
+    h, pre, post = batch, [], [batch]
+    for lyr in net.layers:
+        z = h @ lyr.weight + lyr.bias
+        pre.append(z)
+        h = np.maximum(z, 0) if lyr.activation == "relu" else z
+        post.append(h)
+    return h, (pre, post)
+
+
+def reference_backward(net, cache, dlogits):
+    pre, post = cache
+    grads = [None] * (2 * len(net.layers))
+    delta = dlogits
+    for i in range(len(net.layers) - 1, -1, -1):
+        lyr = net.layers[i]
+        if lyr.activation == "relu":
+            delta = delta * (pre[i] > 0)
+        grads[2 * i] = post[i].T @ delta
+        grads[2 * i + 1] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ lyr.weight.T
+    return grads
+
+
+def reference_cross_entropy(logits, labels):
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    denom = e.sum(axis=1, dtype=np.float64)
+    loss = float(np.mean(np.log(denom) - shifted[np.arange(n), labels].astype(np.float64)))
+    grad = (e / denom[:, None]).astype(logits.dtype)
+    grad[np.arange(n), labels] -= 1
+    grad /= n
+    return loss, grad
+
+
+def reference_run_epochs(net, inputs, loss_of_batch, epochs, batch_size, opt, rng, on_epoch=None):
+    n = inputs.shape[0]
+    state = nn.AdamState.fresh(net.parameters(), opt)
+    report = nn.TrainReport()
+    for epoch in range(epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            idx = perm[start : start + batch_size]
+            logits, cache = reference_forward_cached(net, inputs[idx])
+            loss, dlogits = loss_of_batch(logits, idx)
+            grads = reference_backward(net, cache, dlogits)
+            new_params, state = nn.adam_step(net.parameters(), grads, state)
+            for lyr, w, b in zip(net.layers, new_params[::2], new_params[1::2]):
+                lyr.weight, lyr.bias = w, b
+            total += loss * len(idx)
+        report.epoch_losses.append(total / n)
+        if on_epoch is not None and on_epoch(epoch, report.epoch_losses[-1]):
+            break
+    return report
+
+
+TRAIN = synth_blobs(6, 15, 16, 1.5, seed=3)  # 90 rows: batches of 32 leave a ragged 26
+VAL = synth_blobs(6, 10, 16, 1.5, seed=3, sample_stream=1)
+TARGETS = (3.0 * np.random.default_rng(4).standard_normal((TRAIN.n, 6))).astype(np.float32)
+TRAJECTORIES = {
+    "supervised": lambda net: nn.train_supervised(
+        net, TRAIN, 4, 32, nn.AdamParams(), np.random.default_rng(5)
+    ),
+    "distill-mae": lambda net: nn.train_distill(
+        net, TRAIN.features, TARGETS, 4, 32, nn.AdamParams(), np.random.default_rng(6), "mae"
+    ),
+    "distill-mse": lambda net: nn.train_distill(
+        net, TRAIN.features, TARGETS, 4, 32, nn.AdamParams(), np.random.default_rng(7), "mse"
+    ),
+    "convergence": lambda net: nn.train_to_convergence(
+        net, TRAIN, VAL, 32, nn.AdamParams(lr=0.01), np.random.default_rng(8),
+        max_epochs=60, patience=3, min_improvement=0.02,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRAJECTORIES))
+@pytest.mark.parametrize("arch", config_architectures(), ids=str)
+def test_fused_training_matches_list_reference_bitwise(monkeypatch, arch, kind):
+    assert TRAIN.n % 32 != 0
+    train = TRAJECTORIES[kind]
+    net = nn.build_network(16, arch, 6, np.random.default_rng(0))
+    start = [p.copy() for p in net.parameters()]
+    ref_net = net.copy()
+    report = train(net)
+    with monkeypatch.context() as patched:
+        patched.setattr(nn, "_run_epochs", reference_run_epochs)
+        patched.setattr(nn, "_forward_cached", reference_forward_cached)
+        patched.setattr(nn, "cross_entropy", reference_cross_entropy)
+        ref_report = train(ref_net)
+    assert report.epoch_losses == ref_report.epoch_losses
+    assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), ref_net.parameters()))
+    assert not any(np.array_equal(a, b) for a, b in zip(start, net.parameters()))
+    if kind == "convergence":
+        assert 1 < report.epochs < 60  # stopped on patience, not at the cap
