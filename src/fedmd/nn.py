@@ -198,13 +198,10 @@ def distill_loss(
     # the loss value takes its difference in float64, where squaring cannot
     # amplify float32 rounding; the gradient keeps the float32 difference
     d64 = logits.astype(np.float64) - targets.astype(np.float64)
+    # sum / size is np.mean's arithmetic; Python-scalar factors keep d's dtype
     if kind == "mae":
-        loss = float(np.mean(np.abs(d64)))
-        grad = np.sign(d) / d.size
-    else:
-        loss = float(np.mean(np.square(d64)))
-        grad = (2.0 / d.size) * d
-    return loss, grad.astype(logits.dtype)
+        return float(np.abs(d64, out=d64).sum() / d.size), np.sign(d) / d.size
+    return float(np.square(d64, out=d64).sum() / d.size), (2.0 / d.size) * d
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,16 @@ them into weighted-average consensus targets and broadcasts them; every party
 digests the consensus (score-matching descent) and then revisits its private
 data for a few supervised epochs. Test accuracy is recorded after the revisit.
 
-The round loop runs over channels (in-process bus or TCP loopback), one party
-per worker thread, so simulation and networked runs share one code path. The
-wire messages of ``transport`` are the round's data types: a subset is a
-``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the consensus a
-``ConsensusBroadcast``, from the moment they are made to the moment they are
-used. ``expect`` checks each one once, where it is received.
+The round loop runs over channels (in-process bus or TCP loopback), so
+simulation and networked runs share one code path. Party threads only move
+frames: lockstep rounds leave no compute to overlap, so ``on_compute`` runs it
+all on one thread. The wire messages of ``transport`` are the round's data
+types: a subset is a ``SubsetAnnouncement``, a party's scores a ``ScoreReport``
+and the consensus a ``ConsensusBroadcast``, from the moment they are made to
+the moment they are used. ``expect`` checks each one once, where it is received.
 """
 
+import queue
 import threading
 import time
 import zlib
@@ -31,10 +33,29 @@ from .nn import AdamParams, Network, TrainReport
 from .transport import ConsensusBroadcast, RoundComplete, ScoreReport, SubsetAnnouncement
 
 
-# Party compute is single-owner and order-independent, so concurrency buys
-# nothing under the GIL; this lock keeps worker threads from convoying on
-# numpy micro-ops while channel sends/recvs stay concurrent.
-_COMPUTE_LOCK = threading.Lock()
+_compute_jobs = queue.SimpleQueue()  # (fn, args, reply) for the compute thread
+_compute_started = threading.Lock()  # taken, and never released, by the call that starts it
+
+
+def _compute_loop() -> None:
+    for fn, args, reply in iter(_compute_jobs.get, None):
+        try:
+            reply.put((True, fn(*args)))
+        except BaseException as exc:  # the caller raises it
+            reply.put((False, exc))
+        del fn, args, reply  # hold no party or dataset between jobs
+
+
+def on_compute(fn, *args):
+    """Run ``fn(*args)`` on the compute thread, after all earlier jobs; return or raise as it does."""
+    if _compute_started.acquire(blocking=False):
+        threading.Thread(target=_compute_loop, name="fedmd-compute", daemon=True).start()
+    reply = queue.SimpleQueue()
+    _compute_jobs.put((fn, args, reply))
+    ok, value = reply.get()
+    if ok:
+        return value
+    raise value
 
 
 def rng_stream(master_seed: int, *tags) -> np.random.Generator:
@@ -117,7 +138,7 @@ class CollaborationConfig:
 class PartyState:
     """One participant: its model, private data, optimizer settings and RNG identity.
 
-    Single-owner mutable: exactly one worker may train a party at a time.
+    Single-owner mutable: only the compute thread trains it (``on_compute``).
     ``stream_key`` defaults to the party id and names all of its RNG streams.
     """
 
@@ -210,14 +231,12 @@ def transfer_learn(
 def prologue(party: PartyState, public: Dataset, test: Dataset, cfg: CollaborationConfig) -> MetricsRow:
     """Transfer-learn one party and measure its baseline test accuracy.
 
-    The clock starts once the compute lock is held, so ``wall_ms`` counts this
-    party's own work and not the time it waited for other parties.
+    Run through ``on_compute``; ``wall_ms`` leaves out time queued behind other parties.
     """
-    with _COMPUTE_LOCK:
-        t0 = time.perf_counter()
-        transfer_learn(party, public, cfg)
-        baseline_acc = nn.accuracy(party.net, test)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
+    t0 = time.perf_counter()
+    transfer_learn(party, public, cfg)
+    baseline_acc = nn.accuracy(party.net, test)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
     return MetricsRow(BASELINE, party.id, baseline_acc, None, None, wall_ms)
 
 
@@ -422,14 +441,12 @@ def party_loop(
     for j in range(1, cfg.rounds + 1):
         selection = expect(channel, SubsetAnnouncement, j, party.id, (subset_size,), public.n)
         try:
-            with _COMPUTE_LOCK:
-                scores = compute_scores(party, public, selection)
+            scores = on_compute(compute_scores, party, public, selection)
         except Exception as exc:
             raise ProtocolError(f"party {party.id} round {j}: communicate failed: {exc}") from exc
         channel.send(scores)
         consensus = expect(channel, ConsensusBroadcast, j, party.id, scores.scores.shape)
-        with _COMPUTE_LOCK:
-            metrics.append(_party_round(party, public, test, cfg, selection, scores, consensus))
+        metrics.append(on_compute(_party_round, party, public, test, cfg, selection, scores, consensus))
         channel.send(RoundComplete(j))
     return metrics
 
@@ -452,9 +469,9 @@ def _party_worker(
     after_transfer,
 ) -> None:
     try:
-        result.baseline = prologue(party, public, test, cfg)
+        result.baseline = on_compute(prologue, party, public, test, cfg)
         if after_transfer is not None:
-            after_transfer(party)
+            on_compute(after_transfer, party)
         result.step = "rounds"
         result.rounds = party_loop(party, public, test, cfg, channel)
     except BaseException as exc:  # surfaced as ProtocolError by the orchestrator

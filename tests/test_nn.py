@@ -143,6 +143,7 @@ def test_distill_arithmetic():
     )
     assert loss == pytest.approx(1.0)
     assert np.allclose(grad, [[0.5, 0.0]])
+    assert grad.dtype == np.float32
 
 
 def test_distill_matches_float64_bruteforce():

@@ -272,6 +272,7 @@ def test_run_fedmd_event_ordering_with_threads(monkeypatch):
     cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
     events = []
     calls = {}  # (step, party) -> rounds of that step the party has trained
+    owner = {}  # id(party.net) -> party.id, taken after each prologue
 
     def record(module, name, event):
         inner = getattr(module, name)
@@ -284,8 +285,8 @@ def test_run_fedmd_event_ordering_with_threads(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     def round_step(step):
-        def event(*_args):
-            k = int(threading.current_thread().name.removeprefix("party-"))
+        def event(net, *_args):
+            k = owner[id(net)]
             calls[step, k] = calls.get((step, k), 0) + 1
             return (step, calls[step, k], k)
 
@@ -295,7 +296,7 @@ def test_run_fedmd_event_ordering_with_threads(monkeypatch):
     record(protocol, "aggregate", lambda reports, _weights: ("aggregate", reports[0].round))
     record(nn, "train_distill", round_step("digest"))
     record(nn, "train_supervised", round_step("revisit"))
-    run_fedmd(cfg, parties, public, test)
+    run_fedmd(cfg, parties, public, test, after_transfer=lambda p: owner.update({id(p.net): p.id}))
     for j in (1, 2):
         agg = events.index(("aggregate", j))
         for k in range(3):
@@ -375,6 +376,56 @@ def test_run_fedmd_party_failure_identifies_party_and_step():
     parties[1].opt = nn.AdamParams(lr=float("nan"))
     with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="party 1"):
         run_fedmd(cfg, parties, public, test)
+
+
+def test_one_compute_thread_runs_every_party_computation(monkeypatch):
+    threads = set()  # (ident, name) of each thread that trained or evaluated a network
+    for name in ("train_to_convergence", "train_distill", "train_supervised", "accuracy"):
+
+        def wrapper(*args, _inner=getattr(nn, name), **kwargs):
+            me = threading.current_thread()
+            threads.add((me.ident, me.name))
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(nn, name, wrapper)
+    for kind in ("bus", "tcp"):
+        cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
+        run_fedmd(cfg, parties, public, test, transport_kind=kind)
+    assert len(threads) == 1, sorted(name for _, name in threads)
+    ((ident, name),) = threads
+    assert ident != threading.get_ident()
+    assert not name.startswith("party-")
+
+
+def test_failed_compute_job_leaves_the_compute_thread_usable(monkeypatch):
+    def rows(log):
+        return [(r.round, r.party, r.accuracy, r.digest_loss, r.revisit_loss) for r in log.rows]
+
+    cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
+    clean = rows(run_fedmd(cfg, parties, public, test))
+
+    cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
+    poisoned, inner = parties[1].net, nn.train_distill
+
+    def failing(net, *args):
+        if net is poisoned:
+            raise ValueError("poisoned")
+        return inner(net, *args)
+
+    monkeypatch.setattr(nn, "train_distill", failing)
+    with pytest.raises(ProtocolError, match="party 1 round 1: digest failed: poisoned"):
+        run_fedmd(cfg, parties, public, test)
+    monkeypatch.undo()
+
+    cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
+    done = {}
+    worker = threading.Thread(
+        target=lambda: done.update(log=run_fedmd(cfg, parties, public, test)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "the run after a failed job did not finish within 60 s"
+    assert rows(done["log"]) == clean
 
 
 def test_config_weight_renormalization():
