@@ -10,7 +10,14 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training or inference produced a non-finite value."""
+    """Training or inference produced a non-finite value.
+
+    ``member`` is the index, in its lockstep training group, of the network that did.
+    """
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
 
 
 class IdxParseError(ValueError):

@@ -9,7 +9,6 @@ transfer prologue and communication, a scarce private task for evaluation.
 import hashlib
 import json
 import os
-import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -27,7 +26,15 @@ from .data import (
 )
 from .errors import ConfigError
 from .metrics import POOLED, MetricsLog, MetricsRow, summarize
-from .protocol import CollaborationConfig, PartyState, fit_private, make_party, run_fedmd
+from .protocol import (
+    CollaborationConfig,
+    PartyState,
+    fit_and_measure,
+    fit_private,
+    make_party,
+    on_compute,
+    run_fedmd,
+)
 from .protocol import transfer_learn  # noqa: F401  perfbench traces the prologue under this name too
 
 # ten heterogeneous hidden-layer layouts, one per party in the canonical run
@@ -227,8 +234,10 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartySt
 
     Each party's post-public network (``pretrained``, kept by its transfer
     prologue) is copied and fitted by ``fit_private`` on the union of all
-    private sets, with the party's own ``transfer-private`` stream. The public
-    phase is not repeated; it would use the same streams and give the same network.
+    private sets, with the party's own ``transfer-private`` stream; the copies
+    train in lockstep groups, as one job on the compute thread. The public
+    phase is not repeated; it would use the same streams and give the same
+    network.
     """
     pooled_private = Dataset(
         np.concatenate([d.features for d in task.privates]),
@@ -236,17 +245,16 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartySt
         task.num_classes,
         name="pooled",
     )
-    rows = []
+    copies = []
     for party in sorted(parties, key=lambda p: p.id):
         if party.pretrained is None:
             raise ConfigError(f"party {party.id} has no post-public network; run its prologue first")
-        t0 = time.perf_counter()
-        pooled = replace(party, net=party.pretrained.copy(), private=pooled_private)
-        fit_private(pooled, cfg.collab)
-        acc = nn.accuracy(pooled.net, task.test)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(MetricsRow(POOLED, party.id, acc, None, None, wall_ms))
-    return rows
+        copies.append(replace(party, net=party.pretrained.copy(), private=pooled_private))
+
+    def fit(group):
+        return fit_private(group, cfg.collab)
+
+    return on_compute(fit_and_measure, copies, fit, task.test, POOLED)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -63,11 +63,7 @@ class Network:
             )
         params = self.parameters()
         self.flat = np.empty(sum(p.size for p in params), dtype=np.result_type(*params))
-        views = _views(self.flat, params)
-        for view, p in zip(views, params):
-            view[...] = p
-        for lyr, w, b in zip(self.layers, views[::2], views[1::2]):
-            lyr.weight, lyr.bias = w, b
+        _bind(self, _views(self.flat, params))
 
     @property
     def input_dim(self) -> int:
@@ -98,6 +94,14 @@ def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
     return views
 
 
+def _bind(net: Network, views: list[np.ndarray]) -> None:
+    """Copy ``net``'s parameters into ``views`` (aligned with ``parameters()``) and rebind its layers to them."""
+    for view, p in zip(views, net.parameters()):
+        view[...] = p
+    for lyr, w, b in zip(net.layers, views[::2], views[1::2]):
+        lyr.weight, lyr.bias = w, b
+
+
 def build_network(
     input_dim: int,
     hidden: tuple[int, ...],
@@ -119,12 +123,7 @@ def build_network(
 
 
 def forward(net: Network, batch: np.ndarray) -> np.ndarray:
-    """Raw logits for a batch; no softmax is ever applied."""
-    logits, _ = _forward_cached(net, batch)
-    return logits
-
-
-def _forward_cached(net: Network, batch: np.ndarray):
+    """Raw logits for a batch; no softmax is ever applied. Keeps no activations for a backward pass."""
     if batch.ndim != 2:
         raise ShapeError(f"batch must be 2-d, got shape {batch.shape}")
     if batch.shape[1] != net.input_dim:
@@ -132,32 +131,12 @@ def _forward_cached(net: Network, batch: np.ndarray):
             f"batch feature dim {batch.shape[1]} does not match network input dim {net.input_dim}"
         )
     h = batch
-    pre = []  # pre-activation per layer
-    post = [batch]  # layer inputs, aligned so post[i] feeds layer i
     for lyr in net.layers:
-        z = h @ lyr.weight
-        z += lyr.bias
-        pre.append(z)
-        h = np.maximum(z, 0) if lyr.activation == "relu" else z
-        post.append(h)
-    return h, (pre, post)
-
-
-def _backward(net: Network, cache, dlogits: np.ndarray, grads: list[np.ndarray]) -> None:
-    """Write the parameter gradients for a loss whose logit gradient is ``dlogits``.
-
-    ``grads`` are arrays aligned with ``net.parameters()``; every entry is overwritten.
-    """
-    pre, post = cache
-    delta = dlogits
-    for i in range(len(net.layers) - 1, -1, -1):
-        lyr = net.layers[i]
+        h = h @ lyr.weight
+        h += lyr.bias
         if lyr.activation == "relu":
-            delta *= pre[i] > 0  # delta is a fresh product here: the last layer is identity
-        np.matmul(post[i].T, delta, out=grads[2 * i])
-        delta.sum(axis=0, out=grads[2 * i + 1])
-        if i > 0:
-            delta = delta @ lyr.weight.T
+            np.maximum(h, 0, out=h)
+    return h
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -165,21 +144,41 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeError(f"logits {logits.shape} vs labels {labels.shape}")
-    n, c = logits.shape
+    _check_labels(labels, logits.shape[1])
+    losses, grad = _cross_entropy(logits[None], labels[None], np.empty((1, *logits.shape), logits.dtype))
+    return float(losses[0]), grad[0]
+
+
+def _check_labels(labels: np.ndarray, c: int) -> None:
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         bad = labels[(labels < 0) | (labels >= c)][0]
         raise IndexError(f"label {bad} out of range for {c} classes")
-    rows = np.arange(n)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    denom = e.sum(axis=1, dtype=np.float64)
+
+
+def _cross_entropy(logits, labels, out) -> tuple[np.ndarray, np.ndarray]:
+    """``cross_entropy`` of each of K stacked (K, B, C) logit blocks against (K, B) labels.
+
+    Returns the K losses (float64) and the gradient, written into ``out``, a
+    C-contiguous array like ``logits``.
+    """
+    k, n, c = logits.shape
+    if k * n < 128:
+        top = np.maximum.reduce(logits, axis=2)
+    else:  # the reduction's cost grows with the rows; one maximum per class column's does not
+        top = logits[:, :, 0].copy()
+        for j in range(1, c):
+            np.maximum(top, logits[:, :, j], out=top)
+    shifted = logits - top[:, :, None]
+    e = np.exp(shifted, out=out)
+    denom = np.add.reduce(e, axis=2, dtype=np.float64)
+    at = labels + c * np.arange(k * n).reshape(k, n)  # each label's place in the flattened block
     # float64 minus float32 widens the picked logits exactly
-    loss = float((np.log(denom) - shifted[rows, labels]).sum() / n)
+    losses = np.add.reduce(np.log(denom) - shifted.reshape(-1)[at], axis=1) / n
     # softmax divides in float64 and rounds to the logits' dtype
-    grad = np.divide(e, denom[:, None], out=e, casting="same_kind")
-    grad[rows, labels] -= 1
+    grad = np.divide(e, denom[:, :, None], out=e, casting="same_kind")
+    grad.reshape(-1)[at] -= 1
     grad /= n
-    return loss, grad
+    return losses, grad
 
 
 def distill_loss(
@@ -194,14 +193,33 @@ def distill_loss(
         raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
     if kind not in DISTILL_LOSSES:
         raise ConfigError(f"unknown distillation loss {kind!r}")
-    d = logits - targets
+    out = np.empty(logits.shape, np.result_type(logits, targets))
+    losses, grad = _distill_loss(logits[None], targets[None], kind, out[None])
+    return float(losses[0]), grad[0]
+
+
+def _distill_loss(logits, targets, kind: str, out) -> tuple[np.ndarray, np.ndarray]:
+    """``distill_loss`` of each of K stacked (K, B, C) logit blocks; the gradient is written into ``out``."""
+    size = logits[0].size
     # the loss value takes its difference in float64, where squaring cannot
     # amplify float32 rounding; the gradient keeps the float32 difference
     d64 = logits.astype(np.float64) - targets.astype(np.float64)
+    d = np.subtract(logits, targets, out=out)
     # sum / size is np.mean's arithmetic; Python-scalar factors keep d's dtype
     if kind == "mae":
-        return float(np.abs(d64, out=d64).sum() / d.size), np.sign(d) / d.size
-    return float(np.square(d64, out=d64).sum() / d.size), (2.0 / d.size) * d
+        losses = np.add.reduce(np.abs(d64, out=d64), axis=(1, 2)) / size
+        np.sign(d, out=d)
+        d /= size
+    else:
+        losses = np.add.reduce(np.square(d64, out=d64), axis=(1, 2)) / size
+        d *= 2.0 / size
+    return losses, d
+
+
+def _batch_loss(kind: str, logits, targets, out) -> tuple[np.ndarray, np.ndarray]:
+    if kind == "xent":
+        return _cross_entropy(logits, targets, out)
+    return _distill_loss(logits, targets, kind, out)
 
 
 @dataclass(frozen=True)
@@ -288,63 +306,291 @@ def _adam_in_place(p, g, m, v, tmp, hp: AdamParams, t: int) -> None:
     p -= g
 
 
-def _run_epochs(net, inputs, loss_of_batch, epochs, batch_size, opt, rng, on_epoch=None) -> TrainReport:
-    """Minibatch descent with one persistent Adam state across all epochs.
+@dataclass
+class Member:
+    """One network of a lockstep group, and what it trains on.
 
-    Gradients, moments and scratch are flat vectors like ``net.flat`` that live
-    only for this call. ``on_epoch(epoch_index, mean_loss)`` may return True to
-    stop early.
+    It descends on rows ``rows`` of ``inputs`` toward the same rows of
+    ``targets``: class labels, or score targets to distill. ``rows`` None means
+    every row. It shuffles them with its own ``rng`` every epoch.
+    ``train_to_convergence`` judges it on ``val``.
     """
-    n = inputs.shape[0]
+
+    net: Network
+    inputs: np.ndarray
+    targets: np.ndarray
+    rng: np.random.Generator
+    rows: "np.ndarray | None" = None
+    val: "object | None" = None
+
+
+def _shared_rows(members: list[Member]):
+    """One inputs array and one targets array that hold every member's data, and each member's rows in them.
+
+    Members that train on the same arrays share them; otherwise the arrays are
+    stacked once. A member's rows are None when it trains on all of them.
+    """
+    sources, rows = [], []
+    for mem in members:
+        if mem.inputs.shape[0] != mem.targets.shape[0]:
+            raise ShapeError(f"inputs rows {mem.inputs.shape[0]} vs target rows {mem.targets.shape[0]}")
+        j = next((j for j, (x, y) in enumerate(sources) if x is mem.inputs and y is mem.targets), None)
+        if j is None:
+            j = len(sources)
+            sources.append((mem.inputs, mem.targets))
+        r = mem.rows
+        if r is not None and r.size and not 0 <= r.min() <= r.max() < mem.inputs.shape[0]:
+            raise IndexError(f"rows outside 0..{mem.inputs.shape[0] - 1}")
+        rows.append((j, mem.rows))
+    if len(sources) == 1:
+        return sources[0][0], sources[0][1], [r for _, r in rows]
+    starts = np.cumsum([0] + [x.shape[0] for x, _ in sources])
+    inputs = np.concatenate([x for x, _ in sources])
+    targets = np.concatenate([y for _, y in sources])
+    return inputs, targets, [
+        starts[j] + (np.arange(sources[j][0].shape[0]) if r is None else r) for j, r in rows
+    ]
+
+
+class _Group:
+    """Networks that step in lockstep, each with its own arithmetic but shared buffers.
+
+    The parameters, gradients and Adam moments of all members are each one
+    vector. Level l holds every member's hidden layer l, and the last level
+    every output layer; within the vectors, a level's weights come first and
+    then its biases, contiguous in member order. Hidden level l's activations
+    and deltas are one (batch, sum of widths) buffer each, and the logits are
+    stacked (members, batch, classes), so bias add, ReLU, the ReLU mask and
+    the bias gradient run once per level. Matmuls stay per member. While in
+    the group, a member's layers are views of the group's ``flat``.
+    """
+
+    def __init__(self, nets: list[Network], batch_size: int):
+        self.nets = nets
+        self.batch = batch_size
+        depth = max(len(net.layers) for net in nets)
+        self.levels = [[] for _ in range(depth)]  # (member, layer index) per level
+        for k, net in enumerate(nets):
+            last = len(net.layers) - 1
+            for i in range(last):
+                self.levels[i].append((k, i))
+            self.levels[-1].append((k, last))
+        self.spots = [[None] * len(net.layers) for net in nets]  # [weight start, bias start]
+        self.cols = [[None] * len(net.layers) for net in nets]  # columns in the level buffers
+        self.bias_spans = []
+        size = 0
+        for level in self.levels:
+            for k, i in level:
+                self.spots[k][i] = [size, None]
+                size += nets[k].layers[i].weight.size
+            start = size
+            for k, i in level:
+                width = nets[k].layers[i].bias.size
+                self.spots[k][i][1] = size
+                self.cols[k][i] = slice(size - start, size - start + width)
+                size += width
+            self.bias_spans.append(slice(start, size))
+        dtype = nets[0].flat.dtype
+        if len(nets) == 1:  # a lone network's own flat already has the group layout
+            self.release([0])
+            self.flat = nets[0].flat
+        else:
+            self.flat = np.empty(size, dtype)
+            for k, net in enumerate(nets):
+                _bind(net, self.member_views(self.flat, k))
+        self.grad, self.m, self.v, self.tmp = (np.zeros(size, dtype) for _ in range(4))
+        hidden = [self.bias_spans[l].stop - self.bias_spans[l].start for l in range(depth - 1)]
+        self.acts = [np.empty((batch_size, w), dtype) for w in hidden]
+        self.deltas = [np.empty((batch_size, w), dtype) for w in hidden]
+        self.plans = {}
+
+    def member_views(self, vec: np.ndarray, k: int) -> list[np.ndarray]:
+        """Member ``k``'s parameters' places in a group vector, aligned with its ``parameters()``."""
+        views = []
+        for lyr, (w0, b0) in zip(self.nets[k].layers, self.spots[k]):
+            views.append(vec[w0 : w0 + lyr.weight.size].reshape(lyr.weight.shape))
+            views.append(vec[b0 : b0 + lyr.bias.size])
+        return views
+
+    def release(self, ks) -> None:
+        """Give members ``ks`` their own ``flat`` back, holding their current parameters."""
+        for k in ks:
+            net = self.nets[k]
+            if net.layers[0].weight.base is not net.flat:
+                _bind(net, _views(net.flat, net.parameters()))
+
+    def keep(self, ks: list[int]) -> "_Group | None":
+        """A group of members ``ks`` that carries on with their parameters and Adam moments.
+
+        The other members leave with their own ``flat``.
+        """
+        self.release([k for k in range(len(self.nets)) if k not in ks])
+        if not ks:
+            return None
+        group = _Group([self.nets[k] for k in ks], self.batch)
+        for j, k in enumerate(ks):
+            for new, old in ((group.m, self.m), (group.v, self.v)):
+                for a, b in zip(group.member_views(new, j), self.member_views(old, k)):
+                    a[...] = b
+        return group
+
+    def plan(self, b: int) -> "_Plan":
+        if b not in self.plans:
+            self.plans[b] = _Plan(self, b)
+        return self.plans[b]
+
+    def gradients(self, plan: "_Plan", targets: np.ndarray, loss: str) -> np.ndarray:
+        """Forward ``plan.x``, the loss against ``targets`` and the backward pass; returns the K losses.
+
+        Every gradient lands in ``grad``.
+        """
+        for matmuls, z, bias, relu in plan.forward:
+            for a, w, out in matmuls:
+                np.matmul(a, w, out=out)
+            z += bias
+            if relu:
+                np.maximum(z, 0, out=z)
+        losses, _ = _batch_loss(loss, plan.logits, targets, plan.dlogits)
+        for act, delta, axis, gbias, matmuls in plan.backward:
+            if act is not None:
+                delta *= act > 0  # post-ReLU activations are positive where the pre-activations are
+            np.add.reduce(delta, axis=axis, out=gbias)
+            for a, b, out in matmuls:
+                np.matmul(a, b, out=out)
+        return losses
+
+
+class _Plan:
+    """The views one step of ``b`` rows works on, made once per group and batch size."""
+
+    def __init__(self, group: _Group, b: int):
+        nets = group.nets
+        k_all, dtype = len(nets), group.flat.dtype
+        self.x = np.empty((k_all, b, nets[0].input_dim), dtype)
+        self.logits = np.empty((k_all, b, nets[0].output_dim), dtype)
+        self.dlogits = np.empty_like(self.logits)
+
+        def hidden(buffers, k, i):  # member k's columns of hidden level i
+            return buffers[i][:b, group.cols[k][i]]
+
+        def layer_in(k, i):
+            return self.x[k] if i == 0 else hidden(group.acts, k, i - 1)
+
+        grads = [group.member_views(group.grad, k) for k in range(k_all)]
+        self.forward, self.backward = [], []
+        for l, level in enumerate(group.levels):
+            last = l == len(group.levels) - 1  # the output layers
+            bias = group.flat[group.bias_spans[l]]
+            gbias = group.grad[group.bias_spans[l]]
+            if last:
+                bias, gbias = bias.reshape(k_all, 1, -1), gbias.reshape(k_all, -1)
+            outs = [self.logits[k] if last else hidden(group.acts, k, i) for k, i in level]
+            deltas = [self.dlogits[k] if last else hidden(group.deltas, k, i) for k, i in level]
+            self.forward.append((
+                [(layer_in(k, i), nets[k].layers[i].weight, out) for (k, i), out in zip(level, outs)],
+                self.logits if last else group.acts[l][:b],
+                bias,
+                not last,
+            ))
+            matmuls = []
+            for (k, i), delta in zip(level, deltas):
+                matmuls.append((layer_in(k, i).T, delta, grads[k][2 * i]))
+                if i > 0:
+                    matmuls.append((delta, nets[k].layers[i].weight.T, hidden(group.deltas, k, i - 1)))
+            self.backward.insert(0, (
+                None if last else group.acts[l][:b],
+                self.dlogits if last else group.deltas[l][:b],
+                1 if last else 0,
+                gbias,
+                matmuls,
+            ))
+
+
+def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_epoch=None) -> list[TrainReport]:
+    """Minibatch descent of a lockstep group, with one persistent Adam state across all epochs.
+
+    The members need one row count, dtype, input dim and class count; they
+    share ``batch_size`` and ``opt``. ``loss`` is "xent" (the targets are class
+    labels) or a distillation loss. Each member's shuffling, parameters and
+    losses are bit for bit those it would get trained alone. Gradients,
+    moments and scratch live only for this call. ``on_epoch(member_index,
+    epoch_index, mean_loss)`` may return True to stop that member: it leaves
+    with its own ``flat``, and the others go on. Every member has its own
+    ``flat`` again when this returns or raises.
+    """
+    inputs, targets, rows = _shared_rows(members)
+    counts = {inputs.shape[0] if r is None else len(r) for r in rows}
+    n = counts.pop()
+    if counts:
+        raise ConfigError("members of a lockstep group need equal row counts")
     if n == 0:
         raise ConfigError("cannot train on an empty dataset")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    grad, m, v, tmp = (np.zeros_like(net.flat) for _ in range(4))
-    grads = _views(grad, net.parameters())
+    nets = [mem.net for mem in members]
+    if len({(net.flat.dtype, net.input_dim, net.output_dim) for net in nets}) != 1:
+        raise ConfigError("members of a lockstep group need one dtype, input dim and class count")
+    inputs = inputs.astype(nets[0].flat.dtype, copy=False)
+    if inputs.shape[1] != nets[0].input_dim:
+        raise ShapeError(
+            f"batch feature dim {inputs.shape[1]} does not match network input dim {nets[0].input_dim}"
+        )
+    if loss == "xent":
+        _check_labels(targets, nets[0].output_dim)
+    elif targets.shape[1:] != (nets[0].output_dim,):
+        raise ShapeError(f"targets of shape {targets.shape[1:]} for {nets[0].output_dim} classes")
+    reports = [TrainReport() for _ in members]
+    active = list(range(len(members)))
+    group = _Group(nets, min(batch_size, n)) if epochs else None
     t = 0
-    report = TrainReport()
-    for epoch in range(epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            logits, cache = _forward_cached(net, inputs[idx])
-            loss, dlogits = loss_of_batch(logits, idx)
-            if not math.isfinite(loss):
-                raise DivergenceError(f"non-finite training loss in epoch {epoch}")
-            _backward(net, cache, dlogits, grads)
-            t += 1
-            _adam_in_place(net.flat, grad, m, v, tmp, opt, t)
-            total += loss * len(idx)
-        report.epoch_losses.append(total / n)
-        if on_epoch is not None and on_epoch(epoch, report.epoch_losses[-1]):
-            break
-    return report
+    try:
+        for epoch in range(epochs):
+            order = np.empty((len(active), n), dtype=np.intp)
+            for j, i in enumerate(active):
+                perm = members[i].rng.permutation(n)
+                order[j] = perm if rows[i] is None else rows[i][perm]
+            totals = [0.0] * len(active)
+            for start in range(0, n, batch_size):
+                idx = order[:, start : start + batch_size]
+                plan = group.plan(idx.shape[1])
+                inputs.take(idx, axis=0, out=plan.x, mode="clip")
+                losses = group.gradients(plan, targets.take(idx, axis=0), loss).tolist()
+                for j, value in enumerate(losses):
+                    if not math.isfinite(value):
+                        raise DivergenceError(f"non-finite training loss in epoch {epoch}", active[j])
+                    totals[j] += value * idx.shape[1]
+                t += 1
+                _adam_in_place(group.flat, group.grad, group.m, group.v, group.tmp, opt, t)
+            stopping = []
+            for j, i in enumerate(active):
+                reports[i].epoch_losses.append(totals[j] / n)
+                if on_epoch is not None and on_epoch(i, epoch, reports[i].epoch_losses[-1]):
+                    stopping.append(j)
+            if stopping:
+                group = group.keep([j for j in range(len(active)) if j not in stopping])
+                active = [i for j, i in enumerate(active) if j not in stopping]
+                if group is None:
+                    break
+    finally:
+        if group is not None:
+            group.release(range(len(group.nets)))
+    return reports
 
 
 def train_supervised(net, data, epochs, batch_size, opt: AdamParams, rng) -> TrainReport:
     """Minibatch cross-entropy descent with a fresh Adam state and caller-seeded shuffling."""
-
-    def batch_loss(logits, idx):
-        return cross_entropy(logits, data.labels[idx])
-
-    return _run_epochs(net, data.features, batch_loss, epochs, batch_size, opt, rng)
+    return _run_epochs([Member(net, data.features, data.labels, rng)], "xent", epochs, batch_size, opt)[0]
 
 
 def train_distill(
     net, inputs, targets, epochs, batch_size, opt: AdamParams, rng, kind: str = "mae"
 ) -> TrainReport:
     """Minibatch descent toward consensus targets; shuffling keeps rows paired."""
-    if inputs.shape[0] != targets.shape[0]:
-        raise ShapeError(f"inputs rows {inputs.shape[0]} vs target rows {targets.shape[0]}")
-
-    def batch_loss(logits, idx):
-        return distill_loss(logits, targets[idx], kind)
-
-    return _run_epochs(net, inputs, batch_loss, epochs, batch_size, opt, rng)
+    if kind not in DISTILL_LOSSES:
+        raise ConfigError(f"unknown distillation loss {kind!r}")
+    return _run_epochs([Member(net, inputs, targets, rng)], kind, epochs, batch_size, opt)[0]
 
 
 def accuracy(net: Network, data) -> float:
@@ -356,39 +602,33 @@ def accuracy(net: Network, data) -> float:
 
 
 def train_to_convergence(
-    net,
-    train,
-    val,
+    members: list[Member],
     batch_size,
     opt: AdamParams,
-    rng,
     max_epochs: int = 100,
     patience: int = 5,
     min_improvement: float = 1e-3,
-) -> TrainReport:
-    """Supervised training that stops once val accuracy stalls.
+) -> list[TrainReport]:
+    """Supervised training of a lockstep group; each member stops once its val accuracy stalls.
 
-    Stops after ``patience`` consecutive epochs without an improvement larger
-    than ``min_improvement`` (absolute accuracy), capped at ``max_epochs``.
-    Optimizer state persists across epochs.
+    A member stops after ``patience`` consecutive epochs without an
+    improvement larger than ``min_improvement`` (absolute accuracy on its
+    ``val``), capped at ``max_epochs``. The others keep their optimizer state
+    and go on.
     """
-    tracker = {"best": -1.0, "stall": 0}
+    best = [-1.0] * len(members)
+    stall = [0] * len(members)
 
-    def stalled(_epoch, _loss):
-        acc = accuracy(net, val)
-        if acc > tracker["best"] + min_improvement:
-            tracker["best"] = acc
-            tracker["stall"] = 0
+    def stalled(i, _epoch, _loss):
+        acc = accuracy(members[i].net, members[i].val)
+        if acc > best[i] + min_improvement:
+            best[i] = acc
+            stall[i] = 0
             return False
-        tracker["stall"] += 1
-        return tracker["stall"] >= patience
+        stall[i] += 1
+        return stall[i] >= patience
 
-    def batch_loss(logits, idx):
-        return cross_entropy(logits, train.labels[idx])
-
-    return _run_epochs(
-        net, train.features, batch_loss, max_epochs, batch_size, opt, rng, on_epoch=stalled
-    )
+    return _run_epochs(members, "xent", max_epochs, batch_size, opt, on_epoch=stalled)
 
 
 # --- gradient checking -------------------------------------------------------
@@ -454,21 +694,28 @@ def gradient_check(
         loss_kind = "xent" if trial % 2 == 0 else "mae"
         for _ in range(200):
             batch = rng.standard_normal((batch_n, dims[0]))
-            logits, (pre, _) = _forward_cached(net, batch)
-            if all(np.abs(z).min(initial=np.inf) > 10 * h for z in pre[:-1]):
+            x, clear = batch, True
+            for lyr in net.layers[:-1]:
+                z = x @ lyr.weight + lyr.bias
+                clear = clear and np.abs(z).min(initial=np.inf) > 10 * h
+                x = np.maximum(z, 0)
+            if clear:
                 break
+        logits = forward(net, batch)
         if loss_kind == "xent":
-            labels = rng.integers(0, dims[-1], size=batch_n)
-            loss_fn = lambda lg: cross_entropy(lg, labels)[0]
-            _, dlogits = cross_entropy(logits, labels)
+            targets = rng.integers(0, dims[-1], size=batch_n)
+            loss_fn = lambda lg: cross_entropy(lg, targets)[0]
         else:
             offsets = rng.uniform(0.05, 1.0, size=logits.shape) * rng.choice([-1.0, 1.0], logits.shape)
             targets = logits + offsets
             loss_fn = lambda lg: distill_loss(lg, targets, "mae")[0]
-            _, dlogits = distill_loss(logits, targets, "mae")
-        _, cache = _forward_cached(net, batch)
-        analytic = [np.empty_like(p) for p in net.parameters()]
-        _backward(net, cache, dlogits, analytic)
+        # the analytic gradients come from the training step itself, in a group of one
+        group = _Group([net], batch_n)
+        plan = group.plan(batch_n)
+        plan.x[0] = batch
+        group.gradients(plan, targets[None], loss_kind)
+        analytic = [g.copy() for g in group.member_views(group.grad, 0)]
+        group.release([0])
         numeric = _fd_gradients(net, batch, loss_fn, h)
         worst = 0.0
         for a, f in zip(analytic, numeric):

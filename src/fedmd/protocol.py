@@ -2,11 +2,14 @@
 
 Every party first runs the transfer-learning prologue (public data to
 convergence, then its own private data); the resulting test accuracy is its
-baseline. Then, for each round: the server picks a public subset and announces
-it; every party sends raw class scores on that subset; the server aggregates
-them into weighted-average consensus targets and broadcasts them; every party
-digests the consensus (score-matching descent) and then revisits its private
-data for a few supervised epochs. Test accuracy is recorded after the revisit.
+baseline. The in-process parties run it as one job, in lockstep groups that
+step every member's network together (``nn.train_to_convergence``), before the
+rounds start. Then, for each round: the server picks a public subset and
+announces it; every party sends raw class scores on that subset; the server
+aggregates them into weighted-average consensus targets and broadcasts them;
+every party digests the consensus (score-matching descent) and then revisits
+its private data for a few supervised epochs. Test accuracy is recorded after
+the revisit.
 
 The round loop runs over channels (in-process bus or TCP loopback), so
 simulation and networked runs share one code path. Party threads only move
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import nn, transport
 from .data import Dataset
-from .errors import ChannelError, ConfigError, ProtocolError, ShapeError
+from .errors import ChannelError, ConfigError, DivergenceError, ProtocolError, ShapeError
 from .metrics import BASELINE, MetricsLog, MetricsRow
 from .nn import AdamParams, Network, TrainReport
 from .transport import ConsensusBroadcast, RoundComplete, ScoreReport, SubsetAnnouncement
@@ -172,72 +175,103 @@ def make_party(
     return PartyState(party_id, net, private, cfg.opt, cfg.seed)
 
 
-def pretrain_public(party: PartyState, public: Dataset, cfg: CollaborationConfig) -> TrainReport:
-    """Train to convergence on public data, monitored on a held-out slice of it."""
-    if public.dim != party.net.input_dim:
-        raise ShapeError(
-            f"public feature dim {public.dim} does not match party {party.id} "
-            f"input dim {party.net.input_dim}"
-        )
+def lockstep_groups(parties: list[PartyState]) -> list[list[PartyState]]:
+    """The parties in groups that can train in lockstep, in first-seen order.
+
+    A group shares its private row count, optimizer settings and dtype; the
+    public phase gives every party the same row count.
+    """
+    groups = {}
+    for p in parties:
+        groups.setdefault((p.private.n, p.opt, p.net.flat.dtype), []).append(p)
+    return list(groups.values())
+
+
+def _opt(group: list[PartyState]) -> AdamParams:
+    if len({p.opt for p in group}) != 1:
+        raise ConfigError("a lockstep group needs one set of optimizer settings")
+    return group[0].opt
+
+
+def pretrain_public(group: list[PartyState], public: Dataset, cfg: CollaborationConfig) -> list[TrainReport]:
+    """Train a lockstep group to convergence on public data, each party monitored on its own held-out slice."""
     n_val = int(public.n * cfg.val_fraction)
-    if 0 < n_val < public.n:
-        perm = party.stream("holdout").permutation(public.n)
-        val = public.take(perm[:n_val])
-        train = public.take(perm[n_val:])
-    else:
-        val = train = public
+    members = []
+    for party in group:
+        if public.dim != party.net.input_dim:
+            raise ShapeError(
+                f"public feature dim {public.dim} does not match party {party.id} "
+                f"input dim {party.net.input_dim}"
+            )
+        rows, val = None, public
+        if 0 < n_val < public.n:
+            perm = party.stream("holdout").permutation(public.n)
+            rows, val = perm[n_val:], public.take(perm[:n_val])
+        rng = party.stream("transfer-public")
+        members.append(nn.Member(party.net, public.features, public.labels, rng, rows, val))
     return nn.train_to_convergence(
-        party.net,
-        train,
-        val,
-        cfg.transfer_batch_size,
-        party.opt,
-        party.stream("transfer-public"),
-        cfg.max_epochs,
-        cfg.patience,
-        cfg.min_improvement,
+        members, cfg.transfer_batch_size, _opt(group), cfg.max_epochs, cfg.patience, cfg.min_improvement
     )
 
 
-def fit_private(party: PartyState, cfg: CollaborationConfig) -> TrainReport:
-    """Train to convergence on the party's private data, monitored on that set itself."""
-    batch = min(cfg.transfer_batch_size, max(party.private.n, 1))
+def fit_private(group: list[PartyState], cfg: CollaborationConfig) -> list[TrainReport]:
+    """Train a lockstep group to convergence on each party's private data, monitored on that set itself."""
+    members = [
+        nn.Member(p.net, p.private.features, p.private.labels, p.stream("transfer-private"), val=p.private)
+        for p in group
+    ]
+    batch = min(cfg.transfer_batch_size, max(group[0].private.n, 1))
     return nn.train_to_convergence(
-        party.net,
-        party.private,
-        party.private,
-        batch,
-        party.opt,
-        party.stream("transfer-private"),
-        cfg.max_epochs,
-        cfg.patience,
-        cfg.min_improvement,
+        members, batch, _opt(group), cfg.max_epochs, cfg.patience, cfg.min_improvement
     )
 
 
 def transfer_learn(
-    party: PartyState, public: Dataset, cfg: CollaborationConfig
-) -> tuple[TrainReport, TrainReport]:
-    """``pretrain_public``, then ``fit_private``.
+    group: list[PartyState], public: Dataset, cfg: CollaborationConfig
+) -> list[tuple[TrainReport, TrainReport]]:
+    """``pretrain_public``, then ``fit_private``; returns each party's two reports.
 
-    A copy of the post-public network is kept as ``party.pretrained``, so the
+    A copy of each post-public network is kept as ``party.pretrained``, so the
     pooled baseline can continue from it instead of repeating the public phase.
     """
-    rep_public = pretrain_public(party, public, cfg)
-    party.pretrained = party.net.copy()
-    return rep_public, fit_private(party, cfg)
+    public_reports = pretrain_public(group, public, cfg)
+    for party in group:
+        party.pretrained = party.net.copy()
+    return list(zip(public_reports, fit_private(group, cfg)))
 
 
-def prologue(party: PartyState, public: Dataset, test: Dataset, cfg: CollaborationConfig) -> MetricsRow:
-    """Transfer-learn one party and measure its baseline test accuracy.
+def fit_and_measure(parties: list[PartyState], fit, test: Dataset, kind: str) -> list[MetricsRow]:
+    """``fit(group)`` for each lockstep group, then every party's test accuracy, as ``kind`` rows.
 
-    Run through ``on_compute``; ``wall_ms`` leaves out time queued behind other parties.
+    A row's ``wall_ms`` is its group's elapsed time split evenly among the
+    group, so the rows sum to the time of the whole phase.
     """
-    t0 = time.perf_counter()
-    transfer_learn(party, public, cfg)
-    baseline_acc = nn.accuracy(party.net, test)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return MetricsRow(BASELINE, party.id, baseline_acc, None, None, wall_ms)
+    rows = {}
+    for group in lockstep_groups(parties):
+        t0 = time.perf_counter()
+        fit(group)
+        accs = [nn.accuracy(p.net, test) for p in group]
+        wall_ms = (time.perf_counter() - t0) * 1000.0 / len(group)
+        rows.update((p.id, MetricsRow(kind, p.id, acc, None, None, wall_ms)) for p, acc in zip(group, accs))
+    return [rows[p.id] for p in parties]
+
+
+def prologue(
+    parties: list[PartyState], public: Dataset, test: Dataset, cfg: CollaborationConfig
+) -> list[MetricsRow]:
+    """Transfer-learn the parties in lockstep groups and measure each one's baseline test accuracy.
+
+    Run through ``on_compute``. A party whose training diverges fails as
+    ``party K failed during transfer: …``.
+    """
+
+    def transfer(group):
+        try:
+            transfer_learn(group, public, cfg)
+        except DivergenceError as exc:
+            raise ProtocolError(f"party {group[exc.member].id} failed during transfer: {exc}") from exc
+
+    return fit_and_measure(parties, transfer, test, BASELINE)
 
 
 def select_subset(n0: int, subset_size: int, rng: np.random.Generator, round_index: int) -> SubsetAnnouncement:
@@ -453,7 +487,6 @@ def party_loop(
 
 @dataclass
 class _WorkerResult:
-    baseline: "MetricsRow | None" = None
     rounds: "list[MetricsRow]" = field(default_factory=list)
     error: "BaseException | None" = None
     step: str = "transfer"
@@ -469,7 +502,6 @@ def _party_worker(
     after_transfer,
 ) -> None:
     try:
-        result.baseline = on_compute(prologue, party, public, test, cfg)
         if after_transfer is not None:
             on_compute(after_transfer, party)
         result.step = "rounds"
@@ -489,12 +521,12 @@ def run_fedmd(
     addr: "tuple[str, int] | None" = None,
     after_transfer=None,
 ) -> MetricsLog:
-    """Transfer-learning prologue for every party, then P collaboration rounds.
+    """Transfer-learning prologue for every party, as one compute job, then P collaboration rounds.
 
     ``transport_kind`` selects the channel implementation ("bus" in-process,
     "tcp" loopback); results are independent of the choice. ``after_transfer``
-    is an optional hook called with each party between its baseline measurement
-    and the first round.
+    is an optional hook called with each party between the baseline
+    measurements and the first round.
     """
     if len(parties) != cfg.parties:
         raise ConfigError(f"config names {cfg.parties} parties but {len(parties)} were given")
@@ -512,19 +544,20 @@ def run_fedmd(
         raise ConfigError("public dataset is empty")
     if test.dim != public.dim:
         raise ShapeError(f"test feature dim {test.dim} does not match public dim {public.dim}")
+    if transport_kind not in ("bus", "tcp"):
+        raise ConfigError(f"unknown transport {transport_kind!r}")
+    baselines = on_compute(prologue, parties, public, test, cfg)
 
     if transport_kind == "bus":
         pairs = [transport.bus_pair() for _ in parties]
         incoming = [server_end for server_end, _ in pairs]
         party_channels = {p.id: party_end for p, (_, party_end) in zip(parties, pairs)}
         listener = None
-    elif transport_kind == "tcp":
+    else:
         # every party connects before the first accept, so the backlog must hold them all
         listener = transport.serve(addr or ("127.0.0.1", 0), backlog=cfg.parties)
         party_channels = {p.id: transport.connect(listener.address) for p in parties}
         incoming = (listener.accept() for _ in parties)
-    else:
-        raise ConfigError(f"unknown transport {transport_kind!r}")
 
     results = {p.id: _WorkerResult() for p in parties}
     threads = []
@@ -570,8 +603,7 @@ def run_fedmd(
         raise ProtocolError(f"party {k} failed during {r.step}: {r.error}") from r.error
 
     log = MetricsLog(seed=cfg.seed)
-    for k in sorted(results):
-        log.rows.append(results[k].baseline)
+    log.rows.extend(sorted(baselines, key=lambda m: m.party))
     log.rows.extend(
         sorted((m for r in results.values() for m in r.rounds), key=lambda m: (m.round, m.party))
     )

@@ -214,9 +214,9 @@ def test_pooled_rows_continue_from_prologue_snapshot(monkeypatch):
     cfg = replace(tiny_config(parties=3, rounds=1, pooled=True), architectures=((8,), (6, 5), (4,)))
     fitted = {}
 
-    def recording_fit_private(party, collab):
-        fitted[party.id] = party.net
-        return fit_private(party, collab)
+    def recording_fit_private(group, collab):
+        fitted.update((party.id, party.net) for party in group)
+        return fit_private(group, collab)
 
     monkeypatch.setattr(experiments, "fit_private", recording_fit_private)
     log, _ = run_experiment(cfg)
@@ -228,7 +228,7 @@ def test_pooled_rows_continue_from_prologue_snapshot(monkeypatch):
     )
     for k, arch in enumerate(cfg.architectures):
         old = make_party(k, arch, pooled_private, task.public.dim, task.num_classes, cfg.collab)
-        transfer_learn(old, task.public, cfg.collab)
+        transfer_learn([old], task.public, cfg.collab)
         new_params = fitted[k].parameters()
         assert len(new_params) == len(old.net.parameters()) == 2 * (len(arch) + 1)
         assert all(np.array_equal(a, b) for a, b in zip(new_params, old.net.parameters()))

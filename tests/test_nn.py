@@ -377,9 +377,9 @@ def test_accuracy_rejects_empty_dataset():
 def test_train_to_convergence_stops_on_stall():
     data = synth_blobs(2, 40, 4, 0.05, seed=30)
     net = rand_net(np.random.default_rng(31), (4, 8, 2))
-    report = nn.train_to_convergence(
-        net, data, data, 8, nn.AdamParams(), np.random.default_rng(32),
-        max_epochs=100, patience=3, min_improvement=0.001,
+    member = nn.Member(net, data.features, data.labels, np.random.default_rng(32), val=data)
+    (report,) = nn.train_to_convergence(
+        [member], 8, nn.AdamParams(), max_epochs=100, patience=3, min_improvement=0.001
     )
     assert report.epochs < 100  # separable blobs saturate well before the cap
 
@@ -446,7 +446,15 @@ def reference_cross_entropy(logits, labels):
     return loss, grad
 
 
-def reference_run_epochs(net, inputs, loss_of_batch, epochs, batch_size, opt, rng, on_epoch=None):
+def reference_distill_loss(logits, targets, kind):
+    d = logits - targets
+    d64 = logits.astype(np.float64) - targets.astype(np.float64)
+    if kind == "mae":
+        return float(np.mean(np.abs(d64))), np.sign(d) / d.size
+    return float(np.mean(np.square(d64))), (2.0 / d.size) * d
+
+
+def reference_run_epochs(net, inputs, targets, loss, epochs, batch_size, opt, rng, on_epoch=None):
     n = inputs.shape[0]
     state = nn.AdamState.fresh(net.parameters(), opt)
     report = nn.TrainReport()
@@ -456,19 +464,35 @@ def reference_run_epochs(net, inputs, loss_of_batch, epochs, batch_size, opt, rn
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
             logits, cache = reference_forward_cached(net, inputs[idx])
-            loss, dlogits = loss_of_batch(logits, idx)
+            if loss == "xent":
+                value, dlogits = reference_cross_entropy(logits, targets[idx])
+            else:
+                value, dlogits = reference_distill_loss(logits, targets[idx], loss)
             grads = reference_backward(net, cache, dlogits)
             new_params, state = nn.adam_step(net.parameters(), grads, state)
             for lyr, w, b in zip(net.layers, new_params[::2], new_params[1::2]):
                 lyr.weight, lyr.bias = w, b
-            total += loss * len(idx)
+            total += value * len(idx)
         report.epoch_losses.append(total / n)
         if on_epoch is not None and on_epoch(epoch, report.epoch_losses[-1]):
             break
     return report
 
 
+def reference_group_run_epochs(members, loss, epochs, batch_size, opt, on_epoch=None):
+    """The reference loop run on each member of a group alone."""
+    reports = []
+    for i, mem in enumerate(members):
+        rows = slice(None) if mem.rows is None else mem.rows
+        stop = None if on_epoch is None else (lambda epoch, value, i=i: on_epoch(i, epoch, value))
+        reports.append(reference_run_epochs(
+            mem.net, mem.inputs[rows], mem.targets[rows], loss, epochs, batch_size, opt, mem.rng, stop
+        ))
+    return reports
+
+
 TRAIN = synth_blobs(6, 15, 16, 1.5, seed=3)  # 90 rows: batches of 32 leave a ragged 26
+OTHER_TRAIN = synth_blobs(6, 15, 16, 1.5, seed=9)
 VAL = synth_blobs(6, 10, 16, 1.5, seed=3, sample_stream=1)
 TARGETS = (3.0 * np.random.default_rng(4).standard_normal((TRAIN.n, 6))).astype(np.float32)
 TRAJECTORIES = {
@@ -482,9 +506,9 @@ TRAJECTORIES = {
         net, TRAIN.features, TARGETS, 4, 32, nn.AdamParams(), np.random.default_rng(7), "mse"
     ),
     "convergence": lambda net: nn.train_to_convergence(
-        net, TRAIN, VAL, 32, nn.AdamParams(lr=0.01), np.random.default_rng(8),
-        max_epochs=60, patience=3, min_improvement=0.02,
-    ),
+        [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(8), val=VAL)],
+        32, nn.AdamParams(lr=0.01), max_epochs=60, patience=3, min_improvement=0.02,
+    )[0],
 }
 
 
@@ -498,12 +522,105 @@ def test_fused_training_matches_list_reference_bitwise(monkeypatch, arch, kind):
     ref_net = net.copy()
     report = train(net)
     with monkeypatch.context() as patched:
-        patched.setattr(nn, "_run_epochs", reference_run_epochs)
-        patched.setattr(nn, "_forward_cached", reference_forward_cached)
-        patched.setattr(nn, "cross_entropy", reference_cross_entropy)
+        patched.setattr(nn, "_run_epochs", reference_group_run_epochs)
+        patched.setattr(nn, "forward", lambda net, batch: reference_forward_cached(net, batch)[0])
         ref_report = train(ref_net)
     assert report.epoch_losses == ref_report.epoch_losses
     assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), ref_net.parameters()))
     assert not any(np.array_equal(a, b) for a, b in zip(start, net.parameters()))
     if kind == "convergence":
         assert 1 < report.epochs < 60  # stopped on patience, not at the cap
+
+
+# --- lockstep groups against their members trained alone ------------------------
+
+
+def owns_its_parameters(net):
+    return all(np.shares_memory(p, net.flat) for p in net.parameters())
+
+
+def canonical_nets():
+    return [nn.build_network(16, arch, 6, np.random.default_rng(k)) for k, arch in enumerate(config_architectures())]
+
+
+@pytest.mark.parametrize("loss", ["xent", "mae", "mse"])
+def test_group_trains_exactly_like_its_members_alone(loss):
+    assert TRAIN.n % 32 != 0 and len(config_architectures()) == 11
+    nets = canonical_nets()
+    alone = [net.copy() for net in nets]
+    # odd members train on other rows, so the group stacks two data sets
+    data = [TRAIN if k % 2 == 0 else OTHER_TRAIN for k in range(len(nets))]
+    targets = [d.labels if loss == "xent" else TARGETS for d in data]
+    members = [
+        nn.Member(net, d.features, y, np.random.default_rng(100 + k))
+        for k, (net, d, y) in enumerate(zip(nets, data, targets))
+    ]
+    reports = nn._run_epochs(members, loss, 4, 32, nn.AdamParams())
+    for k, net in enumerate(alone):
+        rng = np.random.default_rng(100 + k)
+        if loss == "xent":
+            ref = nn.train_supervised(net, data[k], 4, 32, nn.AdamParams(), rng)
+        else:
+            ref = nn.train_distill(net, data[k].features, TARGETS, 4, 32, nn.AdamParams(), rng, loss)
+        assert reports[k].epoch_losses == ref.epoch_losses
+        assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), net.parameters()))
+        assert owns_its_parameters(nets[k])
+
+
+def test_group_convergence_shrinks_and_matches_members_alone():
+    nets = canonical_nets()
+    alone = [net.copy() for net in nets]
+    picks = [np.random.default_rng(200 + k).permutation(TRAIN.n)[:80] for k in range(len(nets))]
+    opt = nn.AdamParams(lr=0.01)
+    kw = dict(max_epochs=60, patience=3, min_improvement=0.02)
+    members = [
+        nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(300 + k), rows, VAL)
+        for k, (net, rows) in enumerate(zip(nets, picks))
+    ]
+    reports = nn.train_to_convergence(members, 32, opt, **kw)
+    epochs = [r.epochs for r in reports]
+    assert len(set(epochs)) > 1 and max(epochs) < 60, epochs  # members leave at different epochs
+    for k, net in enumerate(alone):
+        own = TRAIN.take(picks[k])
+        member = nn.Member(net, own.features, own.labels, np.random.default_rng(300 + k), val=VAL)
+        (ref,) = nn.train_to_convergence([member], 32, opt, **kw)
+        assert reports[k].epoch_losses == ref.epoch_losses
+        assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), net.parameters()))
+        assert owns_its_parameters(nets[k])
+
+
+def test_group_divergence_names_the_member_and_returns_every_flat():
+    nets = canonical_nets()[:3]
+    poisoned = TRAIN.features.copy()
+    poisoned[5, 0] = np.inf
+    members = [
+        nn.Member(net, x, TRAIN.labels, np.random.default_rng(k))
+        for k, (net, x) in enumerate(zip(nets, (TRAIN.features, poisoned, TRAIN.features)))
+    ]
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0") as err:
+        nn._run_epochs(members, "xent", 2, 32, nn.AdamParams())
+    assert err.value.member == 1
+    assert all(owns_its_parameters(net) for net in nets)
+
+
+def test_group_rejects_members_that_cannot_step_together():
+    a, b = canonical_nets()[:2]
+    short = TRAIN.take(np.arange(80))
+    with pytest.raises(ConfigError, match="equal row counts"):
+        nn._run_epochs(
+            [nn.Member(a, TRAIN.features, TRAIN.labels, np.random.default_rng(0)),
+             nn.Member(b, short.features, short.labels, np.random.default_rng(1))],
+            "xent", 1, 32, nn.AdamParams(),
+        )
+    assert owns_its_parameters(a) and owns_its_parameters(b)
+
+
+def test_forward_matches_the_training_forward():
+    # the evaluation forward keeps no cache; it must give the training step's logits
+    for net in canonical_nets():
+        group = nn._Group([net], VAL.n)
+        plan = group.plan(VAL.n)
+        plan.x[0] = VAL.features
+        group.gradients(plan, VAL.labels[None], "xent")
+        group.release([0])
+        assert np.array_equal(nn.forward(net, VAL.features), plan.logits[0])

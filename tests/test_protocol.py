@@ -40,7 +40,7 @@ def small_cfg(parties, rounds, seed=0, **kw):
     return CollaborationConfig(parties=parties, rounds=rounds, seed=seed, **defaults)
 
 
-def small_world(m, seed=0, classes=3, dim=4, per_class=3, public_spread=1.0, **cfg_kw):
+def small_world(m, seed=0, classes=3, dim=4, per_class=3, public_spread=1.0, archs=None, **cfg_kw):
     from fedmd.data import PartitionPlan, partition_iid
 
     cfg = small_cfg(m, rounds=cfg_kw.pop("rounds", 2), seed=seed, **cfg_kw)
@@ -49,7 +49,8 @@ def small_world(m, seed=0, classes=3, dim=4, per_class=3, public_spread=1.0, **c
     test = synth_blobs(classes, 50, dim, 1.0, seed=seed * 31 + 2, sample_stream=1)
     split = partition_iid(pool, PartitionPlan("iid", m, per_class, seed=seed))
     parties = [
-        make_party(k, (8,), split.parties[k], dim, classes, cfg) for k in range(m)
+        make_party(k, archs[k] if archs else (8,), split.parties[k], dim, classes, cfg)
+        for k in range(m)
     ]
     return cfg, parties, public, test
 
@@ -61,7 +62,7 @@ def test_transfer_learn_zero_epochs_keeps_network():
     cfg, parties, public, test = small_world(1, max_epochs=0)
     party = parties[0]
     before = [p.copy() for p in party.net.parameters()]
-    rep_pub, rep_priv = transfer_learn(party, public, cfg)
+    [(rep_pub, rep_priv)] = transfer_learn([party], public, cfg)
     assert rep_pub.epochs == 0 and rep_priv.epochs == 0
     assert all(np.array_equal(a, b) for a, b in zip(before, party.net.parameters()))
 
@@ -71,7 +72,7 @@ def test_transfer_learn_beats_chance():
         cfg, parties, public, test = small_world(
             1, seed=seed, classes=3, dim=8, public_spread=2.5, max_epochs=400, patience=100
         )
-        transfer_learn(parties[0], public, cfg)
+        transfer_learn(parties[:1], public, cfg)
         acc = nn.accuracy(parties[0].net, test)
         assert acc >= 1 / 3 + 0.20, f"seed {seed}: baseline {acc:.3f}"
 
@@ -80,7 +81,7 @@ def test_transfer_learn_identical_parties_identical_baselines():
     results = []
     for _ in range(2):
         cfg, parties, public, test = small_world(1, seed=3)
-        transfer_learn(parties[0], public, cfg)
+        transfer_learn(parties[:1], public, cfg)
         results.append(nn.accuracy(parties[0].net, test))
     assert results[0] == results[1]
 
@@ -88,7 +89,7 @@ def test_transfer_learn_identical_parties_identical_baselines():
 def test_transfer_learn_snapshot_survives_further_training():
     cfg, parties, public, _ = small_world(1)
     party = parties[0]
-    transfer_learn(party, public, cfg)
+    transfer_learn([party], public, cfg)
     snapshot = [p.copy() for p in party.pretrained.parameters()]
     nn.train_supervised(party.net, party.private, 3, 4, party.opt, np.random.default_rng(0))
     assert not all(np.array_equal(a, b) for a, b in zip(snapshot, party.net.parameters()))
@@ -99,7 +100,67 @@ def test_transfer_learn_dim_mismatch():
     cfg, parties, public, _ = small_world(1)
     bad_public = synth_blobs(3, 10, 9, 1.0, seed=0)
     with pytest.raises(ShapeError):
-        transfer_learn(parties[0], bad_public, cfg)
+        transfer_learn(parties[:1], bad_public, cfg)
+
+
+# --- lockstep groups change no result ------------------------------------------------
+
+MIXED_ARCHS = ((8,), (6, 5), (12,), (4, 7))
+
+
+def row_values(rows):
+    return [(r.round, r.party, r.accuracy, r.digest_loss, r.revisit_loss) for r in rows]
+
+
+def owns_its_parameters(net):
+    return all(p.base is net.flat for p in net.parameters())
+
+
+def test_prologue_in_one_group_matches_each_party_alone():
+    cfg, parties, public, test = small_world(4, archs=MIXED_ARCHS, max_epochs=40, patience=4)
+    assert [len(g) for g in protocol.lockstep_groups(parties)] == [4]
+    grouped = protocol.prologue(parties, public, test, cfg)
+    _, lone, _, _ = small_world(4, archs=MIXED_ARCHS, max_epochs=40, patience=4)
+    alone = [row for p in lone for row in protocol.prologue([p], public, test, cfg)]
+    assert row_values(grouped) == row_values(alone)
+    for p, q in zip(parties, lone):
+        for net_p, net_q in ((p.net, q.net), (p.pretrained, q.pretrained)):
+            assert all(np.array_equal(a, b) for a, b in zip(net_p.parameters(), net_q.parameters()))
+        assert owns_its_parameters(p.net)
+
+
+def test_pooled_rows_in_one_group_match_each_party_alone():
+    from fedmd.experiments import ExperimentConfig, TaskData, baseline_pooled
+
+    cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, max_epochs=30)
+    protocol.prologue(parties, public, test, cfg)
+    task = TaskData(public, [p.private for p in parties], test, test.num_classes)
+    exp = ExperimentConfig(cfg, architectures=MIXED_ARCHS[:3])
+    grouped = baseline_pooled(exp, task, parties)
+    alone = [row for p in parties for row in baseline_pooled(exp, task, [p])]
+    assert row_values(grouped) == row_values(alone)
+    assert sum(r.wall_ms for r in grouped) > 0
+
+
+def test_party_with_other_optimizer_settings_trains_in_its_own_group():
+    cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, max_epochs=20)
+    parties[1].opt = nn.AdamParams(lr=0.01)
+    assert [[p.id for p in g] for g in protocol.lockstep_groups(parties)] == [[0, 2], [1]]
+    grouped = protocol.prologue(parties, public, test, cfg)
+    _, lone, _, _ = small_world(3, archs=MIXED_ARCHS, max_epochs=20)
+    lone[1].opt = nn.AdamParams(lr=0.01)
+    alone = [row for p in lone for row in protocol.prologue([p], public, test, cfg)]
+    assert row_values(grouped) == row_values(alone)
+
+
+def test_non_finite_private_row_fails_its_party_and_returns_every_flat():
+    cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, rounds=1, max_epochs=20)
+    parties[1].private.features[0, 0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(
+        ProtocolError, match=r"^party 1 failed during transfer: non-finite training loss in epoch 0$"
+    ):
+        run_fedmd(cfg, parties, public, test)
+    assert all(owns_its_parameters(p.net) for p in parties)
 
 
 # --- subset selection ----------------------------------------------------------------
@@ -307,7 +368,7 @@ def test_run_fedmd_event_ordering_with_threads(monkeypatch):
 
 
 def test_baseline_wall_ms_counts_only_own_compute():
-    # the prologues run one at a time, so their compute times fit inside the call
+    # each lockstep group's time is split among its members, so the rows sum to the prologue's time
     cfg, parties, public, test = small_world(3, rounds=0, max_epochs=15)
     t0 = time.perf_counter()
     log = run_fedmd(cfg, parties, public, test)

@@ -9,7 +9,7 @@ import pytest
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
 
 
-@pytest.mark.parametrize("script", ["run_blobs10.py", "run_noniid.py"])
+@pytest.mark.parametrize("script", sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")))
 def test_script_help_exits_0(script):
     proc = subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, script), "--help"],
@@ -19,3 +19,39 @@ def test_script_help_exits_0(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+def run_compare(a, b):
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "compare_metrics.py"), str(a), str(b)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def write_metrics(root, rel, rows):
+    path = root / rel / "metrics.csv"
+    path.parent.mkdir(parents=True)
+    path.write_text("round,party,accuracy,digest_loss,revisit_loss,wall_ms\n" + "".join(r + "\n" for r in rows))
+
+
+def test_compare_metrics_ignores_wall_ms(tmp_path):
+    for tree, walls in (("a", ("12.5", "3.0")), ("b", ("99.1", "0.4"))):
+        write_metrics(tmp_path / tree, "seed0", [f"baseline,0,0.5,,,{walls[0]}", f"1,0,0.6,0.2,0.1,{walls[1]}"])
+    proc = run_compare(tmp_path / "a", tmp_path / "b")
+    assert proc.returncode == 0, proc.stdout
+    assert "1 metrics.csv files match" in proc.stdout
+
+
+def test_compare_metrics_reports_first_differing_row(tmp_path):
+    write_metrics(tmp_path / "a", "seed0", ["baseline,0,0.5,,,1.0", "1,0,0.6,0.2,0.1,1.0", "2,0,0.7,0.2,0.1,1.0"])
+    write_metrics(tmp_path / "b", "seed0", ["baseline,0,0.5,,,1.0", "1,0,0.6,0.2,0.15,1.0", "2,0,0.8,0.2,0.1,1.0"])
+    proc = run_compare(tmp_path / "a", tmp_path / "b")
+    assert proc.returncode == 1
+    assert "line 3 differs" in proc.stdout and "1,0,0.6,0.2,0.15" in proc.stdout
+    write_metrics(tmp_path / "b", "seed1", ["baseline,0,0.5,,,1.0"])
+    proc = run_compare(tmp_path / "a", tmp_path / "a")
+    assert proc.returncode == 0
+    proc = run_compare(tmp_path / "a", tmp_path / "b")
+    assert proc.returncode == 1 and "seed1" in proc.stdout
