@@ -162,9 +162,11 @@ def _cross_entropy(logits, labels, out) -> tuple[np.ndarray, np.ndarray]:
     C-contiguous array like ``logits``.
     """
     k, n, c = logits.shape
+    # Both give the exact row maximum. The reduction's cost grows with the rows
+    # and the column loop's barely does; they break even near 128 rows.
     if k * n < 128:
         top = np.maximum.reduce(logits, axis=2)
-    else:  # the reduction's cost grows with the rows; one maximum per class column's does not
+    else:
         top = logits[:, :, 0].copy()
         for j in range(1, c):
             np.maximum(top, logits[:, :, j], out=top)
@@ -361,8 +363,10 @@ class _Group:
     then its biases, contiguous in member order. Hidden level l's activations
     and deltas are one (batch, sum of widths) buffer each, and the logits are
     stacked (members, batch, classes), so bias add, ReLU, the ReLU mask and
-    the bias gradient run once per level. Matmuls stay per member. While in
-    the group, a member's layers are views of the group's ``flat``.
+    the bias gradient run once per level; a level that mixes ReLU and
+    identity layers runs ReLU and its mask per ReLU member instead. Matmuls
+    stay per member. While in the group, a member's layers are views of the
+    group's ``flat``.
     """
 
     def __init__(self, nets: list[Network], batch_size: int):
@@ -398,7 +402,7 @@ class _Group:
             self.flat = np.empty(size, dtype)
             for k, net in enumerate(nets):
                 _bind(net, self.member_views(self.flat, k))
-        self.grad, self.m, self.v, self.tmp = (np.zeros(size, dtype) for _ in range(4))
+        self.grad, self.m, self.v, self.tmp = np.zeros((4, size), dtype)
         hidden = [self.bias_spans[l].stop - self.bias_spans[l].start for l in range(depth - 1)]
         self.acts = [np.empty((batch_size, w), dtype) for w in hidden]
         self.deltas = [np.empty((batch_size, w), dtype) for w in hidden]
@@ -444,16 +448,16 @@ class _Group:
 
         Every gradient lands in ``grad``.
         """
-        for matmuls, z, bias, relu in plan.forward:
+        for matmuls, z, bias, relus in plan.forward:
             for a, w, out in matmuls:
                 np.matmul(a, w, out=out)
             z += bias
-            if relu:
-                np.maximum(z, 0, out=z)
+            for a, _ in relus:
+                np.maximum(a, 0, out=a)
         losses, _ = _batch_loss(loss, plan.logits, targets, plan.dlogits)
-        for act, delta, axis, gbias, matmuls in plan.backward:
-            if act is not None:
-                delta *= act > 0  # post-ReLU activations are positive where the pre-activations are
+        for relus, delta, axis, gbias, matmuls in plan.backward:
+            for act, d in relus:
+                d *= act > 0  # post-ReLU activations are positive where the pre-activations are
             np.add.reduce(delta, axis=axis, out=gbias)
             for a, b, out in matmuls:
                 np.matmul(a, b, out=out)
@@ -469,41 +473,39 @@ class _Plan:
         self.x = np.empty((k_all, b, nets[0].input_dim), dtype)
         self.logits = np.empty((k_all, b, nets[0].output_dim), dtype)
         self.dlogits = np.empty_like(self.logits)
+        acts = [a[:b] for a in group.acts]
+        deltas = [d[:b] for d in group.deltas]
 
         def hidden(buffers, k, i):  # member k's columns of hidden level i
-            return buffers[i][:b, group.cols[k][i]]
-
-        def layer_in(k, i):
-            return self.x[k] if i == 0 else hidden(group.acts, k, i - 1)
+            return buffers[i] if k_all == 1 else buffers[i][:, group.cols[k][i]]
 
         grads = [group.member_views(group.grad, k) for k in range(k_all)]
         self.forward, self.backward = [], []
         for l, level in enumerate(group.levels):
-            last = l == len(group.levels) - 1  # the output layers
             bias = group.flat[group.bias_spans[l]]
             gbias = group.grad[group.bias_spans[l]]
-            if last:
+            if l == len(group.levels) - 1:  # the output layers, all identity
                 bias, gbias = bias.reshape(k_all, 1, -1), gbias.reshape(k_all, -1)
-            outs = [self.logits[k] if last else hidden(group.acts, k, i) for k, i in level]
-            deltas = [self.dlogits[k] if last else hidden(group.deltas, k, i) for k, i in level]
+                z, dz, axis, relus = self.logits, self.dlogits, 1, []
+                outs, douts = self.logits, self.dlogits
+            else:
+                z, dz, axis = acts[l], deltas[l], 0
+                outs = [hidden(acts, k, i) for k, i in level]
+                douts = [hidden(deltas, k, i) for k, i in level]
+                relu = [nets[k].layers[i].activation == "relu" for k, i in level]
+                # one ReLU over the level when every member's layer has it, else one per such member
+                relus = [(z, dz)] if all(relu) else [(a, d) for a, d, r in zip(outs, douts, relu) if r]
+            ins = [self.x[k] if i == 0 else hidden(acts, k, i - 1) for k, i in level]
             self.forward.append((
-                [(layer_in(k, i), nets[k].layers[i].weight, out) for (k, i), out in zip(level, outs)],
-                self.logits if last else group.acts[l][:b],
-                bias,
-                not last,
+                [(a, nets[k].layers[i].weight, out) for (k, i), a, out in zip(level, ins, outs)],
+                z, bias, relus,
             ))
             matmuls = []
-            for (k, i), delta in zip(level, deltas):
-                matmuls.append((layer_in(k, i).T, delta, grads[k][2 * i]))
+            for (k, i), a, delta in zip(level, ins, douts):
+                matmuls.append((a.T, delta, grads[k][2 * i]))
                 if i > 0:
-                    matmuls.append((delta, nets[k].layers[i].weight.T, hidden(group.deltas, k, i - 1)))
-            self.backward.insert(0, (
-                None if last else group.acts[l][:b],
-                self.dlogits if last else group.deltas[l][:b],
-                1 if last else 0,
-                gbias,
-                matmuls,
-            ))
+                    matmuls.append((delta, nets[k].layers[i].weight.T, hidden(deltas, k, i - 1)))
+            self.backward.insert(0, (relus, dz, axis, gbias, matmuls))
 
 
 def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_epoch=None) -> list[TrainReport]:
@@ -696,9 +698,10 @@ def gradient_check(
             batch = rng.standard_normal((batch_n, dims[0]))
             x, clear = batch, True
             for lyr in net.layers[:-1]:
-                z = x @ lyr.weight + lyr.bias
-                clear = clear and np.abs(z).min(initial=np.inf) > 10 * h
-                x = np.maximum(z, 0)
+                x = x @ lyr.weight + lyr.bias
+                if lyr.activation == "relu":
+                    clear = clear and np.abs(x).min(initial=np.inf) > 10 * h
+                    x = np.maximum(x, 0)
             if clear:
                 break
         logits = forward(net, batch)

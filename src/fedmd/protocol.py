@@ -261,8 +261,10 @@ def prologue(
 ) -> list[MetricsRow]:
     """Transfer-learn the parties in lockstep groups and measure each one's baseline test accuracy.
 
-    Run through ``on_compute``. A party whose training diverges fails as
-    ``party K failed during transfer: …``.
+    Run through ``on_compute``. Any failure of a group's training is a
+    ``ProtocolError``: ``party K failed during transfer: …`` for the party
+    whose training diverged or when the group is K alone, else
+    ``parties K, L, … failed during transfer: …`` naming the whole group.
     """
 
     def transfer(group):
@@ -270,6 +272,10 @@ def prologue(
             transfer_learn(group, public, cfg)
         except DivergenceError as exc:
             raise ProtocolError(f"party {group[exc.member].id} failed during transfer: {exc}") from exc
+        except Exception as exc:
+            ids = ", ".join(str(p.id) for p in group)
+            who = f"party {ids}" if len(group) == 1 else f"parties {ids}"
+            raise ProtocolError(f"{who} failed during transfer: {exc}") from exc
 
     return fit_and_measure(parties, transfer, test, BASELINE)
 

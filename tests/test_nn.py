@@ -615,6 +615,34 @@ def test_group_rejects_members_that_cannot_step_together():
     assert owns_its_parameters(a) and owns_its_parameters(b)
 
 
+def identity_hidden_nets():
+    # level 0 mixes ReLU and identity layers, level 1 has identity layers only
+    specs = [((32,), ["identity"]), ((64, 32), ["relu", "identity"]),
+             ((32, 32), ["identity", "identity"]), ((48,), ["relu"])]
+    nets = []
+    for k, (arch, acts) in enumerate(specs):
+        net = nn.build_network(16, arch, 6, np.random.default_rng(k))
+        for lyr, act in zip(net.layers, acts):
+            lyr.activation = act
+        nets.append(net)
+    return nets
+
+
+@pytest.mark.parametrize("size", [1, 4])
+def test_identity_hidden_layers_train_like_the_list_reference(size):
+    nets = identity_hidden_nets()[:size]
+    refs = [net.copy() for net in nets]
+    members = [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(k)) for k, net in enumerate(nets)]
+    reports = nn._run_epochs(members, "xent", 4, 32, nn.AdamParams())
+    for k, ref in enumerate(refs):
+        ref_report = reference_run_epochs(
+            ref, TRAIN.features, TRAIN.labels, "xent", 4, 32, nn.AdamParams(), np.random.default_rng(k)
+        )
+        assert reports[k].epoch_losses == ref_report.epoch_losses
+        assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), ref.parameters()))
+        assert np.array_equal(nn.forward(nets[k], VAL.features), reference_forward_cached(ref, VAL.features)[0])
+
+
 def test_forward_matches_the_training_forward():
     # the evaluation forward keeps no cache; it must give the training step's logits
     for net in canonical_nets():

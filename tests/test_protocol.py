@@ -163,6 +163,23 @@ def test_non_finite_private_row_fails_its_party_and_returns_every_flat():
     assert all(owns_its_parameters(p.net) for p in parties)
 
 
+@pytest.mark.parametrize("lone, who", [(False, "parties 0, 1, 2"), (True, "party 1")])
+def test_other_transfer_failure_names_its_group(monkeypatch, lone, who):
+    cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, rounds=1, max_epochs=5)
+    if lone:
+        parties[1].opt = nn.AdamParams(lr=0.01)  # party 1 trains in a group of its own
+    real_fit_private = protocol.fit_private
+
+    def fit_private(group, cfg):
+        if 1 in [p.id for p in group]:
+            raise RuntimeError("boom")
+        return real_fit_private(group, cfg)
+
+    monkeypatch.setattr(protocol, "fit_private", fit_private)
+    with pytest.raises(ProtocolError, match=rf"^{who} failed during transfer: boom$"):
+        run_fedmd(cfg, parties, public, test)
+
+
 # --- subset selection ----------------------------------------------------------------
 
 
