@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeError
 
-ACTIVATIONS = ("relu", "identity")
 DISTILL_LOSSES = ("mae", "mse")
 
 
@@ -20,17 +19,17 @@ DISTILL_LOSSES = ("mae", "mse")
 class Layer:
     weight: np.ndarray  # [fan_in, fan_out]
     bias: np.ndarray  # [fan_out]
-    activation: str
 
 
 @dataclass
 class Network:
     """An independently configured classifier: a stack of dense layers ending in raw logits.
 
-    Two networks in the same collaboration may differ in depth and widths;
-    only the input dim and class count must agree across participants.
-    Building one copies the layers' arrays into one contiguous vector ``flat``
-    and rebinds each weight and bias to a view of it.
+    Every layer but the last applies ReLU; the last emits raw logits. Two
+    networks in the same collaboration may differ in depth and widths; only
+    the input dim and class count must agree across participants. Building one
+    copies the layers' arrays into one contiguous vector ``flat`` and rebinds
+    each weight and bias to a view of it.
     """
 
     layers: list[Layer]
@@ -41,8 +40,6 @@ class Network:
         if not self.layers:
             raise ConfigError("network needs at least one layer")
         for i, lyr in enumerate(self.layers):
-            if lyr.activation not in ACTIVATIONS:
-                raise ConfigError(f"unknown activation {lyr.activation!r} in layer {i}")
             if lyr.weight.ndim != 2 or lyr.bias.ndim != 1:
                 raise ShapeError(f"layer {i}: weight must be 2-d and bias 1-d")
             if lyr.weight.shape[1] != lyr.bias.shape[0]:
@@ -55,8 +52,6 @@ class Network:
                     f"compose with layer {i} in-dim {lyr.weight.shape[0]}"
                 )
         last = self.layers[-1]
-        if last.activation != "identity":
-            raise ConfigError("final layer must emit raw logits (identity activation)")
         if last.weight.shape[1] != self.output_dim:
             raise ShapeError(
                 f"final layer out-dim {last.weight.shape[1]} vs declared class count {self.output_dim}"
@@ -78,11 +73,11 @@ class Network:
 
     def copy(self) -> "Network":
         """An independent network; building it copies the arrays into a new flat vector."""
-        return Network([Layer(l.weight, l.bias, l.activation) for l in self.layers], self.output_dim)
+        return Network([Layer(l.weight, l.bias) for l in self.layers], self.output_dim)
 
     def __reduce__(self):
         # pickle and copy.deepcopy would copy each view on its own, cut off from ``flat``
-        return Network, ([Layer(l.weight, l.bias, l.activation) for l in self.layers], self.output_dim)
+        return Network, ([Layer(l.weight, l.bias) for l in self.layers], self.output_dim)
 
 
 def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
@@ -117,8 +112,7 @@ def build_network(
         bound = math.sqrt(6.0 / fan_in)
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
         b = np.zeros(fan_out, dtype=dtype)
-        act = "relu" if i < len(dims) - 2 else "identity"
-        layers.append(Layer(w, b, act))
+        layers.append(Layer(w, b))
     return Network(layers, num_classes)
 
 
@@ -131,11 +125,11 @@ def forward(net: Network, batch: np.ndarray) -> np.ndarray:
             f"batch feature dim {batch.shape[1]} does not match network input dim {net.input_dim}"
         )
     h = batch
-    for lyr in net.layers:
+    for i, lyr in enumerate(net.layers):
+        if i:  # the layer before was a hidden one
+            np.maximum(h, 0, out=h)
         h = h @ lyr.weight
         h += lyr.bias
-        if lyr.activation == "relu":
-            np.maximum(h, 0, out=h)
     return h
 
 
@@ -162,14 +156,10 @@ def _cross_entropy(logits, labels, out) -> tuple[np.ndarray, np.ndarray]:
     C-contiguous array like ``logits``.
     """
     k, n, c = logits.shape
-    # Both give the exact row maximum. The reduction's cost grows with the rows
-    # and the column loop's barely does; they break even near 128 rows.
-    if k * n < 128:
-        top = np.maximum.reduce(logits, axis=2)
-    else:
-        top = logits[:, :, 0].copy()
-        for j in range(1, c):
-            np.maximum(top, logits[:, :, j], out=top)
+    # the exact row maximum, one class column at a time: its cost barely grows with the rows
+    top = logits[:, :, 0].copy()
+    for j in range(1, c):
+        np.maximum(top, logits[:, :, j], out=top)
     shifted = logits - top[:, :, None]
     e = np.exp(shifted, out=out)
     denom = np.add.reduce(e, axis=2, dtype=np.float64)
@@ -363,10 +353,8 @@ class _Group:
     then its biases, contiguous in member order. Hidden level l's activations
     and deltas are one (batch, sum of widths) buffer each, and the logits are
     stacked (members, batch, classes), so bias add, ReLU, the ReLU mask and
-    the bias gradient run once per level; a level that mixes ReLU and
-    identity layers runs ReLU and its mask per ReLU member instead. Matmuls
-    stay per member. While in the group, a member's layers are views of the
-    group's ``flat``.
+    the bias gradient run once per level. Matmuls stay per member. While in
+    the group, a member's layers are views of the group's ``flat``.
     """
 
     def __init__(self, nets: list[Network], batch_size: int):
@@ -448,16 +436,16 @@ class _Group:
 
         Every gradient lands in ``grad``.
         """
-        for matmuls, z, bias, relus in plan.forward:
+        for matmuls, z, bias, act in plan.forward:
             for a, w, out in matmuls:
                 np.matmul(a, w, out=out)
             z += bias
-            for a, _ in relus:
-                np.maximum(a, 0, out=a)
+            if act is not None:  # a hidden level
+                np.maximum(act, 0, out=act)
         losses, _ = _batch_loss(loss, plan.logits, targets, plan.dlogits)
-        for relus, delta, axis, gbias, matmuls in plan.backward:
-            for act, d in relus:
-                d *= act > 0  # post-ReLU activations are positive where the pre-activations are
+        for act, delta, axis, gbias, matmuls in plan.backward:
+            if act is not None:  # post-ReLU activations are positive where the pre-activations are
+                delta *= act > 0
             np.add.reduce(delta, axis=axis, out=gbias)
             for a, b, out in matmuls:
                 np.matmul(a, b, out=out)
@@ -477,35 +465,32 @@ class _Plan:
         deltas = [d[:b] for d in group.deltas]
 
         def hidden(buffers, k, i):  # member k's columns of hidden level i
-            return buffers[i] if k_all == 1 else buffers[i][:, group.cols[k][i]]
+            return buffers[i][:, group.cols[k][i]]
 
         grads = [group.member_views(group.grad, k) for k in range(k_all)]
         self.forward, self.backward = [], []
         for l, level in enumerate(group.levels):
             bias = group.flat[group.bias_spans[l]]
             gbias = group.grad[group.bias_spans[l]]
-            if l == len(group.levels) - 1:  # the output layers, all identity
+            if l == len(group.levels) - 1:  # the output layers, raw logits
                 bias, gbias = bias.reshape(k_all, 1, -1), gbias.reshape(k_all, -1)
-                z, dz, axis, relus = self.logits, self.dlogits, 1, []
+                z, dz, axis, act = self.logits, self.dlogits, 1, None
                 outs, douts = self.logits, self.dlogits
             else:
-                z, dz, axis = acts[l], deltas[l], 0
+                z, dz, axis, act = acts[l], deltas[l], 0, acts[l]
                 outs = [hidden(acts, k, i) for k, i in level]
                 douts = [hidden(deltas, k, i) for k, i in level]
-                relu = [nets[k].layers[i].activation == "relu" for k, i in level]
-                # one ReLU over the level when every member's layer has it, else one per such member
-                relus = [(z, dz)] if all(relu) else [(a, d) for a, d, r in zip(outs, douts, relu) if r]
             ins = [self.x[k] if i == 0 else hidden(acts, k, i - 1) for k, i in level]
             self.forward.append((
                 [(a, nets[k].layers[i].weight, out) for (k, i), a, out in zip(level, ins, outs)],
-                z, bias, relus,
+                z, bias, act,
             ))
             matmuls = []
             for (k, i), a, delta in zip(level, ins, douts):
                 matmuls.append((a.T, delta, grads[k][2 * i]))
                 if i > 0:
                     matmuls.append((delta, nets[k].layers[i].weight.T, hidden(deltas, k, i - 1)))
-            self.backward.insert(0, (relus, dz, axis, gbias, matmuls))
+            self.backward.insert(0, (act, dz, axis, gbias, matmuls))
 
 
 def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_epoch=None) -> list[TrainReport]:
@@ -699,9 +684,8 @@ def gradient_check(
             x, clear = batch, True
             for lyr in net.layers[:-1]:
                 x = x @ lyr.weight + lyr.bias
-                if lyr.activation == "relu":
-                    clear = clear and np.abs(x).min(initial=np.inf) > 10 * h
-                    x = np.maximum(x, 0)
+                clear = clear and np.abs(x).min(initial=np.inf) > 10 * h
+                x = np.maximum(x, 0)
             if clear:
                 break
         logits = forward(net, batch)

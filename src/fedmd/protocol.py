@@ -198,11 +198,6 @@ def pretrain_public(group: list[PartyState], public: Dataset, cfg: Collaboration
     n_val = int(public.n * cfg.val_fraction)
     members = []
     for party in group:
-        if public.dim != party.net.input_dim:
-            raise ShapeError(
-                f"public feature dim {public.dim} does not match party {party.id} "
-                f"input dim {party.net.input_dim}"
-            )
         rows, val = None, public
         if 0 < n_val < public.n:
             perm = party.stream("holdout").permutation(public.n)
@@ -220,9 +215,8 @@ def fit_private(group: list[PartyState], cfg: CollaborationConfig) -> list[Train
         nn.Member(p.net, p.private.features, p.private.labels, p.stream("transfer-private"), val=p.private)
         for p in group
     ]
-    batch = min(cfg.transfer_batch_size, max(group[0].private.n, 1))
     return nn.train_to_convergence(
-        members, batch, _opt(group), cfg.max_epochs, cfg.patience, cfg.min_improvement
+        members, cfg.transfer_batch_size, _opt(group), cfg.max_epochs, cfg.patience, cfg.min_improvement
     )
 
 
@@ -355,7 +349,7 @@ def _party_round(
             party.net,
             party.private,
             cfg.revisit_epochs,
-            min(cfg.revisit_batch_size, max(party.private.n, 1)),
+            cfg.revisit_batch_size,
             party.opt,
             party.stream("revisit", j),
         )
@@ -495,7 +489,6 @@ def party_loop(
 class _WorkerResult:
     rounds: "list[MetricsRow]" = field(default_factory=list)
     error: "BaseException | None" = None
-    step: str = "transfer"
 
 
 def _party_worker(
@@ -505,12 +498,8 @@ def _party_worker(
     cfg: CollaborationConfig,
     channel,
     result: _WorkerResult,
-    after_transfer,
 ) -> None:
     try:
-        if after_transfer is not None:
-            on_compute(after_transfer, party)
-        result.step = "rounds"
         result.rounds = party_loop(party, public, test, cfg, channel)
     except BaseException as exc:  # surfaced as ProtocolError by the orchestrator
         result.error = exc
@@ -531,8 +520,9 @@ def run_fedmd(
 
     ``transport_kind`` selects the channel implementation ("bus" in-process,
     "tcp" loopback); results are independent of the choice. ``after_transfer``
-    is an optional hook called with each party between the baseline
-    measurements and the first round.
+    is an optional hook called on the compute thread with each party, in list
+    order, between the baseline measurements and the first round; a failure
+    raises ``ProtocolError`` ``party K failed after transfer: …``.
     """
     if len(parties) != cfg.parties:
         raise ConfigError(f"config names {cfg.parties} parties but {len(parties)} were given")
@@ -553,6 +543,12 @@ def run_fedmd(
     if transport_kind not in ("bus", "tcp"):
         raise ConfigError(f"unknown transport {transport_kind!r}")
     baselines = on_compute(prologue, parties, public, test, cfg)
+    if after_transfer is not None:
+        for p in parties:
+            try:
+                on_compute(after_transfer, p)
+            except Exception as exc:
+                raise ProtocolError(f"party {p.id} failed after transfer: {exc}") from exc
 
     if transport_kind == "bus":
         pairs = [transport.bus_pair() for _ in parties]
@@ -570,7 +566,7 @@ def run_fedmd(
     for p in parties:
         t = threading.Thread(
             target=_party_worker,
-            args=(p, public, test, cfg, party_channels[p.id], results[p.id], after_transfer),
+            args=(p, public, test, cfg, party_channels[p.id], results[p.id]),
             name=f"party-{p.id}",
             daemon=True,
         )
@@ -599,14 +595,14 @@ def run_fedmd(
         if not isinstance(r.error, ChannelError):
             if isinstance(r.error, ProtocolError):
                 raise r.error
-            raise ProtocolError(f"party {k} failed during {r.step}: {r.error}") from r.error
+            raise ProtocolError(f"party {k} failed during rounds: {r.error}") from r.error
     if server_error is not None:
         if isinstance(server_error, ProtocolError):
             raise server_error
         raise ProtocolError(f"server failed: {server_error}") from server_error
     if failed:
         k, r = failed[0]
-        raise ProtocolError(f"party {k} failed during {r.step}: {r.error}") from r.error
+        raise ProtocolError(f"party {k} failed during rounds: {r.error}") from r.error
 
     log = MetricsLog(seed=cfg.seed)
     log.rows.extend(sorted(baselines, key=lambda m: m.party))

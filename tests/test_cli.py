@@ -1,6 +1,7 @@
 """CLI tests: exit codes, config handling, subcommands, and networked serve/join."""
 
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from fedmd.errors import ConfigError
 from fedmd.metrics import MetricsLog
 
 from idx_util import encode_idx
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 TINY = {
     "name": "cli-tiny",
@@ -170,8 +173,11 @@ def test_serve_join_matches_in_process_run(tmp_path):
     port = free_port()
     addr = f"127.0.0.1:{port}"
     env_cmd = [sys.executable, "-m", "fedmd"]
+    # the children find fedmd in src/ whether or not it is installed
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     server = subprocess.Popen(
-        env_cmd + ["serve", addr, cfg_path], stdout=subprocess.PIPE, stderr=subprocess.STDOUT
+        env_cmd + ["serve", addr, cfg_path], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env
     )
     try:
         joins = [
@@ -179,6 +185,7 @@ def test_serve_join_matches_in_process_run(tmp_path):
                 env_cmd + ["join", addr, str(k), cfg_path],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
+                env=env,
             )
             for k in range(2)
         ]

@@ -16,8 +16,8 @@ from fedmd.errors import ConfigError, DivergenceError, ShapeError
 
 
 def mlp(*layer_specs, num_classes):
-    layers = [nn.Layer(np.asarray(w, dtype=np.float32), np.asarray(b, dtype=np.float32), act)
-              for w, b, act in layer_specs]
+    layers = [nn.Layer(np.asarray(w, dtype=np.float32), np.asarray(b, dtype=np.float32))
+              for w, b in layer_specs]
     return nn.Network(layers, num_classes)
 
 
@@ -29,13 +29,13 @@ def rand_net(rng, dims):
 
 
 def test_forward_zero_net_maps_to_zero():
-    net = mlp(([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], "identity"), num_classes=2)
+    net = mlp(([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]), num_classes=2)
     batch = np.array([[3.0, -4.0], [1.0, 2.0]], dtype=np.float32)
     assert np.array_equal(nn.forward(net, batch), np.zeros((2, 2), dtype=np.float32))
 
 
 def test_forward_identity_layer():
-    net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], "identity"), num_classes=2)
+    net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), num_classes=2)
     out = nn.forward(net, np.array([[1.0, 2.0]], dtype=np.float32))
     assert np.array_equal(out, np.array([[1.0, 2.0]], dtype=np.float32))
 
@@ -43,8 +43,8 @@ def test_forward_identity_layer():
 def test_forward_two_layer_hand_computed():
     # hand matrix multiplication: z1 = [1.5, -2] -> relu [1.5, 0]; z2 = [1.75, 2.75]
     net = mlp(
-        ([[1.0, -1.0], [2.0, 0.5]], [0.5, -1.0], "relu"),
-        ([[1.0, 2.0], [-1.0, 1.0]], [0.25, -0.25], "identity"),
+        ([[1.0, -1.0], [2.0, 0.5]], [0.5, -1.0]),
+        ([[1.0, 2.0], [-1.0, 1.0]], [0.25, -0.25]),
         num_classes=2,
     )
     out = nn.forward(net, np.array([[1.0, 0.0]], dtype=np.float32))
@@ -58,8 +58,8 @@ def test_forward_dim_mismatch_names_both_dims():
 
 
 def test_forward_never_applies_softmax():
-    # identity final activation: outputs are unconstrained affine values
-    net = mlp(([[2.0], [0.0]], [1.0], "identity"), num_classes=1)
+    # the last layer emits raw logits: outputs are unconstrained affine values
+    net = mlp(([[2.0], [0.0]], [1.0]), num_classes=1)
     out = nn.forward(net, np.array([[10.0, 0.0]], dtype=np.float32))
     assert np.allclose(out, [[21.0]])  # a softmax row would sum to 1
 
@@ -67,15 +67,10 @@ def test_forward_never_applies_softmax():
 def test_network_rejects_non_composing_layers():
     with pytest.raises(ShapeError):
         mlp(
-            ([[1.0, 0.0]], [0.0, 0.0], "relu"),
-            ([[1.0], [1.0], [1.0]], [0.0], "identity"),
+            ([[1.0, 0.0]], [0.0, 0.0]),
+            ([[1.0], [1.0], [1.0]], [0.0]),
             num_classes=1,
         )
-
-
-def test_network_rejects_relu_output():
-    with pytest.raises(ConfigError):
-        mlp(([[1.0]], [0.0], "relu"), num_classes=1)
 
 
 # --- cross entropy ----------------------------------------------------------------
@@ -317,7 +312,7 @@ def test_train_distill_fixed_point_keeps_weights():
 
 
 def test_train_distill_loss_strictly_decreases():
-    net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], "identity"), num_classes=2)
+    net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), num_classes=2)
     inputs = np.array([[1.0, 1.0]], dtype=np.float32)
     targets = nn.forward(net, inputs) + 0.5
     report = nn.train_distill(net, inputs, targets, 10, 1, nn.AdamParams(), np.random.default_rng(14))
@@ -326,7 +321,7 @@ def test_train_distill_loss_strictly_decreases():
 
 
 def test_train_distill_zero_epochs_is_noop():
-    net = mlp(([[1.0]], [0.0], "identity"), num_classes=1)
+    net = mlp(([[1.0]], [0.0]), num_classes=1)
     report = nn.train_distill(
         net, np.ones((2, 1), dtype=np.float32), np.ones((2, 1), dtype=np.float32),
         0, 1, nn.AdamParams(), np.random.default_rng(0),
@@ -345,7 +340,7 @@ def test_accuracy_perfect_net():
 
 
 def test_accuracy_ties_break_to_lowest_class():
-    net = mlp(([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0], "identity"), num_classes=2)
+    net = mlp(([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]), num_classes=2)
     from fedmd.data import Dataset
 
     data = Dataset(np.ones((4, 2), dtype=np.float32), np.zeros(4, dtype=np.int64), 2)
@@ -411,10 +406,11 @@ def config_architectures():
 
 def reference_forward_cached(net, batch):
     h, pre, post = batch, [], [batch]
-    for lyr in net.layers:
+    last = len(net.layers) - 1
+    for i, lyr in enumerate(net.layers):
         z = h @ lyr.weight + lyr.bias
         pre.append(z)
-        h = np.maximum(z, 0) if lyr.activation == "relu" else z
+        h = z if i == last else np.maximum(z, 0)
         post.append(h)
     return h, (pre, post)
 
@@ -425,7 +421,7 @@ def reference_backward(net, cache, dlogits):
     delta = dlogits
     for i in range(len(net.layers) - 1, -1, -1):
         lyr = net.layers[i]
-        if lyr.activation == "relu":
+        if i < len(net.layers) - 1:
             delta = delta * (pre[i] > 0)
         grads[2 * i] = post[i].T @ delta
         grads[2 * i + 1] = delta.sum(axis=0)
@@ -532,6 +528,24 @@ def test_fused_training_matches_list_reference_bitwise(monkeypatch, arch, kind):
         assert 1 < report.epochs < 60  # stopped on patience, not at the cap
 
 
+# revisit's lone 18-row steps, the 3-class noniid groups with their ragged last
+# batch, a ten-member blobs10 group and one large block
+@pytest.mark.parametrize("shape", [(1, 18, 6), (2, 32, 3), (2, 26, 3), (10, 32, 6), (1, 256, 6)], ids=str)
+def test_stacked_cross_entropy_matches_reference_per_block(shape):
+    k, n, c = shape
+    rng = np.random.default_rng(n * c + k)
+    logits = (3.0 * rng.standard_normal(shape)).astype(np.float32)
+    labels = rng.integers(0, c, size=(k, n))
+    logits[:, 0] = 1.5  # every column ties for the maximum
+    logits[:, 1, [0, -1]] = logits[:, 1].max(axis=1, keepdims=True) + 1.0  # the first and last tie
+    labels[:, 1] = c - 1
+    losses, grad = nn._cross_entropy(logits, labels, np.empty_like(logits))
+    for b in range(k):
+        ref_loss, ref_grad = reference_cross_entropy(logits[b], labels[b])
+        assert losses[b] == ref_loss
+        assert np.array_equal(grad[b], ref_grad)
+
+
 # --- lockstep groups against their members trained alone ------------------------
 
 
@@ -613,34 +627,6 @@ def test_group_rejects_members_that_cannot_step_together():
             "xent", 1, 32, nn.AdamParams(),
         )
     assert owns_its_parameters(a) and owns_its_parameters(b)
-
-
-def identity_hidden_nets():
-    # level 0 mixes ReLU and identity layers, level 1 has identity layers only
-    specs = [((32,), ["identity"]), ((64, 32), ["relu", "identity"]),
-             ((32, 32), ["identity", "identity"]), ((48,), ["relu"])]
-    nets = []
-    for k, (arch, acts) in enumerate(specs):
-        net = nn.build_network(16, arch, 6, np.random.default_rng(k))
-        for lyr, act in zip(net.layers, acts):
-            lyr.activation = act
-        nets.append(net)
-    return nets
-
-
-@pytest.mark.parametrize("size", [1, 4])
-def test_identity_hidden_layers_train_like_the_list_reference(size):
-    nets = identity_hidden_nets()[:size]
-    refs = [net.copy() for net in nets]
-    members = [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(k)) for k, net in enumerate(nets)]
-    reports = nn._run_epochs(members, "xent", 4, 32, nn.AdamParams())
-    for k, ref in enumerate(refs):
-        ref_report = reference_run_epochs(
-            ref, TRAIN.features, TRAIN.labels, "xent", 4, 32, nn.AdamParams(), np.random.default_rng(k)
-        )
-        assert reports[k].epoch_losses == ref_report.epoch_losses
-        assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), ref.parameters()))
-        assert np.array_equal(nn.forward(nets[k], VAL.features), reference_forward_cached(ref, VAL.features)[0])
 
 
 def test_forward_matches_the_training_forward():

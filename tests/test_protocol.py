@@ -180,6 +180,20 @@ def test_other_transfer_failure_names_its_group(monkeypatch, lone, who):
         run_fedmd(cfg, parties, public, test)
 
 
+def test_after_transfer_failure_names_its_party():
+    cfg, parties, public, test = small_world(3, rounds=1, max_epochs=5)
+    seen = []
+
+    def hook(party):
+        seen.append(party.id)
+        if party.id == 1:
+            raise RuntimeError("boom")
+
+    with pytest.raises(ProtocolError, match=r"^party 1 failed after transfer: boom$"):
+        run_fedmd(cfg, parties, public, test, after_transfer=hook)
+    assert seen == [0, 1]  # in party order; party 2's hook never runs
+
+
 # --- subset selection ----------------------------------------------------------------
 
 
