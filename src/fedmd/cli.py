@@ -158,11 +158,11 @@ def _cmd_join(args) -> int:
         raise ConfigError(f"party id {k} outside 0..{cfg.collab.parties - 1}")
     task = experiments.build_task(cfg)
     party = experiments.build_parties(cfg, task)[k]
-    (baseline,) = protocol.on_compute(protocol.prologue, [party], task.public, task.test, cfg.collab)
+    (baseline,) = protocol.prologue([party], task.public, task.test, cfg.collab)
     print(f"party {k} baseline accuracy {baseline.accuracy:.4f}")
     chan = transport.connect(_parse_addr(args.addr))
     try:
-        rounds = protocol.party_loop(party, task.public, task.test, cfg.collab, chan)
+        rounds = protocol.party_loop([party], task.public, task.test, cfg.collab, {k: chan})
     finally:
         chan.close()
     log = MetricsLog(seed=cfg.seed, config_hash=experiments.config_hash(cfg))

@@ -32,7 +32,6 @@ from .protocol import (
     fit_and_measure,
     fit_private,
     make_party,
-    on_compute,
     run_fedmd,
 )
 from .protocol import transfer_learn  # noqa: F401  perfbench traces the prologue under this name too
@@ -151,7 +150,6 @@ class TaskData:
     num_classes: int
     assignment: "tuple[dict[int, int], ...] | None" = None  # noniid: superclass -> subclass
     test_subclasses: "np.ndarray | None" = None  # noniid: original subclass of test rows
-    remainder: "Dataset | None" = None
 
 
 def build_task(cfg: ExperimentConfig) -> TaskData:
@@ -203,13 +201,7 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
 
     if cfg.partition_mode == "iid":
         split = partition_iid(pool, plan)
-        return TaskData(
-            public,
-            list(split.parties),
-            test_pool,
-            pool.num_classes,
-            remainder=split.remainder,
-        )
+        return TaskData(public, list(split.parties), test_pool, pool.num_classes)
     split = partition_noniid(pool, plan)
     test = to_superclass(test_pool, split.subclass_to_superclass, split.num_superclasses)
     return TaskData(
@@ -235,7 +227,7 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartySt
     Each party's post-public network (``pretrained``, kept by its transfer
     prologue) is copied and fitted by ``fit_private`` on the union of all
     private sets, with the party's own ``transfer-private`` stream; the copies
-    train in lockstep groups, as one job on the compute thread. The public
+    train in lockstep groups on the caller's thread. The public
     phase is not repeated; it would use the same streams and give the same
     network.
     """
@@ -254,7 +246,7 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartySt
     def fit(group):
         return fit_private(group, cfg.collab)
 
-    return on_compute(fit_and_measure, copies, fit, task.test, POOLED)
+    return fit_and_measure(copies, fit, task.test, POOLED)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

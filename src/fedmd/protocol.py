@@ -2,9 +2,9 @@
 
 Every party first runs the transfer-learning prologue (public data to
 convergence, then its own private data); the resulting test accuracy is its
-baseline. The in-process parties run it as one job, in lockstep groups that
-step every member's network together (``nn.train_to_convergence``), before the
-rounds start. Then, for each round: the server picks a public subset and
+baseline. The in-process parties run it in lockstep groups that step every
+member's network together (``nn.train_to_convergence``), before the rounds
+start. Then, for each round: the server picks a public subset and
 announces it; every party sends raw class scores on that subset; the server
 aggregates them into weighted-average consensus targets and broadcasts them;
 every party digests the consensus (score-matching descent) and then revisits
@@ -12,15 +12,15 @@ its private data for a few supervised epochs. Test accuracy is recorded after
 the revisit.
 
 The round loop runs over channels (in-process bus or TCP loopback), so
-simulation and networked runs share one code path. Party threads only move
-frames: lockstep rounds leave no compute to overlap, so ``on_compute`` runs it
-all on one thread. The wire messages of ``transport`` are the round's data
-types: a subset is a ``SubsetAnnouncement``, a party's scores a ``ScoreReport``
-and the consensus a ``ConsensusBroadcast``, from the moment they are made to
-the moment they are used. ``expect`` checks each one once, where it is received.
+simulation and networked runs share one code path. Lockstep rounds leave no
+compute to overlap, so one ``party_loop`` on the caller's thread serves every
+in-process party, and the server runs on one thread of its own. The wire
+messages of ``transport`` are the round's data types: a subset is a
+``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the consensus a
+``ConsensusBroadcast``, from the moment they are made to the moment they are
+used. ``expect`` checks each one once, where it is received.
 """
 
-import queue
 import threading
 import time
 import zlib
@@ -34,31 +34,6 @@ from .errors import ChannelError, ConfigError, DivergenceError, ProtocolError, S
 from .metrics import BASELINE, MetricsLog, MetricsRow
 from .nn import AdamParams, Network, TrainReport
 from .transport import ConsensusBroadcast, RoundComplete, ScoreReport, SubsetAnnouncement
-
-
-_compute_jobs = queue.SimpleQueue()  # (fn, args, reply) for the compute thread
-_compute_started = threading.Lock()  # taken, and never released, by the call that starts it
-
-
-def _compute_loop() -> None:
-    for fn, args, reply in iter(_compute_jobs.get, None):
-        try:
-            reply.put((True, fn(*args)))
-        except BaseException as exc:  # the caller raises it
-            reply.put((False, exc))
-        del fn, args, reply  # hold no party or dataset between jobs
-
-
-def on_compute(fn, *args):
-    """Run ``fn(*args)`` on the compute thread, after all earlier jobs; return or raise as it does."""
-    if _compute_started.acquire(blocking=False):
-        threading.Thread(target=_compute_loop, name="fedmd-compute", daemon=True).start()
-    reply = queue.SimpleQueue()
-    _compute_jobs.put((fn, args, reply))
-    ok, value = reply.get()
-    if ok:
-        return value
-    raise value
 
 
 def rng_stream(master_seed: int, *tags) -> np.random.Generator:
@@ -141,7 +116,8 @@ class CollaborationConfig:
 class PartyState:
     """One participant: its model, private data, optimizer settings and RNG identity.
 
-    Single-owner mutable: only the compute thread trains it (``on_compute``).
+    Single-owner mutable: only the thread that runs its prologue and its
+    ``party_loop`` trains it.
     ``stream_key`` defaults to the party id and names all of its RNG streams.
     """
 
@@ -255,7 +231,7 @@ def prologue(
 ) -> list[MetricsRow]:
     """Transfer-learn the parties in lockstep groups and measure each one's baseline test accuracy.
 
-    Run through ``on_compute``. Any failure of a group's training is a
+    Runs on the caller's thread. Any failure of a group's training is a
     ``ProtocolError``: ``party K failed during transfer: …`` for the party
     whose training diverged or when the group is K alone, else
     ``parties K, L, … failed during transfer: …`` naming the whole group.
@@ -458,53 +434,57 @@ def server_loop(
 
 
 def party_loop(
-    party: PartyState,
+    parties: list[PartyState],
     public: Dataset,
     test: Dataset,
     cfg: CollaborationConfig,
-    channel,
+    channels: "dict[int, object]",
 ) -> list[MetricsRow]:
-    """Follow the server through P rounds on one channel.
+    """Follow the server through P rounds for every party, each on its own channel (keyed by party id).
 
-    Starts with a hello frame (an empty 0xC score report for round 0) so the
-    server can map the connection to this party before round 1.
+    Each party starts with a hello frame (an empty 0xC score report for round
+    0) so the server can map its channel to it before round 1. Returns the
+    round rows in round, then party order. A failure that is neither a
+    ``ProtocolError`` nor a ``ChannelError`` raises ``ProtocolError``
+    ``party K failed during rounds: …`` for the party being served.
     """
-    channel.send(ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32)))
+    # Ordering rule: a stream channel may buffer less than one frame, so a send
+    # can block until the peer reads it. Serve the parties in ascending id, the
+    # order server_loop uses, and receive every party's frame of a phase before
+    # sending any frame of the next phase: all subsets, then all scores, then
+    # all consensus frames, then each party's round and its completion frame.
+    # Breaking either half can leave both ends blocked.
+    parties = sorted(parties, key=lambda p: p.id)
     subset_size = min(cfg.subset_size, public.n)
     metrics = []
-    for j in range(1, cfg.rounds + 1):
-        selection = expect(channel, SubsetAnnouncement, j, party.id, (subset_size,), public.n)
-        try:
-            scores = on_compute(compute_scores, party, public, selection)
-        except Exception as exc:
-            raise ProtocolError(f"party {party.id} round {j}: communicate failed: {exc}") from exc
-        channel.send(scores)
-        consensus = expect(channel, ConsensusBroadcast, j, party.id, scores.scores.shape)
-        metrics.append(on_compute(_party_round, party, public, test, cfg, selection, scores, consensus))
-        channel.send(RoundComplete(j))
-    return metrics
-
-
-@dataclass
-class _WorkerResult:
-    rounds: "list[MetricsRow]" = field(default_factory=list)
-    error: "BaseException | None" = None
-
-
-def _party_worker(
-    party: PartyState,
-    public: Dataset,
-    test: Dataset,
-    cfg: CollaborationConfig,
-    channel,
-    result: _WorkerResult,
-) -> None:
     try:
-        result.rounds = party_loop(party, public, test, cfg, channel)
-    except BaseException as exc:  # surfaced as ProtocolError by the orchestrator
-        result.error = exc
-    finally:
-        channel.close()
+        for party in parties:
+            hello = ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32))
+            channels[party.id].send(hello)
+        for j in range(1, cfg.rounds + 1):
+            selections = []
+            for party in parties:
+                chan = channels[party.id]
+                selections.append(expect(chan, SubsetAnnouncement, j, party.id, (subset_size,), public.n))
+            reports = []
+            for party, selection in zip(parties, selections):
+                try:
+                    reports.append(compute_scores(party, public, selection))
+                except Exception as exc:
+                    raise ProtocolError(f"party {party.id} round {j}: communicate failed: {exc}") from exc
+                channels[party.id].send(reports[-1])
+            consensus = []
+            for party, report in zip(parties, reports):
+                chan = channels[party.id]
+                consensus.append(expect(chan, ConsensusBroadcast, j, party.id, report.scores.shape))
+            for party, selection, report, targets in zip(parties, selections, reports, consensus):
+                metrics.append(_party_round(party, public, test, cfg, selection, report, targets))
+                channels[party.id].send(RoundComplete(j))
+    except (ProtocolError, ChannelError):
+        raise
+    except Exception as exc:  # ``party`` is the one being served when it was raised
+        raise ProtocolError(f"party {party.id} failed during rounds: {exc}") from exc
+    return metrics
 
 
 def run_fedmd(
@@ -513,16 +493,18 @@ def run_fedmd(
     public: Dataset,
     test: Dataset,
     transport_kind: str = "bus",
-    addr: "tuple[str, int] | None" = None,
     after_transfer=None,
 ) -> MetricsLog:
-    """Transfer-learning prologue for every party, as one compute job, then P collaboration rounds.
+    """Transfer-learning prologue for every party, then P collaboration rounds.
 
     ``transport_kind`` selects the channel implementation ("bus" in-process,
-    "tcp" loopback); results are independent of the choice. ``after_transfer``
-    is an optional hook called on the compute thread with each party, in list
-    order, between the baseline measurements and the first round; a failure
-    raises ``ProtocolError`` ``party K failed after transfer: …``.
+    "tcp" on 127.0.0.1); results are independent of the choice. The prologue,
+    the hooks and every party's rounds (``party_loop``) run on the caller's
+    thread; the server runs on one ``fedmd-server`` thread, closed and joined
+    before this returns or raises. ``after_transfer`` is an optional hook
+    called with each party, in list order, between the baseline measurements
+    and the first round; a failure raises ``ProtocolError`` ``party K failed
+    after transfer: …``.
     """
     if len(parties) != cfg.parties:
         raise ConfigError(f"config names {cfg.parties} parties but {len(parties)} were given")
@@ -542,11 +524,11 @@ def run_fedmd(
         raise ShapeError(f"test feature dim {test.dim} does not match public dim {public.dim}")
     if transport_kind not in ("bus", "tcp"):
         raise ConfigError(f"unknown transport {transport_kind!r}")
-    baselines = on_compute(prologue, parties, public, test, cfg)
+    baselines = prologue(parties, public, test, cfg)
     if after_transfer is not None:
         for p in parties:
             try:
-                on_compute(after_transfer, p)
+                after_transfer(p)
             except Exception as exc:
                 raise ProtocolError(f"party {p.id} failed after transfer: {exc}") from exc
 
@@ -557,57 +539,50 @@ def run_fedmd(
         listener = None
     else:
         # every party connects before the first accept, so the backlog must hold them all
-        listener = transport.serve(addr or ("127.0.0.1", 0), backlog=cfg.parties)
+        listener = transport.serve(("127.0.0.1", 0), backlog=cfg.parties)
         party_channels = {p.id: transport.connect(listener.address) for p in parties}
         incoming = (listener.accept() for _ in parties)
 
-    results = {p.id: _WorkerResult() for p in parties}
-    threads = []
-    for p in parties:
-        t = threading.Thread(
-            target=_party_worker,
-            args=(p, public, test, cfg, party_channels[p.id], results[p.id]),
-            name=f"party-{p.id}",
-            daemon=True,
-        )
-        threads.append(t)
-        t.start()
+    server_errors = []
 
-    server_error: "BaseException | None" = None
-    server_channels = {}
+    def serve_rounds() -> None:
+        server_channels = {}
+        try:
+            server_channels = accept_parties(incoming, cfg.parties, test.num_classes)
+            server_loop(server_channels, cfg, public.n, test.num_classes)
+        except BaseException as exc:  # raised by run_fedmd after the join
+            server_errors.append(exc)
+        finally:
+            # a failed handshake may leave bus ends unread; closing them releases their parties
+            for chan in incoming if listener is None else server_channels.values():
+                chan.close()
+            if listener is not None:
+                listener.close()
+
+    server = threading.Thread(target=serve_rounds, name="fedmd-server", daemon=True)
+    server.start()
+    party_error: "BaseException | None" = None
     try:
-        server_channels = accept_parties(incoming, cfg.parties, test.num_classes)
-        server_loop(server_channels, cfg, public.n, test.num_classes)
+        rounds = party_loop(parties, public, test, cfg, party_channels)
     except BaseException as exc:
-        server_error = exc
+        party_error = exc
     finally:
-        # a failed handshake may leave bus ends unread; closing them releases their parties
-        for chan in incoming if listener is None else server_channels.values():
+        # closing the party ends releases a server that still waits on a party
+        for chan in party_channels.values():
             chan.close()
-        if listener is not None:
-            listener.close()
-    for t in threads:
-        t.join()
+        server.join()
 
-    # report the root cause: a party whose failure is not a mere channel teardown
-    failed = [(k, r) for k, r in sorted(results.items()) if r.error is not None]
-    for k, r in failed:
-        if not isinstance(r.error, ChannelError):
-            if isinstance(r.error, ProtocolError):
-                raise r.error
-            raise ProtocolError(f"party {k} failed during rounds: {r.error}") from r.error
-    if server_error is not None:
+    # report the root cause: a party-side channel error is only the teardown of a failed server
+    if server_errors and (party_error is None or isinstance(party_error, ChannelError)):
+        (server_error,) = server_errors
         if isinstance(server_error, ProtocolError):
             raise server_error
         raise ProtocolError(f"server failed: {server_error}") from server_error
-    if failed:
-        k, r = failed[0]
-        raise ProtocolError(f"party {k} failed during rounds: {r.error}") from r.error
+    if party_error is not None:
+        raise party_error
 
     log = MetricsLog(seed=cfg.seed)
     log.rows.extend(sorted(baselines, key=lambda m: m.party))
-    log.rows.extend(
-        sorted((m for r in results.values() for m in r.rounds), key=lambda m: (m.round, m.party))
-    )
+    log.rows.extend(rounds)
     log.validate()
     return log

@@ -282,10 +282,3 @@ def test_noniid_run_and_probe():
     probe = experiments.run_noniid_probe(cfg)
     assert len(probe.pre_unseen) == 2 and len(probe.post_unseen) == 2
 
-
-def test_build_task_remainder_for_iid():
-    cfg = tiny_config(parties=2)
-    task = build_task(cfg)
-    assert task.remainder is not None
-    total = sum(d.n for d in task.privates) + task.remainder.n
-    assert total == 3 * 12  # full private pool is accounted for

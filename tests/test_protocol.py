@@ -1,5 +1,6 @@
 """Protocol tests: subset selection, aggregation oracle, rounds, end-to-end runs."""
 
+import socket
 import threading
 import time
 
@@ -485,7 +486,7 @@ def test_one_compute_thread_runs_every_party_computation(monkeypatch):
         run_fedmd(cfg, parties, public, test, transport_kind=kind)
     assert len(threads) == 1, sorted(name for _, name in threads)
     ((ident, name),) = threads
-    assert ident != threading.get_ident()
+    assert ident == threading.get_ident()
     assert not name.startswith("party-")
 
 
@@ -518,6 +519,78 @@ def test_failed_compute_job_leaves_the_compute_thread_usable(monkeypatch):
     worker.join(timeout=60)
     assert not worker.is_alive(), "the run after a failed job did not finish within 60 s"
     assert rows(done["log"]) == clean
+
+
+@pytest.mark.parametrize("kind", ["bus", "tcp"])
+def test_round_failure_outside_digest_and_revisit_names_its_party(monkeypatch, kind):
+    cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
+    inner = protocol._party_round
+
+    def party_round(party, *args):
+        if party.id == 1:
+            raise ValueError("boom")
+        return inner(party, *args)
+
+    monkeypatch.setattr(protocol, "_party_round", party_round)
+    with pytest.raises(ProtocolError, match=r"^party 1 failed during rounds: boom$"):
+        run_fedmd(cfg, parties, public, test, transport_kind=kind)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["clean", "failing-digest"])
+@pytest.mark.parametrize("kind", ["bus", "tcp"])
+def test_no_thread_outlives_a_run(monkeypatch, kind, fail):
+    cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
+    if fail:
+        poisoned, inner = parties[1].net, nn.train_distill
+
+        def failing(net, *args):
+            if net is poisoned:
+                raise ValueError("poisoned")
+            return inner(net, *args)
+
+        monkeypatch.setattr(nn, "train_distill", failing)
+        with pytest.raises(ProtocolError, match="party 1 round 1: digest failed: poisoned"):
+            run_fedmd(cfg, parties, public, test, transport_kind=kind)
+    else:
+        run_fedmd(cfg, parties, public, test, transport_kind=kind)
+    alive = [t.name for t in threading.enumerate() if t.name.startswith(("fedmd-", "party-"))]
+    assert alive == []
+
+
+def test_party_loop_order_survives_frames_larger_than_socket_buffers():
+    # a send of a frame larger than the socket buffers blocks until the peer reads it
+    cfg = small_cfg(3, rounds=2, subset_size=3000)
+    public = synth_blobs(3, 1000, 4, 1.0, seed=11)  # 3000 rows: 12 KB subsets, 36 KB scores
+    test = synth_blobs(3, 10, 4, 1.0, seed=12)
+    private = synth_blobs(3, 2, 4, 1.0, seed=13)
+    parties = [make_party(k, (8,), private, 4, 3, cfg) for k in (2, 1, 0)]  # not in server order
+    server_ends, party_ends = {}, {}
+    for k in range(3):
+        a, b = socket.socketpair()
+        for sock in (a, b):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        server_ends[k], party_ends[k] = transport.TcpChannel(a, 5.0), transport.TcpChannel(b, 5.0)
+    errors = []
+
+    def serve():
+        try:
+            server_loop(accept_parties(server_ends.values(), 3, 3), cfg, public.n, 3)
+        except BaseException as exc:
+            errors.append(exc)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    try:
+        rows = party_loop(parties, public, test, cfg, party_ends)
+    finally:
+        for chan in party_ends.values():
+            chan.close()
+        server.join()
+        for chan in server_ends.values():
+            chan.close()
+    assert errors == []
+    assert [(r.round, r.party) for r in rows] == [(j, k) for j in (1, 2) for k in range(3)]
 
 
 def test_config_weight_renormalization():
@@ -616,7 +689,7 @@ def drive_round(side, frames):
         server_end, party_end = transport.bus_pair(timeout=5.0)
         for frame in frames:
             server_end.send(frame)
-        party_loop(parties[0], public, test, cfg, party_end)
+        party_loop(parties[:1], public, test, cfg, {0: party_end})
 
 
 @pytest.mark.parametrize(
