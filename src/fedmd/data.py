@@ -162,9 +162,8 @@ class PartitionPlan:
 @dataclass(frozen=True)
 class IidSplit:
     parties: tuple[Dataset, ...]
-    remainder: Dataset
     party_indices: tuple[np.ndarray, ...]  # source-row provenance per party
-    remainder_indices: np.ndarray
+    remainder_indices: np.ndarray  # the pool rows no party drew
 
 
 def partition_iid(source: Dataset, plan: PartitionPlan) -> IidSplit:
@@ -188,8 +187,7 @@ def partition_iid(source: Dataset, plan: PartitionPlan) -> IidSplit:
     parties = tuple(
         source.take(idx, name=f"{source.name}/party{k}") for k, idx in enumerate(party_indices)
     )
-    remainder = source.take(remainder_indices, name=f"{source.name}/remainder")
-    return IidSplit(parties, remainder, party_indices, remainder_indices)
+    return IidSplit(parties, party_indices, remainder_indices)
 
 
 @dataclass(frozen=True)

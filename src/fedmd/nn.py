@@ -566,18 +566,16 @@ def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_ep
     return reports
 
 
-def train_supervised(net, data, epochs, batch_size, opt: AdamParams, rng) -> TrainReport:
-    """Minibatch cross-entropy descent with a fresh Adam state and caller-seeded shuffling."""
-    return _run_epochs([Member(net, data.features, data.labels, rng)], "xent", epochs, batch_size, opt)[0]
+def train_supervised(members: list[Member], epochs, batch_size, opt: AdamParams) -> list[TrainReport]:
+    """Minibatch cross-entropy descent of a lockstep group toward each member's labels, with a fresh Adam state."""
+    return _run_epochs(members, "xent", epochs, batch_size, opt)
 
 
-def train_distill(
-    net, inputs, targets, epochs, batch_size, opt: AdamParams, rng, kind: str = "mae"
-) -> TrainReport:
-    """Minibatch descent toward consensus targets; shuffling keeps rows paired."""
+def train_distill(members: list[Member], epochs, batch_size, opt: AdamParams, kind: str = "mae") -> list[TrainReport]:
+    """Minibatch descent of a lockstep group toward each member's consensus targets; shuffling keeps rows paired."""
     if kind not in DISTILL_LOSSES:
         raise ConfigError(f"unknown distillation loss {kind!r}")
-    return _run_epochs([Member(net, inputs, targets, rng)], kind, epochs, batch_size, opt)[0]
+    return _run_epochs(members, kind, epochs, batch_size, opt)
 
 
 def accuracy(net: Network, data) -> float:

@@ -8,13 +8,15 @@ start. Then, for each round: the server picks a public subset and
 announces it; every party sends raw class scores on that subset; the server
 aggregates them into weighted-average consensus targets and broadcasts them;
 every party digests the consensus (score-matching descent) and then revisits
-its private data for a few supervised epochs. Test accuracy is recorded after
-the revisit.
+its private data for a few supervised epochs, again in lockstep groups
+(``nn.train_distill``, ``nn.train_supervised``). Test accuracy is recorded
+after the revisit.
 
 The round loop runs over channels (in-process bus or TCP loopback), so
 simulation and networked runs share one code path. Lockstep rounds leave no
 compute to overlap, so one ``party_loop`` on the caller's thread serves every
-in-process party, and the server runs on one thread of its own. The wire
+in-process party, and the server runs on one thread of its own; ``fedmd join``
+runs the same loop for its one party, a group of one. The wire
 messages of ``transport`` are the round's data types: a subset is a
 ``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the consensus a
 ``ConsensusBroadcast``, from the moment they are made to the moment they are
@@ -210,6 +212,14 @@ def transfer_learn(
     return list(zip(public_reports, fit_private(group, cfg)))
 
 
+def _blame(group: list[PartyState], exc: Exception) -> str:
+    """Who a lockstep group's failure names: the member that diverged, a lone member, else the whole group."""
+    if isinstance(exc, DivergenceError):
+        return f"party {group[exc.member].id}"
+    ids = ", ".join(str(p.id) for p in group)
+    return f"party {ids}" if len(group) == 1 else f"parties {ids}"
+
+
 def fit_and_measure(parties: list[PartyState], fit, test: Dataset, kind: str) -> list[MetricsRow]:
     """``fit(group)`` for each lockstep group, then every party's test accuracy, as ``kind`` rows.
 
@@ -240,12 +250,8 @@ def prologue(
     def transfer(group):
         try:
             transfer_learn(group, public, cfg)
-        except DivergenceError as exc:
-            raise ProtocolError(f"party {group[exc.member].id} failed during transfer: {exc}") from exc
         except Exception as exc:
-            ids = ", ".join(str(p.id) for p in group)
-            who = f"party {ids}" if len(group) == 1 else f"parties {ids}"
-            raise ProtocolError(f"{who} failed during transfer: {exc}") from exc
+            raise ProtocolError(f"{_blame(group, exc)} failed during transfer: {exc}") from exc
 
     return fit_and_measure(parties, transfer, test, BASELINE)
 
@@ -293,48 +299,31 @@ def aggregate(reports: list[ScoreReport], weights: "tuple[float, ...] | list[flo
     return ConsensusBroadcast(rnd, acc.astype(np.float32))
 
 
-def _party_round(
-    party: PartyState,
-    public: Dataset,
-    test: Dataset,
-    cfg: CollaborationConfig,
-    selection: SubsetAnnouncement,
-    scores: ScoreReport,
-    consensus: ConsensusBroadcast,
-) -> MetricsRow:
-    """Digest the consensus, revisit private data, then measure test accuracy."""
-    t0 = time.perf_counter()
-    j = selection.round
-    inputs = public.features[selection.indices]
-    digest_loss, _ = nn.distill_loss(scores.scores, consensus.targets, cfg.distill)
+def _digest_and_revisit(group: list[PartyState], public: Dataset, cfg: CollaborationConfig, selections, consensus):
+    """Digest each party's consensus, then revisit its private data, as one lockstep group; returns the revisit reports.
+
+    Members whose subset and consensus frames hold the first member's bits (an
+    honest server sends every party the same) share one inputs and one targets
+    array. A failure reads ``party K round J: digest failed: …`` (or ``revisit
+    failed``), naming the member that diverged or a lone member, else ``parties K, L, …``.
+    """
+    head = group[0].id
+    j, first, targets = selections[head].round, selections[head].indices, consensus[head].targets
+    inputs, digest = public.features[first], []
+    for p in group:
+        x, y = selections[p.id].indices, consensus[p.id].targets
+        x = inputs if np.array_equal(x, first) else public.features[x]
+        y = targets if np.array_equal(y.view(np.uint8), targets.view(np.uint8)) else y
+        digest.append(nn.Member(p.net, x, y, p.stream("digest", j)))
     try:
-        nn.train_distill(
-            party.net,
-            inputs,
-            consensus.targets,
-            cfg.digest_epochs,
-            cfg.digest_batch_size,
-            party.opt,
-            party.stream("digest", j),
-            cfg.distill,
-        )
+        nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, _opt(group), cfg.distill)
     except Exception as exc:
-        raise ProtocolError(f"party {party.id} round {j}: digest failed: {exc}") from exc
+        raise ProtocolError(f"{_blame(group, exc)} round {j}: digest failed: {exc}") from exc
+    revisit = [nn.Member(p.net, p.private.features, p.private.labels, p.stream("revisit", j)) for p in group]
     try:
-        revisit = nn.train_supervised(
-            party.net,
-            party.private,
-            cfg.revisit_epochs,
-            cfg.revisit_batch_size,
-            party.opt,
-            party.stream("revisit", j),
-        )
+        return nn.train_supervised(revisit, cfg.revisit_epochs, cfg.revisit_batch_size, _opt(group))
     except Exception as exc:
-        raise ProtocolError(f"party {party.id} round {j}: revisit failed: {exc}") from exc
-    revisit_loss = revisit.epoch_losses[-1] if revisit.epoch_losses else None
-    acc = nn.accuracy(party.net, test)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return MetricsRow(j, party.id, acc, digest_loss, revisit_loss, wall_ms)
+        raise ProtocolError(f"{_blame(group, exc)} round {j}: revisit failed: {exc}") from exc
 
 
 # --- channel-driven execution ---------------------------------------------------
@@ -452,9 +441,10 @@ def party_loop(
     # can block until the peer reads it. Serve the parties in ascending id, the
     # order server_loop uses, and receive every party's frame of a phase before
     # sending any frame of the next phase: all subsets, then all scores, then
-    # all consensus frames, then each party's round and its completion frame.
-    # Breaking either half can leave both ends blocked.
+    # all consensus frames, then the grouped rounds, then every completion frame
+    # in ascending id. Breaking either half can leave both ends blocked.
     parties = sorted(parties, key=lambda p: p.id)
+    groups = lockstep_groups(parties)
     subset_size = min(cfg.subset_size, public.n)
     metrics = []
     try:
@@ -462,23 +452,36 @@ def party_loop(
             hello = ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32))
             channels[party.id].send(hello)
         for j in range(1, cfg.rounds + 1):
-            selections = []
+            selections, reports, consensus, rows = {}, {}, {}, {}
             for party in parties:
                 chan = channels[party.id]
-                selections.append(expect(chan, SubsetAnnouncement, j, party.id, (subset_size,), public.n))
-            reports = []
-            for party, selection in zip(parties, selections):
+                selections[party.id] = expect(chan, SubsetAnnouncement, j, party.id, (subset_size,), public.n)
+            for party in parties:
                 try:
-                    reports.append(compute_scores(party, public, selection))
+                    reports[party.id] = compute_scores(party, public, selections[party.id])
                 except Exception as exc:
                     raise ProtocolError(f"party {party.id} round {j}: communicate failed: {exc}") from exc
-                channels[party.id].send(reports[-1])
-            consensus = []
-            for party, report in zip(parties, reports):
-                chan = channels[party.id]
-                consensus.append(expect(chan, ConsensusBroadcast, j, party.id, report.scores.shape))
-            for party, selection, report, targets in zip(parties, selections, reports, consensus):
-                metrics.append(_party_round(party, public, test, cfg, selection, report, targets))
+                channels[party.id].send(reports[party.id])
+            for party in parties:
+                shape = reports[party.id].scores.shape
+                consensus[party.id] = expect(channels[party.id], ConsensusBroadcast, j, party.id, shape)
+            # a row's wall_ms is its group's time split evenly; ``party`` names a failed loss or evaluation
+            for group in groups:
+                t0 = time.perf_counter()
+                digest_losses = []
+                for party in group:
+                    scores, targets = reports[party.id].scores, consensus[party.id].targets
+                    digest_losses.append(nn.distill_loss(scores, targets, cfg.distill)[0])
+                revisits = _digest_and_revisit(group, public, cfg, selections, consensus)
+                accs = []
+                for party in group:
+                    accs.append(nn.accuracy(party.net, test))
+                wall_ms = (time.perf_counter() - t0) * 1000.0 / len(group)
+                for party, digest_loss, revisit, acc in zip(group, digest_losses, revisits, accs):
+                    revisit_loss = revisit.epoch_losses[-1] if revisit.epoch_losses else None
+                    rows[party.id] = MetricsRow(j, party.id, acc, digest_loss, revisit_loss, wall_ms)
+            for party in parties:
+                metrics.append(rows[party.id])
                 channels[party.id].send(RoundComplete(j))
     except (ProtocolError, ChannelError):
         raise

@@ -117,7 +117,8 @@ def test_synth_blobs_tight_clusters_are_learnable():
     train = synth_blobs(6, 60, 8, 0.01, seed=9, sample_stream=0)
     test = synth_blobs(6, 30, 8, 0.01, seed=9, sample_stream=1)
     net = nn.build_network(8, (32,), 6, np.random.default_rng(10))
-    nn.train_supervised(net, train, 100, 16, nn.AdamParams(), np.random.default_rng(11))
+    member = nn.Member(net, train.features, train.labels, np.random.default_rng(11))
+    nn.train_supervised([member], 100, 16, nn.AdamParams())
     assert nn.accuracy(net, test) >= 0.98
 
 
@@ -133,7 +134,7 @@ def test_partition_iid_single_party_takes_everything():
     source = synth_blobs(3, 5, 4, 1.0, seed=1)
     split = partition_iid(source, PartitionPlan("iid", 1, 5, seed=2))
     assert split.parties[0].n == source.n
-    assert split.remainder.n == 0
+    assert split.remainder_indices.size == 0
     joined = np.sort(split.party_indices[0])
     assert np.array_equal(joined, np.arange(source.n))
 

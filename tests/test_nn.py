@@ -243,7 +243,8 @@ def test_train_supervised_zero_epochs_is_noop():
     data = synth_blobs(2, 5, 3, 0.5, seed=1)
     net = rand_net(np.random.default_rng(2), (3, 4, 2))
     before = [p.copy() for p in net.parameters()]
-    report = nn.train_supervised(net, data, 0, 4, nn.AdamParams(), np.random.default_rng(3))
+    member = nn.Member(net, data.features, data.labels, np.random.default_rng(3))
+    (report,) = nn.train_supervised([member], 0, 4, nn.AdamParams())
     assert report.epochs == 0 and report.epoch_losses == []
     assert all(np.array_equal(a, b) for a, b in zip(before, net.parameters()))
 
@@ -251,7 +252,7 @@ def test_train_supervised_zero_epochs_is_noop():
 def test_train_supervised_fits_separable_blobs():
     data = synth_blobs(2, 40, 4, 0.1, seed=5)
     net = rand_net(np.random.default_rng(6), (4, 8, 2))
-    nn.train_supervised(net, data, 50, 8, nn.AdamParams(), np.random.default_rng(7))
+    nn.train_supervised([nn.Member(net, data.features, data.labels, np.random.default_rng(7))], 50, 8, nn.AdamParams())
     assert nn.accuracy(net, data) >= 0.95
 
 
@@ -260,7 +261,8 @@ def test_train_supervised_is_bitwise_deterministic():
     runs = []
     for _ in range(2):
         net = rand_net(np.random.default_rng(9), (4, 6, 3))
-        nn.train_supervised(net, data, 5, 4, nn.AdamParams(), np.random.default_rng(10))
+        member = nn.Member(net, data.features, data.labels, np.random.default_rng(10))
+        nn.train_supervised([member], 5, 4, nn.AdamParams())
         runs.append([p.copy() for p in net.parameters()])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
@@ -269,14 +271,16 @@ def test_train_supervised_rejects_empty_dataset():
     empty = synth_blobs(2, 1, 3, 0.5, seed=1).take(np.array([], dtype=np.int64))
     net = rand_net(np.random.default_rng(0), (3, 2))
     with pytest.raises(ConfigError, match="empty"):
-        nn.train_supervised(net, empty, 1, 4, nn.AdamParams(), np.random.default_rng(0))
+        member = nn.Member(net, empty.features, empty.labels, np.random.default_rng(0))
+        nn.train_supervised([member], 1, 4, nn.AdamParams())
 
 
 def test_train_supervised_divergence_names_epoch():
     data = synth_blobs(2, 10, 3, 0.5, seed=3)
     net = rand_net(np.random.default_rng(4), (3, 4, 2))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch"):
-        nn.train_supervised(net, data, 5, 4, nn.AdamParams(lr=1e30), np.random.default_rng(5))
+        member = nn.Member(net, data.features, data.labels, np.random.default_rng(5))
+        nn.train_supervised([member], 5, 4, nn.AdamParams(lr=1e30))
 
 
 @pytest.mark.parametrize(
@@ -292,7 +296,8 @@ def test_copy_and_original_train_independently(duplicate):
     for trained, other in ((twin, net), (net, twin)):
         untouched = [p.copy() for p in other.parameters()]
         start = [p.copy() for p in trained.parameters()]
-        nn.train_supervised(trained, data, 2, 4, nn.AdamParams(), np.random.default_rng(10))
+        member = nn.Member(trained, data.features, data.labels, np.random.default_rng(10))
+        nn.train_supervised([member], 2, 4, nn.AdamParams())
         assert all(np.array_equal(a, b) for a, b in zip(untouched, other.parameters()))
         assert not any(np.array_equal(a, b) for a, b in zip(start, trained.parameters()))
     # training writes into flat and gradient_check through p.reshape(-1): both reach forward
@@ -306,7 +311,7 @@ def test_train_distill_fixed_point_keeps_weights():
     inputs = rng.normal(size=(6, 3)).astype(np.float32)
     targets = nn.forward(net, inputs)
     before = [p.copy() for p in net.parameters()]
-    report = nn.train_distill(net, inputs, targets, 2, 3, nn.AdamParams(), np.random.default_rng(13))
+    (report,) = nn.train_distill([nn.Member(net, inputs, targets, np.random.default_rng(13))], 2, 3, nn.AdamParams())
     assert report.epoch_losses[0] == 0.0
     assert all(np.array_equal(a, b) for a, b in zip(before, net.parameters()))
 
@@ -315,17 +320,15 @@ def test_train_distill_loss_strictly_decreases():
     net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), num_classes=2)
     inputs = np.array([[1.0, 1.0]], dtype=np.float32)
     targets = nn.forward(net, inputs) + 0.5
-    report = nn.train_distill(net, inputs, targets, 10, 1, nn.AdamParams(), np.random.default_rng(14))
+    (report,) = nn.train_distill([nn.Member(net, inputs, targets, np.random.default_rng(14))], 10, 1, nn.AdamParams())
     losses = report.epoch_losses
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
 def test_train_distill_zero_epochs_is_noop():
     net = mlp(([[1.0]], [0.0]), num_classes=1)
-    report = nn.train_distill(
-        net, np.ones((2, 1), dtype=np.float32), np.ones((2, 1), dtype=np.float32),
-        0, 1, nn.AdamParams(), np.random.default_rng(0),
-    )
+    ones = np.ones((2, 1), dtype=np.float32)
+    (report,) = nn.train_distill([nn.Member(net, ones, ones, np.random.default_rng(0))], 0, 1, nn.AdamParams())
     assert report.epochs == 0
 
 
@@ -335,7 +338,7 @@ def test_train_distill_zero_epochs_is_noop():
 def test_accuracy_perfect_net():
     data = synth_blobs(2, 30, 4, 0.05, seed=20)
     net = rand_net(np.random.default_rng(21), (4, 16, 2))
-    nn.train_supervised(net, data, 60, 8, nn.AdamParams(), np.random.default_rng(22))
+    nn.train_supervised([nn.Member(net, data.features, data.labels, np.random.default_rng(22))], 60, 8, nn.AdamParams())
     assert nn.accuracy(net, data) == 1.0
 
 
@@ -493,14 +496,14 @@ VAL = synth_blobs(6, 10, 16, 1.5, seed=3, sample_stream=1)
 TARGETS = (3.0 * np.random.default_rng(4).standard_normal((TRAIN.n, 6))).astype(np.float32)
 TRAJECTORIES = {
     "supervised": lambda net: nn.train_supervised(
-        net, TRAIN, 4, 32, nn.AdamParams(), np.random.default_rng(5)
-    ),
+        [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(5))], 4, 32, nn.AdamParams()
+    )[0],
     "distill-mae": lambda net: nn.train_distill(
-        net, TRAIN.features, TARGETS, 4, 32, nn.AdamParams(), np.random.default_rng(6), "mae"
-    ),
+        [nn.Member(net, TRAIN.features, TARGETS, np.random.default_rng(6))], 4, 32, nn.AdamParams(), "mae"
+    )[0],
     "distill-mse": lambda net: nn.train_distill(
-        net, TRAIN.features, TARGETS, 4, 32, nn.AdamParams(), np.random.default_rng(7), "mse"
-    ),
+        [nn.Member(net, TRAIN.features, TARGETS, np.random.default_rng(7))], 4, 32, nn.AdamParams(), "mse"
+    )[0],
     "convergence": lambda net: nn.train_to_convergence(
         [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(8), val=VAL)],
         32, nn.AdamParams(lr=0.01), max_epochs=60, patience=3, min_improvement=0.02,
@@ -571,11 +574,11 @@ def test_group_trains_exactly_like_its_members_alone(loss):
     ]
     reports = nn._run_epochs(members, loss, 4, 32, nn.AdamParams())
     for k, net in enumerate(alone):
-        rng = np.random.default_rng(100 + k)
+        member = nn.Member(net, data[k].features, targets[k], np.random.default_rng(100 + k))
         if loss == "xent":
-            ref = nn.train_supervised(net, data[k], 4, 32, nn.AdamParams(), rng)
+            (ref,) = nn.train_supervised([member], 4, 32, nn.AdamParams())
         else:
-            ref = nn.train_distill(net, data[k].features, TARGETS, 4, 32, nn.AdamParams(), rng, loss)
+            (ref,) = nn.train_distill([member], 4, 32, nn.AdamParams(), loss)
         assert reports[k].epoch_losses == ref.epoch_losses
         assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), net.parameters()))
         assert owns_its_parameters(nets[k])

@@ -35,6 +35,31 @@ def test_every_traced_name_resolves():
     assert all(_resolve(*site) is old for site, old in zip(sites, before))
 
 
+# the traced names whose figures time the training phases, the evaluations and the round arithmetic
+PHASE_NAMES = (
+    "nn.train_to_convergence", "nn.train_distill", "nn.train_supervised", "nn.accuracy", "nn.distill_loss",
+    "protocol.compute_scores", "protocol.aggregate",
+)
+
+
+def test_a_bus_run_calls_every_traced_phase():
+    # a refactor that bypasses one of these names would leave its benchmark figure at 0
+    from fedmd import experiments
+
+    tiny = {"parties": 2, "rounds": 1, "subset_size": 32, "max_epochs": 5, "pooled": False,
+            "architectures": [[8], [8]], "data": {"classes": 3, "dim": 4, "public_per_class": 30,
+                                                  "pool_per_class": 12, "test_per_class": 30}}
+    t = tracer.Tracer()
+    try:
+        t.install(fedmd)
+        experiments.run_experiment(experiments.config_from_dict(tiny), "bus")
+    finally:
+        t.uninstall()
+    spans = t.spans()
+    calls = {name: int((spans["name"] == t.name_id(name)).sum()) for name in PHASE_NAMES}
+    assert all(calls.values()), calls
+
+
 def test_benchmark_checks_pass_their_self_test():
     selftest.main()
 

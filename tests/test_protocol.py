@@ -1,5 +1,6 @@
 """Protocol tests: subset selection, aggregation oracle, rounds, end-to-end runs."""
 
+import os
 import socket
 import threading
 import time
@@ -7,9 +8,9 @@ import time
 import numpy as np
 import pytest
 
-from fedmd import nn, protocol, transport
+from fedmd import cli, nn, protocol, transport
 from fedmd.data import synth_blobs
-from fedmd.errors import ChannelError, ConfigError, ProtocolError, ShapeError
+from fedmd.errors import ChannelError, ConfigError, DivergenceError, ProtocolError, ShapeError
 from fedmd.protocol import (
     CollaborationConfig,
     PartyState,
@@ -24,6 +25,9 @@ from fedmd.protocol import (
     server_loop,
     transfer_learn,
 )
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
 
 def small_cfg(parties, rounds, seed=0, **kw):
@@ -92,7 +96,8 @@ def test_transfer_learn_snapshot_survives_further_training():
     party = parties[0]
     transfer_learn([party], public, cfg)
     snapshot = [p.copy() for p in party.pretrained.parameters()]
-    nn.train_supervised(party.net, party.private, 3, 4, party.opt, np.random.default_rng(0))
+    member = nn.Member(party.net, party.private.features, party.private.labels, np.random.default_rng(0))
+    nn.train_supervised([member], 3, 4, party.opt)
     assert not all(np.array_equal(a, b) for a, b in zip(snapshot, party.net.parameters()))
     assert all(np.array_equal(a, b) for a, b in zip(snapshot, party.pretrained.parameters()))
 
@@ -372,21 +377,22 @@ def test_run_fedmd_event_ordering_with_threads(monkeypatch):
 
         def wrapper(*args):
             out = inner(*args)
-            events.append(event(*args))
+            events.extend(event(*args))
             return out
 
         monkeypatch.setattr(module, name, wrapper)
 
     def round_step(step):
-        def event(net, *_args):
-            k = owner[id(net)]
-            calls[step, k] = calls.get((step, k), 0) + 1
-            return (step, calls[step, k], k)
+        def event(members, *_args):  # one event per member of the group
+            for member in members:
+                k = owner[id(member.net)]
+                calls[step, k] = calls.get((step, k), 0) + 1
+                yield (step, calls[step, k], k)
 
         return event
 
-    record(protocol, "compute_scores", lambda party, _public, sel: ("scores", sel.round, party.id))
-    record(protocol, "aggregate", lambda reports, _weights: ("aggregate", reports[0].round))
+    record(protocol, "compute_scores", lambda party, _public, sel: [("scores", sel.round, party.id)])
+    record(protocol, "aggregate", lambda reports, _weights: [("aggregate", reports[0].round)])
     record(nn, "train_distill", round_step("digest"))
     record(nn, "train_supervised", round_step("revisit"))
     run_fedmd(cfg, parties, public, test, after_transfer=lambda p: owner.update({id(p.net): p.id}))
@@ -490,6 +496,18 @@ def test_one_compute_thread_runs_every_party_computation(monkeypatch):
     assert not name.startswith("party-")
 
 
+def diverging_member(poisoned, inner):
+    """A wrapper of a group training call that reports ``poisoned``'s network as diverged."""
+
+    def failing(members, *args):
+        for i, member in enumerate(members):
+            if member.net is poisoned:
+                raise DivergenceError("poisoned", i)
+        return inner(members, *args)
+
+    return failing
+
+
 def test_failed_compute_job_leaves_the_compute_thread_usable(monkeypatch):
     def rows(log):
         return [(r.round, r.party, r.accuracy, r.digest_loss, r.revisit_loss) for r in log.rows]
@@ -498,14 +516,7 @@ def test_failed_compute_job_leaves_the_compute_thread_usable(monkeypatch):
     clean = rows(run_fedmd(cfg, parties, public, test))
 
     cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
-    poisoned, inner = parties[1].net, nn.train_distill
-
-    def failing(net, *args):
-        if net is poisoned:
-            raise ValueError("poisoned")
-        return inner(net, *args)
-
-    monkeypatch.setattr(nn, "train_distill", failing)
+    monkeypatch.setattr(nn, "train_distill", diverging_member(parties[1].net, nn.train_distill))
     with pytest.raises(ProtocolError, match="party 1 round 1: digest failed: poisoned"):
         run_fedmd(cfg, parties, public, test)
     monkeypatch.undo()
@@ -523,17 +534,19 @@ def test_failed_compute_job_leaves_the_compute_thread_usable(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["bus", "tcp"])
 def test_round_failure_outside_digest_and_revisit_names_its_party(monkeypatch, kind):
+    # party 1's evaluation after its grouped digest and revisit fails; the group has parties 0-2
     cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
-    inner = protocol._party_round
+    assert protocol.lockstep_groups(parties) == [parties]
+    rounds_started, inner = [], nn.accuracy
 
-    def party_round(party, *args):
-        if party.id == 1:
+    def accuracy(net, data):
+        if rounds_started and net is parties[1].net:
             raise ValueError("boom")
-        return inner(party, *args)
+        return inner(net, data)
 
-    monkeypatch.setattr(protocol, "_party_round", party_round)
+    monkeypatch.setattr(nn, "accuracy", accuracy)
     with pytest.raises(ProtocolError, match=r"^party 1 failed during rounds: boom$"):
-        run_fedmd(cfg, parties, public, test, transport_kind=kind)
+        run_fedmd(cfg, parties, public, test, transport_kind=kind, after_transfer=rounds_started.append)
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["clean", "failing-digest"])
@@ -541,14 +554,7 @@ def test_round_failure_outside_digest_and_revisit_names_its_party(monkeypatch, k
 def test_no_thread_outlives_a_run(monkeypatch, kind, fail):
     cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
     if fail:
-        poisoned, inner = parties[1].net, nn.train_distill
-
-        def failing(net, *args):
-            if net is poisoned:
-                raise ValueError("poisoned")
-            return inner(net, *args)
-
-        monkeypatch.setattr(nn, "train_distill", failing)
+        monkeypatch.setattr(nn, "train_distill", diverging_member(parties[1].net, nn.train_distill))
         with pytest.raises(ProtocolError, match="party 1 round 1: digest failed: poisoned"):
             run_fedmd(cfg, parties, public, test, transport_kind=kind)
     else:
@@ -591,6 +597,99 @@ def test_party_loop_order_survives_frames_larger_than_socket_buffers():
             chan.close()
     assert errors == []
     assert [(r.round, r.party) for r in rows] == [(j, k) for j in (1, 2) for k in range(3)]
+
+
+def rounds_over_bus(parties, public, test, cfg):
+    """``party_loop``'s rows for the parties, against ``server_loop`` on a thread over bus pairs."""
+    pairs = {p.id: transport.bus_pair(timeout=30.0) for p in parties}
+    errors = []
+
+    def serve():
+        try:
+            server_ends = accept_parties([ends[0] for ends in pairs.values()], cfg.parties, test.num_classes)
+            server_loop(server_ends, cfg, public.n, test.num_classes)
+        except BaseException as exc:
+            errors.append(exc)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    try:
+        rows = party_loop(parties, public, test, cfg, {k: ends[1] for k, ends in pairs.items()})
+    finally:
+        for _, party_end in pairs.values():
+            party_end.close()
+        server.join()
+    assert errors == []
+    return rows
+
+
+@pytest.mark.parametrize("distill", ["mae", "mse"])
+def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch, distill):
+    archs = cli.parse_config(os.path.join(CONFIGS, "blobs10.json")).architectures
+    assert len(archs) == 10
+    cfg = small_cfg(10, rounds=2, distill=distill, digest_epochs=2, revisit_epochs=2, revisit_batch_size=4)
+    public = synth_blobs(3, 40, 4, 1.0, seed=21)
+    test = synth_blobs(3, 20, 4, 1.0, seed=22)
+    pool = synth_blobs(3, 40, 4, 1.0, seed=23)
+    # private sets of 9, 6 and 12 rows: lockstep groups of five, four and one party
+    sizes = [9] * 5 + [6] * 4 + [12]
+    starts = np.cumsum([0] + sizes)
+    parties = [
+        make_party(k, arch, pool.take(np.arange(starts[k], starts[k + 1])), 4, 3, cfg)
+        for k, arch in enumerate(archs)
+    ]
+    assert [len(g) for g in protocol.lockstep_groups(parties)] == [5, 4, 1]
+    alone = [PartyState(p.id, p.net.copy(), p.private, p.opt, p.master_seed) for p in parties]
+
+    calls = []  # (members, distinct inputs arrays, distinct targets arrays) of each grouped digest
+    inner = nn.train_distill
+
+    def recording(members, *args):
+        calls.append((len(members), len({id(m.inputs) for m in members}), len({id(m.targets) for m in members})))
+        return inner(members, *args)
+
+    monkeypatch.setattr(nn, "train_distill", recording)
+    rows = rounds_over_bus(parties, public, test, cfg)
+    monkeypatch.undo()
+    assert calls == [(5, 1, 1), (4, 1, 1), (1, 1, 1)] * 2  # an honest server's frames are shared
+
+    expected = []
+    for j in (1, 2):
+        selection = select_subset(public.n, cfg.subset_size, rng_stream(cfg.seed, "subset", j), j)
+        reports = [compute_scores(p, public, selection) for p in alone]
+        targets = aggregate(reports, cfg.weights).targets
+        for p, report in zip(alone, reports):
+            digest_loss, _ = nn.distill_loss(report.scores, targets, distill)
+            member = nn.Member(p.net, public.features[selection.indices], targets, p.stream("digest", j))
+            nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, p.opt, distill)
+            member = nn.Member(p.net, p.private.features, p.private.labels, p.stream("revisit", j))
+            (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, p.opt)
+            expected.append((j, p.id, nn.accuracy(p.net, test), digest_loss, revisit.epoch_losses[-1]))
+    assert [(r.round, r.party, r.accuracy, r.digest_loss, r.revisit_loss) for r in rows] == expected
+    for p, ref in zip(parties, alone):
+        assert all(np.array_equal(a, b) for a, b in zip(p.net.parameters(), ref.net.parameters()))
+
+
+@pytest.mark.parametrize(
+    "step, failure, message",
+    [
+        ("train_distill", "member", r"^party 1 round 1: digest failed: poisoned$"),
+        ("train_supervised", "member", r"^party 1 round 1: revisit failed: poisoned$"),
+        ("train_distill", "group", r"^parties 0, 1, 2 round 1: digest failed: boom$"),
+        ("train_supervised", "group", r"^parties 0, 1, 2 round 1: revisit failed: boom$"),
+    ],
+)
+def test_grouped_round_failure_names_the_member_or_the_group(monkeypatch, step, failure, message):
+    cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
+    assert protocol.lockstep_groups(parties) == [parties]
+    if failure == "member":
+        failing = diverging_member(parties[1].net, getattr(nn, step))
+    else:
+        def failing(members, *args):
+            raise ValueError("boom")
+    monkeypatch.setattr(nn, step, failing)
+    with pytest.raises(ProtocolError, match=message):
+        rounds_over_bus(parties, public, test, cfg)
 
 
 def test_config_weight_renormalization():
