@@ -1,5 +1,12 @@
 #!/usr/bin/env python3
-"""Run the canonical 10-party collaboration over one or more seeds and summarize."""
+"""Run the canonical 10-party collaboration over one or more seeds and summarize.
+
+    python3 scripts/run_blobs10.py --transport tcp --out runs/tcp
+    python3 scripts/compare_metrics.py runs/blobs10 runs/tcp
+
+The metrics.csv of every seed lands under --out; two trees, from two
+transports or two versions of the code, compare with compare_metrics.py.
+"""
 
 import argparse
 import os
@@ -15,9 +22,10 @@ from fedmd.experiments import run_experiment
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     ap.add_argument("--out", default="runs/blobs10")
+    ap.add_argument("--transport", choices=("bus", "tcp"), default="bus")
     args = ap.parse_args()
 
     gains, gaps = [], []
@@ -26,7 +34,7 @@ def main() -> int:
         cfg = parse_config(
             os.path.join(ROOT, "configs", "blobs10.json"), [f"seed={seed}", f"out_dir={out_dir}"]
         )
-        log, summary = run_experiment(cfg)
+        log, summary = run_experiment(cfg, args.transport)
         base = np.mean([log.baseline_accuracy(k) for k in range(10)])
         final = np.mean([log.final_accuracy(k) for k in range(10)])
         pooled = np.mean([log.pooled_accuracy(k) for k in range(10)])

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .data import Dataset, PartitionPlan, partition_iid, partition_noniid, synth_blobs
+from .data import Dataset, partition_iid, partition_noniid, synth_blobs
 from .nn import AdamParams, Network, TrainReport, accuracy, build_network, forward
 from .protocol import CollaborationConfig, PartyState, run_fedmd
 from .experiments import ExperimentConfig, run_experiment, summarize
@@ -13,7 +13,6 @@ __all__ = [
     "Dataset",
     "ExperimentConfig",
     "Network",
-    "PartitionPlan",
     "PartyState",
     "TrainReport",
     "accuracy",

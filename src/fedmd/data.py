@@ -1,6 +1,6 @@
 """Datasets: IDX ingestion, synthetic blob tasks, and the private-set partitioners."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,35 +141,20 @@ def synth_blobs(
 
 
 @dataclass(frozen=True)
-class PartitionPlan:
-    mode: str  # "iid" | "noniid"
-    parties: int
-    per_class: int  # private samples per class per party
-    seed: int
-    subclass_to_superclass: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.mode not in ("iid", "noniid"):
-            raise ConfigError(f"unknown partition mode {self.mode!r}")
-        if self.parties < 1:
-            raise ConfigError(f"parties must be >= 1, got {self.parties}")
-        if self.per_class < 1:
-            raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
-        if self.mode == "noniid" and not self.subclass_to_superclass:
-            raise ConfigError("noniid mode requires a subclass_to_superclass map")
-
-
-@dataclass(frozen=True)
 class IidSplit:
     parties: tuple[Dataset, ...]
     party_indices: tuple[np.ndarray, ...]  # source-row provenance per party
     remainder_indices: np.ndarray  # the pool rows no party drew
 
 
-def partition_iid(source: Dataset, plan: PartitionPlan) -> IidSplit:
-    """Disjoint label-balanced private sets: exactly ``per_class`` samples per class per party."""
-    m, n = plan.parties, plan.per_class
-    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 2]))
+def partition_iid(source: Dataset, parties: int, per_class: int, seed: int) -> IidSplit:
+    """Disjoint label-balanced private sets: exactly ``per_class`` samples per class per party.
+
+    ``parties`` and ``per_class`` come from a checked config (both >= 1);
+    only the source is checked here.
+    """
+    m, n = parties, per_class
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     per_party: list[list[np.ndarray]] = [[] for _ in range(m)]
     leftover: list[np.ndarray] = []
     for c in range(source.num_classes):
@@ -184,10 +169,10 @@ def partition_iid(source: Dataset, plan: PartitionPlan) -> IidSplit:
         leftover.append(rows[m * n :])
     party_indices = tuple(np.concatenate(chunks) for chunks in per_party)
     remainder_indices = np.concatenate(leftover) if leftover else np.empty(0, dtype=np.int64)
-    parties = tuple(
+    datasets = tuple(
         source.take(idx, name=f"{source.name}/party{k}") for k, idx in enumerate(party_indices)
     )
-    return IidSplit(parties, party_indices, remainder_indices)
+    return IidSplit(datasets, party_indices, remainder_indices)
 
 
 @dataclass(frozen=True)
@@ -195,34 +180,33 @@ class NonIidSplit:
     parties: tuple[Dataset, ...]  # labels are superclass indices
     assignment: tuple[dict[int, int], ...]  # per party: superclass -> assigned subclass
     party_indices: tuple[np.ndarray, ...]
-    subclass_to_superclass: dict[int, int]
-    num_superclasses: int
 
 
-def partition_noniid(source: Dataset, plan: PartitionPlan) -> NonIidSplit:
+def partition_noniid(
+    source: Dataset, parties: int, per_class: int, seed: int, mapping: dict[int, int]
+) -> NonIidSplit:
     """Give each party one distinct subclass per superclass, relabeled to superclasses.
 
-    Assignment is seeded round-robin: within superclass ``s`` whose sorted
-    subclasses are ``subs``, party ``k`` receives ``subs[(k + offset_s) % len(subs)]``
-    with a seeded per-superclass offset. Test-time evaluation should use
-    ``to_superclass`` so all subclasses carry superclass labels.
+    ``mapping`` sends each subclass to its superclass. Assignment is seeded
+    round-robin: within superclass ``s`` whose sorted subclasses are ``subs``,
+    party ``k`` receives ``subs[(k + offset_s) % len(subs)]`` with a seeded
+    per-superclass offset. Test-time evaluation should use ``to_superclass``
+    so all subclasses carry superclass labels. ``parties`` and ``per_class``
+    come from a checked config (both >= 1); the source is checked here.
     """
-    mapping = dict(plan.subclass_to_superclass)
     present = np.unique(source.labels)
     missing = [int(c) for c in present if int(c) not in mapping]
     if missing:
-        raise ConfigError(f"subclass_to_superclass does not cover subclasses {missing}")
-    supers = sorted(set(mapping.values()))
-    if supers != list(range(len(supers))):
-        raise ConfigError(f"superclass indices must be contiguous from 0, got {supers}")
-    m, n = plan.parties, plan.per_class
+        raise ConfigError(f"subclass_map does not cover subclasses {missing}")
+    supers = sorted(set(mapping.values()))  # 0..S-1, checked with the config
+    m, n = parties, per_class
     groups = {s: sorted(sub for sub, sp in mapping.items() if sp == s) for s in supers}
     for s, subs in groups.items():
         if len(subs) < m:
             raise ConfigError(
                 f"superclass {s} has {len(subs)} subclasses, cannot cover {m} parties"
             )
-    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 3]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     assignment: list[dict[int, int]] = [{} for _ in range(m)]
     chosen_rows: list[list[np.ndarray]] = [[] for _ in range(m)]
     chosen_labels: list[list[np.ndarray]] = [[] for _ in range(m)]
@@ -242,7 +226,7 @@ def partition_noniid(source: Dataset, plan: PartitionPlan) -> NonIidSplit:
             chosen_rows[k].append(rows)
             chosen_labels[k].append(np.full(n, s, dtype=np.int64))
     party_indices = tuple(np.concatenate(r) for r in chosen_rows)
-    parties = tuple(
+    datasets = tuple(
         Dataset(
             source.features[party_indices[k]],
             np.concatenate(chosen_labels[k]),
@@ -251,7 +235,7 @@ def partition_noniid(source: Dataset, plan: PartitionPlan) -> NonIidSplit:
         )
         for k in range(m)
     )
-    return NonIidSplit(parties, tuple(assignment), party_indices, mapping, len(supers))
+    return NonIidSplit(datasets, tuple(assignment), party_indices)
 
 
 def to_superclass(ds: Dataset, mapping: dict[int, int], num_superclasses: int) -> Dataset:

@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__, nn
 from .data import (
     Dataset,
-    PartitionPlan,
     load_idx_dataset,
     partition_iid,
     partition_noniid,
@@ -153,15 +152,14 @@ class TaskData:
 
 
 def build_task(cfg: ExperimentConfig) -> TaskData:
+    """The run's public, private and test sets, drawn or loaded as ``cfg.data`` says.
+
+    The pool is split among the parties with the config's own partition
+    values; a noniid run relabels its test set with the superclasses of
+    ``cfg.subclass_map``.
+    """
     seed = cfg.seed
     spec = cfg.data
-    plan = PartitionPlan(
-        cfg.partition_mode,
-        cfg.collab.parties,
-        cfg.per_class,
-        derive_seed(seed, "partition"),
-        cfg.subclass_map or {},
-    )
     if spec.kind == "blobs":
         task_classes = (
             _noniid_superclasses(cfg.subclass_map) if cfg.partition_mode == "noniid" else spec.classes
@@ -199,16 +197,18 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
     else:
         raise ConfigError(f"unknown data kind {spec.kind!r}")
 
+    m, partition_seed = cfg.collab.parties, derive_seed(seed, "partition")
     if cfg.partition_mode == "iid":
-        split = partition_iid(pool, plan)
+        split = partition_iid(pool, m, cfg.per_class, partition_seed)
         return TaskData(public, list(split.parties), test_pool, pool.num_classes)
-    split = partition_noniid(pool, plan)
-    test = to_superclass(test_pool, split.subclass_to_superclass, split.num_superclasses)
+    split = partition_noniid(pool, m, cfg.per_class, partition_seed, cfg.subclass_map)
+    num_supers = _noniid_superclasses(cfg.subclass_map)
+    test = to_superclass(test_pool, cfg.subclass_map, num_supers)
     return TaskData(
         public,
         list(split.parties),
         test,
-        split.num_superclasses,
+        num_supers,
         assignment=split.assignment,
         test_subclasses=test_pool.labels,
     )
@@ -292,6 +292,32 @@ def write_outputs(out_dir: str, log: MetricsLog, summary: dict, cfg: ExperimentC
 _COLLAB_KEYS = tuple(f.name for f in fields(CollaborationConfig))
 
 
+# what a JSON value of each type is called in an error
+_KINDS = {
+    int: "an integer", float: "a number", str: "a string", bool: "true or false", list: "a list", dict: "an object"
+}
+
+
+def _json(where: str, value, kind: type, optional: bool = False):
+    """``value``, read from JSON, checked to be a ``kind`` or, if ``optional``, None; returns it.
+
+    An int will do for a float; a bool is neither.
+    """
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    ok = ok and (kind is bool or not isinstance(value, bool))
+    if not (ok or optional and value is None):
+        raise ConfigError(f"{where} must be {_KINDS[kind]}{' or null' if optional else ''}, got {value!r}")
+    return value
+
+
+def _json_fields(cls, raw: dict, where: str = "") -> dict:
+    """``raw``, with the value of each int, float, str or bool field of ``cls`` checked by ``_json``."""
+    for f in fields(cls):
+        if f.name in raw and f.type in _KINDS:
+            _json(where + f.name, raw[f.name], f.type)
+    return raw
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Flat JSON-ready dict of the effective config, every default included."""
     out = {k: getattr(cfg.collab, k) for k in _COLLAB_KEYS}
@@ -314,64 +340,60 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON-shaped dict, rejecting unknown keys."""
+    """Build a config from a JSON-shaped dict, rejecting unknown keys and values of the wrong JSON type."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-    known_top = set(_COLLAB_KEYS) | {
-        "data",
-        "partition",
-        "architectures",
-        "pooled",
-        "out_dir",
-        "name",
-    }
+    known_top = set(_COLLAB_KEYS) | {"data", "partition", "architectures", "pooled", "out_dir", "name"}
     for key in raw:
         if key not in known_top:
             raise ConfigError(f"unknown config key {key!r}")
     collab_kwargs = {k: raw[k] for k in _COLLAB_KEYS if k in raw}
     if "parties" not in collab_kwargs or "rounds" not in collab_kwargs:
         raise ConfigError("config must set at least 'parties' and 'rounds'")
-    collab = CollaborationConfig(**collab_kwargs)
+    for i, w in enumerate(_json("weights", raw.get("weights"), list, optional=True) or ()):
+        _json(f"weights[{i}]", w, float)
+    collab = CollaborationConfig(**_json_fields(CollaborationConfig, collab_kwargs))
 
-    data_raw = dict(raw.get("data") or {})
-    kind = data_raw.pop("kind", "blobs")
-    if kind == "blobs":
-        allowed = {f for f in BlobsSpec.__dataclass_fields__ if f != "kind"}
-        for key in data_raw:
-            if key not in allowed:
-                raise ConfigError(f"unknown data key {key!r} for kind 'blobs'")
-        data: "BlobsSpec | IdxSpec" = BlobsSpec(**data_raw)
-    elif kind == "idx":
-        allowed = {f for f in IdxSpec.__dataclass_fields__ if f != "kind"}
-        for key in data_raw:
-            if key not in allowed:
-                raise ConfigError(f"unknown data key {key!r} for kind 'idx'")
-        if "classes" not in data_raw:
-            raise ConfigError("idx data requires 'classes'")
-        data = IdxSpec(**data_raw)
-    else:
+    data_raw = dict(_json("data", raw.get("data"), dict, optional=True) or {})
+    kind = _json("data.kind", data_raw.pop("kind", "blobs"), str)
+    spec = {"blobs": BlobsSpec, "idx": IdxSpec}.get(kind)
+    if spec is None:
         raise ConfigError(f"unknown data kind {kind!r}")
+    for key in data_raw:
+        if key not in spec.__dataclass_fields__:
+            raise ConfigError(f"unknown data key {key!r} for kind {kind!r}")
+    if spec is IdxSpec and "classes" not in data_raw:
+        raise ConfigError("idx data requires 'classes'")
+    _json("data.public_spread", data_raw.get("public_spread"), float, optional=True)
+    data = spec(**_json_fields(spec, data_raw, "data."))
 
-    part_raw = dict(raw.get("partition") or {})
+    part_raw = dict(_json("partition", raw.get("partition"), dict, optional=True) or {})
     mode = part_raw.pop("mode", "iid")
-    per_class = part_raw.pop("per_class", 3)
-    sub_raw = part_raw.pop("subclass_map", None)
+    per_class = _json("partition.per_class", part_raw.pop("per_class", 3), int)
+    sub_raw = _json("partition.subclass_map", part_raw.pop("subclass_map", None), dict, optional=True)
     if part_raw:
         raise ConfigError(f"unknown partition key {sorted(part_raw)[0]!r}")
     subclass_map = None
     if sub_raw is not None:
-        subclass_map = {int(k): int(v) for k, v in sub_raw.items()}
+        if not all(str(k).isdigit() for k in sub_raw):
+            raise ConfigError(f"partition.subclass_map keys must be subclass numbers, got {list(sub_raw)}")
+        subclass_map = {int(k): _json(f"partition.subclass_map[{k!r}]", v, int) for k, v in sub_raw.items()}
+    archs = _json("architectures", raw.get("architectures"), list, optional=True) or ()
+    for i, arch in enumerate(archs):
+        for j, width in enumerate(_json(f"architectures[{i}]", arch, list)):
+            _json(f"architectures[{i}][{j}]", width, int)
+    _json_fields(ExperimentConfig, raw)  # pooled, name
 
     return ExperimentConfig(
         collab=collab,
         data=data,
         partition_mode=mode,
-        per_class=int(per_class),
+        per_class=per_class,
         subclass_map=subclass_map,
-        architectures=raw.get("architectures") or (),
-        pooled=bool(raw.get("pooled", True)),
-        out_dir=raw.get("out_dir"),
-        name=str(raw.get("name", "experiment")),
+        architectures=archs,
+        pooled=raw.get("pooled", True),
+        out_dir=_json("out_dir", raw.get("out_dir"), str, optional=True),
+        name=raw.get("name", "experiment"),
     )
 
 

@@ -383,13 +383,9 @@ class _Group:
                 size += width
             self.bias_spans.append(slice(start, size))
         dtype = nets[0].flat.dtype
-        if len(nets) == 1:  # a lone network's own flat already has the group layout
-            self.release([0])
-            self.flat = nets[0].flat
-        else:
-            self.flat = np.empty(size, dtype)
-            for k, net in enumerate(nets):
-                _bind(net, self.member_views(self.flat, k))
+        self.flat = np.empty(size, dtype)
+        for k, net in enumerate(nets):
+            _bind(net, self.member_views(self.flat, k))
         self.grad, self.m, self.v, self.tmp = np.zeros((4, size), dtype)
         hidden = [self.bias_spans[l].stop - self.bias_spans[l].start for l in range(depth - 1)]
         self.acts = [np.empty((batch_size, w), dtype) for w in hidden]

@@ -26,7 +26,7 @@ used. ``expect`` checks each one once, where it is received.
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,27 +116,18 @@ class CollaborationConfig:
 
 @dataclass
 class PartyState:
-    """One participant: its model, private data, optimizer settings and RNG identity.
+    """One participant: its id, its model and its private data.
 
-    Single-owner mutable: only the thread that runs its prologue and its
-    ``party_loop`` trains it.
-    ``stream_key`` defaults to the party id and names all of its RNG streams.
+    The optimizer settings and the master seed are the run's, in
+    ``CollaborationConfig``; the party's id names all of its RNG streams,
+    ``rng_stream(cfg.seed, party.id, …)``. Single-owner mutable: only the
+    thread that runs its prologue and its ``party_loop`` trains it.
     """
 
     id: int
     net: Network
     private: Dataset
-    opt: AdamParams = field(default_factory=AdamParams)
-    master_seed: int = 0
-    stream_key: "int | None" = None
     pretrained: "Network | None" = None  # copy of ``net`` after the public phase
-
-    @property
-    def key(self) -> int:
-        return self.id if self.stream_key is None else self.stream_key
-
-    def stream(self, *tags) -> np.random.Generator:
-        return rng_stream(self.master_seed, self.key, *tags)
 
 
 def make_party(
@@ -150,25 +141,20 @@ def make_party(
     """Party with a freshly initialized network drawn from its own seed stream."""
     rng = rng_stream(cfg.seed, party_id, "init")
     net = nn.build_network(input_dim, hidden, num_classes, rng)
-    return PartyState(party_id, net, private, cfg.opt, cfg.seed)
+    return PartyState(party_id, net, private)
 
 
 def lockstep_groups(parties: list[PartyState]) -> list[list[PartyState]]:
     """The parties in groups that can train in lockstep, in first-seen order.
 
-    A group shares its private row count, optimizer settings and dtype; the
-    public phase gives every party the same row count.
+    A group shares its private row count and dtype; the public phase gives
+    every party the same row count, and every party trains with the run's
+    optimizer settings.
     """
     groups = {}
     for p in parties:
-        groups.setdefault((p.private.n, p.opt, p.net.flat.dtype), []).append(p)
+        groups.setdefault((p.private.n, p.net.flat.dtype), []).append(p)
     return list(groups.values())
-
-
-def _opt(group: list[PartyState]) -> AdamParams:
-    if len({p.opt for p in group}) != 1:
-        raise ConfigError("a lockstep group needs one set of optimizer settings")
-    return group[0].opt
 
 
 def pretrain_public(group: list[PartyState], public: Dataset, cfg: CollaborationConfig) -> list[TrainReport]:
@@ -178,23 +164,23 @@ def pretrain_public(group: list[PartyState], public: Dataset, cfg: Collaboration
     for party in group:
         rows, val = None, public
         if 0 < n_val < public.n:
-            perm = party.stream("holdout").permutation(public.n)
+            perm = rng_stream(cfg.seed, party.id, "holdout").permutation(public.n)
             rows, val = perm[n_val:], public.take(perm[:n_val])
-        rng = party.stream("transfer-public")
+        rng = rng_stream(cfg.seed, party.id, "transfer-public")
         members.append(nn.Member(party.net, public.features, public.labels, rng, rows, val))
     return nn.train_to_convergence(
-        members, cfg.transfer_batch_size, _opt(group), cfg.max_epochs, cfg.patience, cfg.min_improvement
+        members, cfg.transfer_batch_size, cfg.opt, cfg.max_epochs, cfg.patience, cfg.min_improvement
     )
 
 
 def fit_private(group: list[PartyState], cfg: CollaborationConfig) -> list[TrainReport]:
     """Train a lockstep group to convergence on each party's private data, monitored on that set itself."""
-    members = [
-        nn.Member(p.net, p.private.features, p.private.labels, p.stream("transfer-private"), val=p.private)
-        for p in group
-    ]
+    members = []
+    for p in group:
+        rng = rng_stream(cfg.seed, p.id, "transfer-private")
+        members.append(nn.Member(p.net, p.private.features, p.private.labels, rng, val=p.private))
     return nn.train_to_convergence(
-        members, cfg.transfer_batch_size, _opt(group), cfg.max_epochs, cfg.patience, cfg.min_improvement
+        members, cfg.transfer_batch_size, cfg.opt, cfg.max_epochs, cfg.patience, cfg.min_improvement
     )
 
 
@@ -314,14 +300,17 @@ def _digest_and_revisit(group: list[PartyState], public: Dataset, cfg: Collabora
         x, y = selections[p.id].indices, consensus[p.id].targets
         x = inputs if np.array_equal(x, first) else public.features[x]
         y = targets if np.array_equal(y.view(np.uint8), targets.view(np.uint8)) else y
-        digest.append(nn.Member(p.net, x, y, p.stream("digest", j)))
+        digest.append(nn.Member(p.net, x, y, rng_stream(cfg.seed, p.id, "digest", j)))
     try:
-        nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, _opt(group), cfg.distill)
+        nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, cfg.opt, cfg.distill)
     except Exception as exc:
         raise ProtocolError(f"{_blame(group, exc)} round {j}: digest failed: {exc}") from exc
-    revisit = [nn.Member(p.net, p.private.features, p.private.labels, p.stream("revisit", j)) for p in group]
+    revisit = [
+        nn.Member(p.net, p.private.features, p.private.labels, rng_stream(cfg.seed, p.id, "revisit", j))
+        for p in group
+    ]
     try:
-        return nn.train_supervised(revisit, cfg.revisit_epochs, cfg.revisit_batch_size, _opt(group))
+        return nn.train_supervised(revisit, cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
     except Exception as exc:
         raise ProtocolError(f"{_blame(group, exc)} round {j}: revisit failed: {exc}") from exc
 
@@ -518,6 +507,10 @@ def run_fedmd(
         if p.net.input_dim != public.dim:
             raise ShapeError(
                 f"party {p.id} input dim {p.net.input_dim} does not match public dim {public.dim}"
+            )
+        if p.net.output_dim != test.num_classes:
+            raise ShapeError(
+                f"party {p.id} output dim {p.net.output_dim} does not match {test.num_classes} test classes"
             )
         if p.private.n == 0:
             raise ConfigError(f"party {p.id} has an empty private dataset")

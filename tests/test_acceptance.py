@@ -222,7 +222,7 @@ def test_criterion_7_wire_protocol():
 
     # cross-transport equality
     def world():
-        from fedmd.data import PartitionPlan, partition_iid
+        from fedmd.data import partition_iid
 
         cfg = CollaborationConfig(
             parties=2, rounds=2, subset_size=48, digest_epochs=2, digest_batch_size=24,
@@ -232,7 +232,7 @@ def test_criterion_7_wire_protocol():
         public = synth_blobs(3, 40, 6, 1.0, seed=200)
         pool = synth_blobs(3, 12, 6, 1.0, seed=201)
         test = synth_blobs(3, 50, 6, 1.0, seed=201, sample_stream=1)
-        split = partition_iid(pool, PartitionPlan("iid", 2, 3, seed=17))
+        split = partition_iid(pool, 2, 3, seed=17)
         parties = [make_party(k, (8,), split.parties[k], 6, 3, cfg) for k in range(2)]
         return cfg, parties, public, test
 

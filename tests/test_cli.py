@@ -112,6 +112,26 @@ def test_config_error_exit_2(tmp_path, capsys):
     assert "fedmd: error: config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        'rounds="abc"',
+        'data.dim="7"',
+        "lr=null",
+        'seed="x"',
+        "partition.per_class=abc",
+        'architectures=[["x"]]',
+        'weights=["a", "b"]',
+        "subset_size=1.5",
+    ],
+)
+def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, monkeypatch, override):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "out"))
+    path = write_config(tmp_path)
+    assert cli.main(["baseline", path, "--kind", "transfer", "-o", override]) == 2
+    assert "fedmd: error: config:" in capsys.readouterr().err
+
+
 def test_baseline_transfer_kind(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "base"))
     path = write_config(tmp_path)

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from fedmd import nn
 from fedmd.data import (
     Dataset,
-    PartitionPlan,
     parse_idx,
     partition_iid,
     partition_noniid,
@@ -132,7 +131,7 @@ def test_synth_blobs_rejects_bad_spread():
 
 def test_partition_iid_single_party_takes_everything():
     source = synth_blobs(3, 5, 4, 1.0, seed=1)
-    split = partition_iid(source, PartitionPlan("iid", 1, 5, seed=2))
+    split = partition_iid(source, 1, 5, seed=2)
     assert split.parties[0].n == source.n
     assert split.remainder_indices.size == 0
     joined = np.sort(split.party_indices[0])
@@ -142,7 +141,7 @@ def test_partition_iid_single_party_takes_everything():
 def test_partition_iid_table_regime():
     # 10 parties x 3 per class x 6 classes -> 18 samples each
     source = synth_blobs(6, 40, 4, 1.0, seed=3)
-    split = partition_iid(source, PartitionPlan("iid", 10, 3, seed=4))
+    split = partition_iid(source, 10, 3, seed=4)
     assert len(split.parties) == 10
     for party in split.parties:
         assert party.n == 18
@@ -153,14 +152,14 @@ def test_partition_iid_table_regime():
 
 def test_partition_iid_union_is_source():
     source = synth_blobs(4, 9, 3, 1.0, seed=5)
-    split = partition_iid(source, PartitionPlan("iid", 2, 3, seed=6))
+    split = partition_iid(source, 2, 3, seed=6)
     all_idx = np.concatenate([*split.party_indices, split.remainder_indices])
     assert np.array_equal(np.sort(all_idx), np.arange(source.n))
 
 
 def test_partition_iid_sets_are_disjoint():
     source = synth_blobs(3, 20, 3, 1.0, seed=7)
-    split = partition_iid(source, PartitionPlan("iid", 4, 4, seed=8))
+    split = partition_iid(source, 4, 4, seed=8)
     seen = set()
     for idx in split.party_indices:
         as_set = set(idx.tolist())
@@ -171,13 +170,13 @@ def test_partition_iid_sets_are_disjoint():
 def test_partition_iid_insufficient_class_names_it():
     source = synth_blobs(3, 5, 3, 1.0, seed=9)
     with pytest.raises(ConfigError, match="class"):
-        partition_iid(source, PartitionPlan("iid", 3, 2, seed=10))
+        partition_iid(source, 3, 2, seed=10)
 
 
 def test_partition_iid_deterministic():
     source = synth_blobs(3, 12, 3, 1.0, seed=11)
-    a = partition_iid(source, PartitionPlan("iid", 2, 3, seed=12))
-    b = partition_iid(source, PartitionPlan("iid", 2, 3, seed=12))
+    a = partition_iid(source, 2, 3, seed=12)
+    b = partition_iid(source, 2, 3, seed=12)
     assert all(np.array_equal(x, y) for x, y in zip(a.party_indices, b.party_indices))
 
 
@@ -190,8 +189,7 @@ def _subclass_source(num_sub, per_sub, seed):
 
 def test_partition_noniid_smallest_instance():
     source = _subclass_source(2, 10, seed=20)
-    plan = PartitionPlan("noniid", 2, 5, seed=21, subclass_to_superclass={0: 0, 1: 0})
-    split = partition_noniid(source, plan)
+    split = partition_noniid(source, 2, 5, seed=21, mapping={0: 0, 1: 0})
     subs0 = {int(source.labels[i]) for i in split.party_indices[0]}
     subs1 = {int(source.labels[i]) for i in split.party_indices[1]}
     assert subs0 in ({0}, {1}) and subs1 in ({0}, {1}) and subs0 != subs1
@@ -202,9 +200,7 @@ def test_partition_noniid_smallest_instance():
 def test_partition_noniid_every_party_covers_all_superclasses():
     source = _subclass_source(6, 30, seed=22)
     mapping = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
-    split = partition_noniid(
-        source, PartitionPlan("noniid", 2, 5, seed=23, subclass_to_superclass=mapping)
-    )
+    split = partition_noniid(source, 2, 5, seed=23, mapping=mapping)
     for party in split.parties:
         assert sorted(set(party.labels.tolist())) == [0, 1, 2]
 
@@ -212,9 +208,7 @@ def test_partition_noniid_every_party_covers_all_superclasses():
 def test_partition_noniid_one_subclass_per_superclass_provenance_audit():
     source = _subclass_source(6, 30, seed=24)
     mapping = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
-    split = partition_noniid(
-        source, PartitionPlan("noniid", 2, 6, seed=25, subclass_to_superclass=mapping)
-    )
+    split = partition_noniid(source, 2, 6, seed=25, mapping=mapping)
     for k, idx in enumerate(split.party_indices):
         per_super = {}
         for i in idx.tolist():  # brute-force scan of sample provenance
@@ -227,9 +221,7 @@ def test_partition_noniid_one_subclass_per_superclass_provenance_audit():
 def test_partition_noniid_disjoint_across_parties():
     source = _subclass_source(4, 25, seed=26)
     mapping = {0: 0, 1: 0, 2: 1, 3: 1}
-    split = partition_noniid(
-        source, PartitionPlan("noniid", 2, 10, seed=27, subclass_to_superclass=mapping)
-    )
+    split = partition_noniid(source, 2, 10, seed=27, mapping=mapping)
     a, b = (set(idx.tolist()) for idx in split.party_indices)
     assert not (a & b)
 
@@ -238,17 +230,13 @@ def test_partition_noniid_too_many_parties():
     source = _subclass_source(4, 10, seed=28)
     mapping = {0: 0, 1: 0, 2: 1, 3: 1}
     with pytest.raises(ConfigError, match="superclass"):
-        partition_noniid(
-            source, PartitionPlan("noniid", 3, 2, seed=29, subclass_to_superclass=mapping)
-        )
+        partition_noniid(source, 3, 2, seed=29, mapping=mapping)
 
 
 def test_partition_noniid_incomplete_map():
     source = _subclass_source(3, 10, seed=30)
     with pytest.raises(ConfigError, match="cover"):
-        partition_noniid(
-            source, PartitionPlan("noniid", 1, 2, seed=31, subclass_to_superclass={0: 0, 1: 0})
-        )
+        partition_noniid(source, 1, 2, seed=31, mapping={0: 0, 1: 0})
 
 
 def test_to_superclass_relabels():

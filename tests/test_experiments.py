@@ -23,6 +23,8 @@ from fedmd.experiments import (
 from fedmd.metrics import BASELINE, POOLED, MetricsLog, MetricsRow, summarize
 from fedmd.protocol import CollaborationConfig, fit_private, make_party, transfer_learn
 
+from idx_util import encode_idx
+
 
 def tiny_config(seed=0, parties=2, rounds=1, pooled=False, **data_kw):
     data = dict(classes=3, dim=4, spread=1.0, public_spread=2.0,
@@ -282,3 +284,28 @@ def test_noniid_run_and_probe():
     probe = experiments.run_noniid_probe(cfg)
     assert len(probe.pre_unseen) == 2 and len(probe.post_unseen) == 2
 
+
+def test_idx_task_runs_end_to_end(tmp_path):
+    rng = np.random.default_rng(0)
+    data = {"kind": "idx", "classes": 3}
+    images = {}
+    for split, per_class in (("public", 20), ("pool", 8), ("test", 10)):
+        labels = np.repeat(np.arange(3), per_class)
+        images[split] = np.clip(labels[:, None, None] * 90 + rng.integers(0, 60, (labels.size, 2, 3)), 0, 255)
+        for part, arr in (("images", images[split]), ("labels", labels)):
+            path = tmp_path / f"{split}-{part}.idx"
+            path.write_bytes(encode_idx(arr))
+            data[f"{split}_{part}"] = str(path)
+    cfg = config_from_dict({
+        "parties": 2, "rounds": 1, "subset_size": 16, "digest_batch_size": 8, "revisit_batch_size": 4,
+        "max_epochs": 5, "patience": 2, "transfer_batch_size": 8, "data": data,
+        "partition": {"mode": "iid", "per_class": 3}, "architectures": [[8], [6, 5]],
+    })
+    task = build_task(cfg)
+    assert np.array_equal(task.public.features, (images["public"].reshape(60, 6) / 255.0).astype(np.float32))
+    assert task.test.n == 30 and [p.n for p in task.privates] == [9, 9]
+    log, _ = run_experiment(cfg)
+    assert [(r.round, r.party) for r in log.rows] == [
+        (BASELINE, 0), (BASELINE, 1), (1, 0), (1, 1), (POOLED, 0), (POOLED, 1)
+    ]
+    assert all(0.0 <= r.accuracy <= 1.0 for r in log.rows)

@@ -46,13 +46,13 @@ def small_cfg(parties, rounds, seed=0, **kw):
 
 
 def small_world(m, seed=0, classes=3, dim=4, per_class=3, public_spread=1.0, archs=None, **cfg_kw):
-    from fedmd.data import PartitionPlan, partition_iid
+    from fedmd.data import partition_iid
 
     cfg = small_cfg(m, rounds=cfg_kw.pop("rounds", 2), seed=seed, **cfg_kw)
     public = synth_blobs(classes, 40, dim, public_spread, seed=seed * 31 + 1)
     pool = synth_blobs(classes, m * per_class + 5, dim, 1.0, seed=seed * 31 + 2)
     test = synth_blobs(classes, 50, dim, 1.0, seed=seed * 31 + 2, sample_stream=1)
-    split = partition_iid(pool, PartitionPlan("iid", m, per_class, seed=seed))
+    split = partition_iid(pool, m, per_class, seed=seed)
     parties = [
         make_party(k, archs[k] if archs else (8,), split.parties[k], dim, classes, cfg)
         for k in range(m)
@@ -97,7 +97,7 @@ def test_transfer_learn_snapshot_survives_further_training():
     transfer_learn([party], public, cfg)
     snapshot = [p.copy() for p in party.pretrained.parameters()]
     member = nn.Member(party.net, party.private.features, party.private.labels, np.random.default_rng(0))
-    nn.train_supervised([member], 3, 4, party.opt)
+    nn.train_supervised([member], 3, 4, cfg.opt)
     assert not all(np.array_equal(a, b) for a, b in zip(snapshot, party.net.parameters()))
     assert all(np.array_equal(a, b) for a, b in zip(snapshot, party.pretrained.parameters()))
 
@@ -148,13 +148,18 @@ def test_pooled_rows_in_one_group_match_each_party_alone():
     assert sum(r.wall_ms for r in grouped) > 0
 
 
-def test_party_with_other_optimizer_settings_trains_in_its_own_group():
+def shorten_private(party):
+    """Drop the last row of ``party``'s private set, so it trains in a lockstep group of its own."""
+    party.private = party.private.take(np.arange(party.private.n - 1))
+
+
+def test_party_with_a_shorter_private_set_trains_in_its_own_group():
     cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, max_epochs=20)
-    parties[1].opt = nn.AdamParams(lr=0.01)
+    shorten_private(parties[1])
     assert [[p.id for p in g] for g in protocol.lockstep_groups(parties)] == [[0, 2], [1]]
     grouped = protocol.prologue(parties, public, test, cfg)
     _, lone, _, _ = small_world(3, archs=MIXED_ARCHS, max_epochs=20)
-    lone[1].opt = nn.AdamParams(lr=0.01)
+    shorten_private(lone[1])
     alone = [row for p in lone for row in protocol.prologue([p], public, test, cfg)]
     assert row_values(grouped) == row_values(alone)
 
@@ -173,7 +178,7 @@ def test_non_finite_private_row_fails_its_party_and_returns_every_flat():
 def test_other_transfer_failure_names_its_group(monkeypatch, lone, who):
     cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, rounds=1, max_epochs=5)
     if lone:
-        parties[1].opt = nn.AdamParams(lr=0.01)  # party 1 trains in a group of its own
+        shorten_private(parties[1])
     real_fit_private = protocol.fit_private
 
     def fit_private(group, cfg):
@@ -348,16 +353,17 @@ def test_self_consensus_fixed_point():
         assert abs(row.accuracy - baseline) <= 0.02
 
 
-def test_symmetric_parties_get_identical_metrics():
+def test_symmetric_parties_get_identical_metrics(monkeypatch):
+    def party_0_streams(seed, *tags):  # party 1 draws every stream of party 0
+        return rng_stream(seed, *((0,) + tags[1:] if tags[:1] == (1,) else tags))
+
+    monkeypatch.setattr(protocol, "rng_stream", party_0_streams)
     cfg = small_cfg(2, rounds=2, max_epochs=10)
     public = synth_blobs(3, 40, 4, 1.0, seed=77)
     test = synth_blobs(3, 40, 4, 1.0, seed=78)
     private = synth_blobs(3, 4, 4, 1.0, seed=79)
     net = nn.build_network(4, (8,), 3, rng_stream(0, 0, "init"))
-    parties = [
-        PartyState(0, net.copy(), private, cfg.opt, cfg.seed, stream_key=0),
-        PartyState(1, net.copy(), private, cfg.opt, cfg.seed, stream_key=0),
-    ]
+    parties = [PartyState(0, net.copy(), private), PartyState(1, net.copy(), private)]
     log = run_fedmd(cfg, parties, public, test)
     for j in (1, 2):
         rows = [r for r in log.rows if r.round == j]
@@ -469,12 +475,23 @@ def test_run_fedmd_validates_before_training():
         run_fedmd(small_cfg(3, 1), parties, public, test)
 
 
+def test_run_fedmd_class_count_mismatch_fails_before_training(monkeypatch):
+    cfg, parties, public, test = small_world(2, rounds=1)
+    parties[1].net = nn.build_network(public.dim, (8,), test.num_classes + 1, rng_stream(0, 1, "init"))
+    monkeypatch.setattr(protocol, "prologue", lambda *args: pytest.fail("trained before the shape check"))
+    with pytest.raises(ShapeError, match=r"^party 1 output dim 4 does not match 3 test classes$"):
+        run_fedmd(cfg, parties, public, test)
+
+
 def test_run_fedmd_party_failure_identifies_party_and_step():
     cfg, parties, public, test = small_world(2, rounds=1, max_epochs=2)
-    # poison party 1 so its digest diverges
-    parties[1].opt = nn.AdamParams(lr=float("nan"))
-    with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="party 1"):
-        run_fedmd(cfg, parties, public, test)
+
+    def poison(party):  # party 1's private data goes non-finite after its prologue, so its revisit diverges
+        if party.id == 1:
+            party.private.features[0, 0] = np.nan
+
+    with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="^party 1 round 1: revisit failed: non-finite"):
+        run_fedmd(cfg, parties, public, test, after_transfer=poison)
 
 
 def test_one_compute_thread_runs_every_party_computation(monkeypatch):
@@ -639,7 +656,7 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch, distill):
         for k, arch in enumerate(archs)
     ]
     assert [len(g) for g in protocol.lockstep_groups(parties)] == [5, 4, 1]
-    alone = [PartyState(p.id, p.net.copy(), p.private, p.opt, p.master_seed) for p in parties]
+    alone = [PartyState(p.id, p.net.copy(), p.private) for p in parties]
 
     calls = []  # (members, distinct inputs arrays, distinct targets arrays) of each grouped digest
     inner = nn.train_distill
@@ -660,10 +677,12 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch, distill):
         targets = aggregate(reports, cfg.weights).targets
         for p, report in zip(alone, reports):
             digest_loss, _ = nn.distill_loss(report.scores, targets, distill)
-            member = nn.Member(p.net, public.features[selection.indices], targets, p.stream("digest", j))
-            nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, p.opt, distill)
-            member = nn.Member(p.net, p.private.features, p.private.labels, p.stream("revisit", j))
-            (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, p.opt)
+            rng = rng_stream(cfg.seed, p.id, "digest", j)
+            member = nn.Member(p.net, public.features[selection.indices], targets, rng)
+            nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.opt, distill)
+            rng = rng_stream(cfg.seed, p.id, "revisit", j)
+            member = nn.Member(p.net, p.private.features, p.private.labels, rng)
+            (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
             expected.append((j, p.id, nn.accuracy(p.net, test), digest_loss, revisit.epoch_losses[-1]))
     assert [(r.round, r.party, r.accuracy, r.digest_loss, r.revisit_loss) for r in rows] == expected
     for p, ref in zip(parties, alone):
