@@ -16,7 +16,6 @@ class Dataset:
     features: np.ndarray  # [N, d] float32
     labels: np.ndarray  # [N] int64 in [0, num_classes)
     num_classes: int
-    name: str = ""
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -38,10 +37,8 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def take(self, indices: np.ndarray, name: str = "") -> "Dataset":
-        return Dataset(
-            self.features[indices], self.labels[indices], self.num_classes, name or self.name
-        )
+    def take(self, indices: np.ndarray) -> "Dataset":
+        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
 def _read_be32(data: bytes, offset: int) -> int:
@@ -90,9 +87,7 @@ def parse_idx(data: bytes) -> np.ndarray:
     return values
 
 
-def load_idx_dataset(
-    images_path: str, labels_path: str, num_classes: int, name: str = ""
-) -> Dataset:
+def load_idx_dataset(images_path: str, labels_path: str, num_classes: int) -> Dataset:
     """Read an IDX image/label file pair and flatten images to feature rows."""
     with open(images_path, "rb") as f:
         images = parse_idx(f.read())
@@ -103,7 +98,7 @@ def load_idx_dataset(
     if labels.ndim != 1:
         raise ConfigError(f"{labels_path} holds a {labels.ndim}-d payload, expected labels")
     flat = images.reshape(images.shape[0], -1)
-    return Dataset(flat, labels.astype(np.int64), num_classes, name or images_path)
+    return Dataset(flat, labels.astype(np.int64), num_classes)
 
 
 def synth_blobs(
@@ -113,7 +108,6 @@ def synth_blobs(
     spread: float,
     seed: int,
     sample_stream: int = 0,
-    name: str = "",
 ) -> Dataset:
     """Gaussian clusters around class centers drawn on the radius-4 hypersphere.
 
@@ -137,7 +131,7 @@ def synth_blobs(
             np.float32
         )
         labels[c * per_class : (c + 1) * per_class] = c
-    return Dataset(feats, labels, num_classes, name or f"blobs{num_classes}d{dim}s{seed}")
+    return Dataset(feats, labels, num_classes)
 
 
 @dataclass(frozen=True)
@@ -169,9 +163,7 @@ def partition_iid(source: Dataset, parties: int, per_class: int, seed: int) -> I
         leftover.append(rows[m * n :])
     party_indices = tuple(np.concatenate(chunks) for chunks in per_party)
     remainder_indices = np.concatenate(leftover) if leftover else np.empty(0, dtype=np.int64)
-    datasets = tuple(
-        source.take(idx, name=f"{source.name}/party{k}") for k, idx in enumerate(party_indices)
-    )
+    datasets = tuple(source.take(idx) for idx in party_indices)
     return IidSplit(datasets, party_indices, remainder_indices)
 
 
@@ -227,12 +219,7 @@ def partition_noniid(
             chosen_labels[k].append(np.full(n, s, dtype=np.int64))
     party_indices = tuple(np.concatenate(r) for r in chosen_rows)
     datasets = tuple(
-        Dataset(
-            source.features[party_indices[k]],
-            np.concatenate(chosen_labels[k]),
-            len(supers),
-            name=f"{source.name}/party{k}",
-        )
+        Dataset(source.features[party_indices[k]], np.concatenate(chosen_labels[k]), len(supers))
         for k in range(m)
     )
     return NonIidSplit(datasets, tuple(assignment), party_indices)
@@ -246,4 +233,4 @@ def to_superclass(ds: Dataset, mapping: dict[int, int], num_superclasses: int) -
             lut[sub] = sup
     if ds.n and lut[ds.labels].min() < 0:
         raise ConfigError("dataset contains subclasses absent from the mapping")
-    return Dataset(ds.features, lut[ds.labels], num_superclasses, name=f"{ds.name}/super")
+    return Dataset(ds.features, lut[ds.labels], num_superclasses)

@@ -170,7 +170,6 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
             spec.dim,
             spec.public_spread if spec.public_spread is not None else spec.spread,
             derive_seed(seed, "public-task"),
-            name="public",
         )
         pool = synth_blobs(
             spec.classes,
@@ -179,7 +178,6 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
             spec.spread,
             derive_seed(seed, "private-task"),
             sample_stream=0,
-            name="pool",
         )
         test_pool = synth_blobs(
             spec.classes,
@@ -188,12 +186,11 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
             spec.spread,
             derive_seed(seed, "private-task"),
             sample_stream=1,
-            name="test",
         )
     elif spec.kind == "idx":
-        public = load_idx_dataset(spec.public_images, spec.public_labels, spec.classes, "public")
-        pool = load_idx_dataset(spec.pool_images, spec.pool_labels, spec.classes, "pool")
-        test_pool = load_idx_dataset(spec.test_images, spec.test_labels, spec.classes, "test")
+        public = load_idx_dataset(spec.public_images, spec.public_labels, spec.classes)
+        pool = load_idx_dataset(spec.pool_images, spec.pool_labels, spec.classes)
+        test_pool = load_idx_dataset(spec.test_images, spec.test_labels, spec.classes)
     else:
         raise ConfigError(f"unknown data kind {spec.kind!r}")
 
@@ -235,7 +232,6 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartySt
         np.concatenate([d.features for d in task.privates]),
         np.concatenate([d.labels for d in task.privates]),
         task.num_classes,
-        name="pooled",
     )
     copies = []
     for party in sorted(parties, key=lambda p: p.id):
@@ -418,7 +414,7 @@ def run_noniid_probe(cfg: ExperimentConfig, transport_kind: str = "bus") -> NonI
     for k in range(m):
         seen = set(task.assignment[k].values())
         mask = ~np.isin(task.test_subclasses, sorted(seen))
-        unseen_sets.append(task.test.take(np.flatnonzero(mask), name=f"unseen{k}"))
+        unseen_sets.append(task.test.take(np.flatnonzero(mask)))
     pre = [0.0] * m
 
     def capture(party: PartyState) -> None:

@@ -27,14 +27,15 @@ class Network:
 
     Every layer but the last applies ReLU; the last emits raw logits. Two
     networks in the same collaboration may differ in depth and widths; only
-    the input dim and class count must agree across participants. Building one
-    copies the layers' arrays into one contiguous vector ``flat`` and rebinds
-    each weight and bias to a view of it.
+    the input dim and class count must agree across participants. The layers
+    hold plain arrays until a lockstep group trains the network; afterwards
+    they stay views of that group's parameter vector, and the next group
+    copies them out. Each network has a region of a group vector to itself,
+    so no two networks share a parameter.
     """
 
     layers: list[Layer]
     output_dim: int
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -56,9 +57,6 @@ class Network:
             raise ShapeError(
                 f"final layer out-dim {last.weight.shape[1]} vs declared class count {self.output_dim}"
             )
-        params = self.parameters()
-        self.flat = np.empty(sum(p.size for p in params), dtype=np.result_type(*params))
-        _bind(self, _views(self.flat, params))
 
     @property
     def input_dim(self) -> int:
@@ -72,21 +70,10 @@ class Network:
         return out
 
     def copy(self) -> "Network":
-        """An independent network; building it copies the arrays into a new flat vector."""
-        return Network([Layer(l.weight, l.bias) for l in self.layers], self.output_dim)
+        """An independent network over copies of each array."""
+        return Network([Layer(l.weight.copy(), l.bias.copy()) for l in self.layers], self.output_dim)
 
-    def __reduce__(self):
-        # pickle and copy.deepcopy would copy each view on its own, cut off from ``flat``
-        return Network, ([Layer(l.weight, l.bias) for l in self.layers], self.output_dim)
-
-
-def _views(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Consecutive views of ``flat`` shaped like the arrays in ``like``."""
-    views, start = [], 0
-    for a in like:
-        views.append(flat[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return views
+    __copy__ = copy
 
 
 def _bind(net: Network, views: list[np.ndarray]) -> None:
@@ -353,8 +340,9 @@ class _Group:
     then its biases, contiguous in member order. Hidden level l's activations
     and deltas are one (batch, sum of widths) buffer each, and the logits are
     stacked (members, batch, classes), so bias add, ReLU, the ReLU mask and
-    the bias gradient run once per level. Matmuls stay per member. While in
-    the group, a member's layers are views of the group's ``flat``.
+    the bias gradient run once per level. Matmuls stay per member. Building
+    the group copies each member's parameters into its ``flat`` and rebinds the
+    member's layers to views of it, where they stay after the group is gone.
     """
 
     def __init__(self, nets: list[Network], batch_size: int):
@@ -382,7 +370,7 @@ class _Group:
                 self.cols[k][i] = slice(size - start, size - start + width)
                 size += width
             self.bias_spans.append(slice(start, size))
-        dtype = nets[0].flat.dtype
+        dtype = nets[0].layers[0].weight.dtype
         self.flat = np.empty(size, dtype)
         for k, net in enumerate(nets):
             _bind(net, self.member_views(self.flat, k))
@@ -400,19 +388,11 @@ class _Group:
             views.append(vec[b0 : b0 + lyr.bias.size])
         return views
 
-    def release(self, ks) -> None:
-        """Give members ``ks`` their own ``flat`` back, holding their current parameters."""
-        for k in ks:
-            net = self.nets[k]
-            if net.layers[0].weight.base is not net.flat:
-                _bind(net, _views(net.flat, net.parameters()))
-
     def keep(self, ks: list[int]) -> "_Group | None":
         """A group of members ``ks`` that carries on with their parameters and Adam moments.
 
-        The other members leave with their own ``flat``.
+        The other members leave with their layers where they are, in this group's ``flat``.
         """
-        self.release([k for k in range(len(self.nets)) if k not in ks])
         if not ks:
             return None
         group = _Group([self.nets[k] for k in ks], self.batch)
@@ -496,10 +476,9 @@ def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_ep
     share ``batch_size`` and ``opt``. ``loss`` is "xent" (the targets are class
     labels) or a distillation loss. Each member's shuffling, parameters and
     losses are bit for bit those it would get trained alone. Gradients,
-    moments and scratch live only for this call. ``on_epoch(member_index,
-    epoch_index, mean_loss)`` may return True to stop that member: it leaves
-    with its own ``flat``, and the others go on. Every member has its own
-    ``flat`` again when this returns or raises.
+    moments and scratch live only for this call; the members' layers stay
+    views of the last group's ``flat``. ``on_epoch(member_index, epoch_index,
+    mean_loss)`` may return True to stop that member, and the others go on.
     """
     inputs, targets, rows = _shared_rows(members)
     counts = {inputs.shape[0] if r is None else len(r) for r in rows}
@@ -513,9 +492,9 @@ def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_ep
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     nets = [mem.net for mem in members]
-    if len({(net.flat.dtype, net.input_dim, net.output_dim) for net in nets}) != 1:
+    if len({(net.layers[0].weight.dtype, net.input_dim, net.output_dim) for net in nets}) != 1:
         raise ConfigError("members of a lockstep group need one dtype, input dim and class count")
-    inputs = inputs.astype(nets[0].flat.dtype, copy=False)
+    inputs = inputs.astype(nets[0].layers[0].weight.dtype, copy=False)
     if inputs.shape[1] != nets[0].input_dim:
         raise ShapeError(
             f"batch feature dim {inputs.shape[1]} does not match network input dim {nets[0].input_dim}"
@@ -528,37 +507,33 @@ def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_ep
     active = list(range(len(members)))
     group = _Group(nets, min(batch_size, n)) if epochs else None
     t = 0
-    try:
-        for epoch in range(epochs):
-            order = np.empty((len(active), n), dtype=np.intp)
-            for j, i in enumerate(active):
-                perm = members[i].rng.permutation(n)
-                order[j] = perm if rows[i] is None else rows[i][perm]
-            totals = [0.0] * len(active)
-            for start in range(0, n, batch_size):
-                idx = order[:, start : start + batch_size]
-                plan = group.plan(idx.shape[1])
-                inputs.take(idx, axis=0, out=plan.x, mode="clip")
-                losses = group.gradients(plan, targets.take(idx, axis=0), loss).tolist()
-                for j, value in enumerate(losses):
-                    if not math.isfinite(value):
-                        raise DivergenceError(f"non-finite training loss in epoch {epoch}", active[j])
-                    totals[j] += value * idx.shape[1]
-                t += 1
-                _adam_in_place(group.flat, group.grad, group.m, group.v, group.tmp, opt, t)
-            stopping = []
-            for j, i in enumerate(active):
-                reports[i].epoch_losses.append(totals[j] / n)
-                if on_epoch is not None and on_epoch(i, epoch, reports[i].epoch_losses[-1]):
-                    stopping.append(j)
-            if stopping:
-                group = group.keep([j for j in range(len(active)) if j not in stopping])
-                active = [i for j, i in enumerate(active) if j not in stopping]
-                if group is None:
-                    break
-    finally:
-        if group is not None:
-            group.release(range(len(group.nets)))
+    for epoch in range(epochs):
+        order = np.empty((len(active), n), dtype=np.intp)
+        for j, i in enumerate(active):
+            perm = members[i].rng.permutation(n)
+            order[j] = perm if rows[i] is None else rows[i][perm]
+        totals = [0.0] * len(active)
+        for start in range(0, n, batch_size):
+            idx = order[:, start : start + batch_size]
+            plan = group.plan(idx.shape[1])
+            inputs.take(idx, axis=0, out=plan.x, mode="clip")
+            losses = group.gradients(plan, targets.take(idx, axis=0), loss).tolist()
+            for j, value in enumerate(losses):
+                if not math.isfinite(value):
+                    raise DivergenceError(f"non-finite training loss in epoch {epoch}", active[j])
+                totals[j] += value * idx.shape[1]
+            t += 1
+            _adam_in_place(group.flat, group.grad, group.m, group.v, group.tmp, opt, t)
+        stopping = []
+        for j, i in enumerate(active):
+            reports[i].epoch_losses.append(totals[j] / n)
+            if on_epoch is not None and on_epoch(i, epoch, reports[i].epoch_losses[-1]):
+                stopping.append(j)
+        if stopping:
+            group = group.keep([j for j in range(len(active)) if j not in stopping])
+            active = [i for j, i in enumerate(active) if j not in stopping]
+            if group is None:
+                break
     return reports
 
 
@@ -696,7 +671,6 @@ def gradient_check(
         plan.x[0] = batch
         group.gradients(plan, targets[None], loss_kind)
         analytic = [g.copy() for g in group.member_views(group.grad, 0)]
-        group.release([0])
         numeric = _fd_gradients(net, batch, loss_fn, h)
         worst = 0.0
         for a, f in zip(analytic, numeric):

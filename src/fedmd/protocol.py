@@ -23,6 +23,7 @@ messages of ``transport`` are the round's data types: a subset is a
 used. ``expect`` checks each one once, where it is received.
 """
 
+import math
 import threading
 import time
 import zlib
@@ -67,9 +68,6 @@ class CollaborationConfig:
     revisit_epochs: int = 2
     revisit_batch_size: int = 32  # applied as min(revisit_batch_size, N_k)
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     max_epochs: int = 100
     patience: int = 5
     min_improvement: float = 0.001  # 0.1 percentage point
@@ -93,15 +91,17 @@ class CollaborationConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not self.min_improvement >= 0:
+            raise ConfigError(f"min_improvement must be >= 0, got {self.min_improvement}")
         if self.distill not in nn.DISTILL_LOSSES:
             raise ConfigError(f"distill must be one of {nn.DISTILL_LOSSES}, got {self.distill!r}")
         weights = (1.0,) * self.parties if self.weights is None else tuple(map(float, self.weights))
         if len(weights) != self.parties:
             raise ConfigError(f"{len(weights)} weights for {self.parties} parties")
-        if any(w < 0 for w in weights):
-            raise ConfigError("consensus weights must be non-negative")
+        if not all(0 <= w < math.inf for w in weights):
+            raise ConfigError("consensus weights must be finite and non-negative")
         total = sum(weights)
         if total <= 0:
             raise ConfigError("consensus weights must not all be zero")
@@ -111,7 +111,7 @@ class CollaborationConfig:
 
     @property
     def opt(self) -> AdamParams:
-        return AdamParams(self.lr, self.beta1, self.beta2, self.epsilon)
+        return AdamParams(lr=self.lr)
 
 
 @dataclass
@@ -153,7 +153,7 @@ def lockstep_groups(parties: list[PartyState]) -> list[list[PartyState]]:
     """
     groups = {}
     for p in parties:
-        groups.setdefault((p.private.n, p.net.flat.dtype), []).append(p)
+        groups.setdefault((p.private.n, p.net.layers[0].weight.dtype), []).append(p)
     return list(groups.values())
 
 

@@ -132,6 +132,19 @@ def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, monkeypatch, ov
     assert "fedmd: error: config:" in capsys.readouterr().err
 
 
+# NaN fails no ordered comparison, so each check must be written to fail it; the
+# Adam decays and epsilon are fixed, so setting one is an unknown key
+@pytest.mark.parametrize(
+    "override",
+    ["lr=NaN", "min_improvement=NaN", "min_improvement=-1", "weights=[NaN, 1]", "beta1=1.0", "beta2=NaN", "epsilon=0"],
+)
+def test_bad_optimizer_value_exit_2(tmp_path, capsys, monkeypatch, override):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "out"))
+    path = write_config(tmp_path)
+    assert cli.main(["baseline", path, "--kind", "transfer", "-o", override]) == 2
+    assert "fedmd: error: config:" in capsys.readouterr().err
+
+
 def test_baseline_transfer_kind(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "base"))
     path = write_config(tmp_path)

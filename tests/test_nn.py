@@ -14,6 +14,8 @@ from fedmd import cli, nn
 from fedmd.data import synth_blobs
 from fedmd.errors import ConfigError, DivergenceError, ShapeError
 
+from net_util import share_no_parameter
+
 
 def mlp(*layer_specs, num_classes):
     layers = [nn.Layer(np.asarray(w, dtype=np.float32), np.asarray(b, dtype=np.float32))
@@ -290,19 +292,26 @@ def test_train_supervised_divergence_names_epoch():
 )
 def test_copy_and_original_train_independently(duplicate):
     data = synth_blobs(3, 10, 4, 0.5, seed=8)
-    net = rand_net(np.random.default_rng(9), (4, 6, 5, 3))
-    twin = duplicate(net)
-    assert not np.shares_memory(net.flat, twin.flat)
-    for trained, other in ((twin, net), (net, twin)):
-        untouched = [p.copy() for p in other.parameters()]
-        start = [p.copy() for p in trained.parameters()]
-        member = nn.Member(trained, data.features, data.labels, np.random.default_rng(10))
-        nn.train_supervised([member], 2, 4, nn.AdamParams())
-        assert all(np.array_equal(a, b) for a, b in zip(untouched, other.parameters()))
-        assert not any(np.array_equal(a, b) for a, b in zip(start, trained.parameters()))
-    # training writes into flat and gradient_check through p.reshape(-1): both reach forward
-    for network in (net, twin):
-        assert all(np.shares_memory(p.reshape(-1), network.flat) for p in network.parameters())
+    fresh = rand_net(np.random.default_rng(9), (4, 6, 5, 3))
+    grouped = rand_net(np.random.default_rng(11), (4, 6, 5, 3))
+    partner = rand_net(np.random.default_rng(12), (4, 7, 3))
+    nn.train_supervised(
+        [nn.Member(n, data.features, data.labels, np.random.default_rng(k)) for k, n in enumerate((grouped, partner))],
+        1, 4, nn.AdamParams(),
+    )
+    # after a grouped call, both networks' layers view that group's one parameter vector
+    assert grouped.layers[0].weight.base is partner.layers[0].weight.base
+    for net in (fresh, grouped):
+        twin = duplicate(net)
+        assert share_no_parameter([net, twin, partner])
+        for trained, other in ((twin, net), (net, twin)):
+            untouched = [p.copy() for p in other.parameters()]
+            start = [p.copy() for p in trained.parameters()]
+            member = nn.Member(trained, data.features, data.labels, np.random.default_rng(10))
+            nn.train_supervised([member], 2, 4, nn.AdamParams())
+            assert all(np.array_equal(a, b) for a, b in zip(untouched, other.parameters()))
+            assert not any(np.array_equal(a, b) for a, b in zip(start, trained.parameters()))
+        assert share_no_parameter([net, twin, partner])
 
 
 def test_train_distill_fixed_point_keeps_weights():
@@ -552,10 +561,6 @@ def test_stacked_cross_entropy_matches_reference_per_block(shape):
 # --- lockstep groups against their members trained alone ------------------------
 
 
-def owns_its_parameters(net):
-    return all(np.shares_memory(p, net.flat) for p in net.parameters())
-
-
 def canonical_nets():
     return [nn.build_network(16, arch, 6, np.random.default_rng(k)) for k, arch in enumerate(config_architectures())]
 
@@ -581,7 +586,7 @@ def test_group_trains_exactly_like_its_members_alone(loss):
             (ref,) = nn.train_distill([member], 4, 32, nn.AdamParams(), loss)
         assert reports[k].epoch_losses == ref.epoch_losses
         assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), net.parameters()))
-        assert owns_its_parameters(nets[k])
+    assert share_no_parameter(nets + alone)
 
 
 def test_group_convergence_shrinks_and_matches_members_alone():
@@ -603,10 +608,10 @@ def test_group_convergence_shrinks_and_matches_members_alone():
         (ref,) = nn.train_to_convergence([member], 32, opt, **kw)
         assert reports[k].epoch_losses == ref.epoch_losses
         assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), net.parameters()))
-        assert owns_its_parameters(nets[k])
+    assert share_no_parameter(nets + alone)
 
 
-def test_group_divergence_names_the_member_and_returns_every_flat():
+def test_group_divergence_names_the_member_and_shares_no_parameter():
     nets = canonical_nets()[:3]
     poisoned = TRAIN.features.copy()
     poisoned[5, 0] = np.inf
@@ -617,7 +622,7 @@ def test_group_divergence_names_the_member_and_returns_every_flat():
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0") as err:
         nn._run_epochs(members, "xent", 2, 32, nn.AdamParams())
     assert err.value.member == 1
-    assert all(owns_its_parameters(net) for net in nets)
+    assert share_no_parameter(nets)
 
 
 def test_group_rejects_members_that_cannot_step_together():
@@ -629,7 +634,7 @@ def test_group_rejects_members_that_cannot_step_together():
              nn.Member(b, short.features, short.labels, np.random.default_rng(1))],
             "xent", 1, 32, nn.AdamParams(),
         )
-    assert owns_its_parameters(a) and owns_its_parameters(b)
+    assert share_no_parameter([a, b])
 
 
 def test_forward_matches_the_training_forward():
@@ -639,5 +644,4 @@ def test_forward_matches_the_training_forward():
         plan = group.plan(VAL.n)
         plan.x[0] = VAL.features
         group.gradients(plan, VAL.labels[None], "xent")
-        group.release([0])
         assert np.array_equal(nn.forward(net, VAL.features), plan.logits[0])

@@ -26,6 +26,8 @@ from fedmd.protocol import (
     transfer_learn,
 )
 
+from net_util import share_no_parameter
+
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
@@ -118,10 +120,6 @@ def row_values(rows):
     return [(r.round, r.party, r.accuracy, r.digest_loss, r.revisit_loss) for r in rows]
 
 
-def owns_its_parameters(net):
-    return all(p.base is net.flat for p in net.parameters())
-
-
 def test_prologue_in_one_group_matches_each_party_alone():
     cfg, parties, public, test = small_world(4, archs=MIXED_ARCHS, max_epochs=40, patience=4)
     assert [len(g) for g in protocol.lockstep_groups(parties)] == [4]
@@ -132,7 +130,7 @@ def test_prologue_in_one_group_matches_each_party_alone():
     for p, q in zip(parties, lone):
         for net_p, net_q in ((p.net, q.net), (p.pretrained, q.pretrained)):
             assert all(np.array_equal(a, b) for a, b in zip(net_p.parameters(), net_q.parameters()))
-        assert owns_its_parameters(p.net)
+    assert share_no_parameter([p.net for p in parties] + [p.pretrained for p in parties])
 
 
 def test_pooled_rows_in_one_group_match_each_party_alone():
@@ -164,14 +162,14 @@ def test_party_with_a_shorter_private_set_trains_in_its_own_group():
     assert row_values(grouped) == row_values(alone)
 
 
-def test_non_finite_private_row_fails_its_party_and_returns_every_flat():
+def test_non_finite_private_row_fails_its_party_and_shares_no_parameter():
     cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, rounds=1, max_epochs=20)
     parties[1].private.features[0, 0] = np.nan
     with np.errstate(all="ignore"), pytest.raises(
         ProtocolError, match=r"^party 1 failed during transfer: non-finite training loss in epoch 0$"
     ):
         run_fedmd(cfg, parties, public, test)
-    assert all(owns_its_parameters(p.net) for p in parties)
+    assert share_no_parameter([p.net for p in parties])
 
 
 @pytest.mark.parametrize("lone, who", [(False, "parties 0, 1, 2"), (True, "party 1")])
