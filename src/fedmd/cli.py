@@ -137,17 +137,11 @@ def _cmd_serve(args) -> int:
     m = cfg.collab.parties
     listener = transport.serve(_parse_addr(args.addr), backlog=m)
     print(f"serving {m} parties on {listener.address[0]}:{listener.address[1]}")
-    channels = {}
     try:
-        channels = protocol.accept_parties((listener.accept() for _ in range(m)), m, task.num_classes)
-        for k in sorted(channels):
-            print(f"party {k} joined")
-        protocol.server_loop(channels, cfg.collab, task.public.n, task.num_classes)
-        print(f"completed {cfg.collab.rounds} rounds")
+        protocol.server_loop((listener.accept() for _ in range(m)), cfg.collab, task.public.n, task.num_classes)
     finally:
-        for chan in channels.values():
-            chan.close()
         listener.close()
+    print(f"completed {cfg.collab.rounds} rounds")
     return 0
 
 
@@ -161,10 +155,7 @@ def _cmd_join(args) -> int:
     (baseline,) = protocol.prologue([party], task.public, task.test, cfg.collab)
     print(f"party {k} baseline accuracy {baseline.accuracy:.4f}")
     chan = transport.connect(_parse_addr(args.addr))
-    try:
-        rounds = protocol.party_loop([party], task.public, task.test, cfg.collab, {k: chan})
-    finally:
-        chan.close()
+    rounds = protocol.party_loop([party], task.public, task.test, cfg.collab, {k: chan})
     log = MetricsLog(seed=cfg.seed, config_hash=experiments.config_hash(cfg))
     log.rows.append(baseline)
     log.rows.extend(rounds)

@@ -13,14 +13,17 @@ its private data for a few supervised epochs, again in lockstep groups
 after the revisit.
 
 The round loop runs over channels (in-process bus or TCP loopback), so
-simulation and networked runs share one code path. Lockstep rounds leave no
-compute to overlap, so one ``party_loop`` on the caller's thread serves every
-in-process party, and the server runs on one thread of its own; ``fedmd join``
-runs the same loop for its one party, a group of one. The wire
-messages of ``transport`` are the round's data types: a subset is a
-``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the consensus a
-``ConsensusBroadcast``, from the moment they are made to the moment they are
-used. ``expect`` checks each one once, where it is received.
+simulation and networked runs share one code path: one call per side.
+``server_loop`` reads every hello and drives the rounds, for the in-process
+run on one thread of its own and for ``fedmd serve`` on its main thread.
+Lockstep rounds leave no compute to overlap, so one ``party_loop`` on the
+caller's thread serves every in-process party; ``fedmd join`` runs the same
+loop for its one party, a group of one. Each loop closes every channel it
+was given when it returns or raises, so no side waits on a peer that gave
+up. The wire messages of ``transport`` are the round's data types: a subset
+is a ``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the
+consensus a ``ConsensusBroadcast``, from the moment they are made to the
+moment they are used. ``expect`` checks each one once, where it is received.
 """
 
 import math
@@ -355,20 +358,24 @@ def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int
     return msg
 
 
-def accept_parties(channels, m: int, num_classes: int) -> "dict[int, object]":
-    """Key m server-side channels by the party id in each one's hello frame.
+def server_loop(channels, cfg: CollaborationConfig, n0: int, num_classes: int) -> None:
+    """Read every party's hello, then drive P rounds; closes every server end it was given.
 
-    ``channels`` yields the channels to read (bus endpoints, or TCP
-    connections accepted one by one). A hello is an empty 0 x ``num_classes``
-    score report for round 0; the ids must be exactly 0..m-1. On any failure
-    every channel taken so far is closed, so no party waits on a server that
-    gave up.
+    ``channels`` yields the server ends: bus endpoints, or TCP connections
+    accepted one by one. Every end is taken before the first hello is read,
+    and every end is closed when this returns or raises, so no party waits on
+    a server that gave up. A hello is an empty 0 x ``num_classes`` score
+    report for round 0; the ids must be exactly 0..m-1. The aggregate step is
+    a barrier: it blocks until every party's score report for the round,
+    subset rows by ``num_classes`` columns, has arrived.
     """
-    keyed = {}
-    taken = []
+    m = cfg.parties
+    ends = []
     try:
-        for chan in channels:
-            taken.append(chan)
+        for chan in channels:  # one at a time, so a failed accept still closes the ends before it
+            ends.append(chan)
+        keyed = {}
+        for chan in ends:
             k = expect(chan, ScoreReport, 0, None, (0, num_classes)).party
             if not 0 <= k < m:
                 raise ProtocolError(f"party {k} round 0: hello from outside 0..{m - 1}")
@@ -377,38 +384,23 @@ def accept_parties(channels, m: int, num_classes: int) -> "dict[int, object]":
             keyed[k] = chan
         if len(keyed) != m:
             raise ProtocolError(f"parties {sorted(keyed)} joined, expected 0..{m - 1}")
-    except BaseException:
-        for chan in taken:
+        by_id = [keyed[k] for k in range(m)]
+        subset_size = min(cfg.subset_size, n0)
+        for j in range(1, cfg.rounds + 1):
+            selection = select_subset(n0, subset_size, rng_stream(cfg.seed, "subset", j), j)
+            for chan in by_id:
+                chan.send(selection)
+            reports = [
+                expect(chan, ScoreReport, j, k, (subset_size, num_classes)) for k, chan in enumerate(by_id)
+            ]
+            consensus = aggregate(reports, cfg.weights)
+            for chan in by_id:
+                chan.send(consensus)
+            for k, chan in enumerate(by_id):
+                expect(chan, RoundComplete, j, k)
+    finally:
+        for chan in ends:
             chan.close()
-        raise
-    return keyed
-
-
-def server_loop(
-    channels: "dict[int, object]",
-    cfg: CollaborationConfig,
-    n0: int,
-    num_classes: int,
-) -> None:
-    """Drive P rounds over per-party channels (keyed by party id).
-
-    The aggregate step is a barrier: it blocks until every party's score
-    report for the round, subset rows by ``num_classes`` columns, has arrived.
-    """
-    subset_size = min(cfg.subset_size, n0)
-    for j in range(1, cfg.rounds + 1):
-        selection = select_subset(n0, subset_size, rng_stream(cfg.seed, "subset", j), j)
-        for k in sorted(channels):
-            channels[k].send(selection)
-        reports = [
-            expect(channels[k], ScoreReport, j, k, (subset_size, num_classes))
-            for k in sorted(channels)
-        ]
-        consensus = aggregate(reports, cfg.weights)
-        for k in sorted(channels):
-            channels[k].send(consensus)
-        for k in sorted(channels):
-            expect(channels[k], RoundComplete, j, k)
 
 
 def party_loop(
@@ -422,9 +414,11 @@ def party_loop(
 
     Each party starts with a hello frame (an empty 0xC score report for round
     0) so the server can map its channel to it before round 1. Returns the
-    round rows in round, then party order. A failure that is neither a
-    ``ProtocolError`` nor a ``ChannelError`` raises ``ProtocolError``
-    ``party K failed during rounds: …`` for the party being served.
+    round rows in round, then party order, and closes every channel given
+    when it returns or raises, which releases a server still waiting on a
+    party. A failure that is neither a ``ProtocolError`` nor a
+    ``ChannelError`` raises ``ProtocolError`` ``party K failed during
+    rounds: …`` for the party being served.
     """
     # Ordering rule: a stream channel may buffer less than one frame, so a send
     # can block until the peer reads it. Serve the parties in ascending id, the
@@ -476,6 +470,9 @@ def party_loop(
         raise
     except Exception as exc:  # ``party`` is the one being served when it was raised
         raise ProtocolError(f"party {party.id} failed during rounds: {exc}") from exc
+    finally:
+        for chan in channels.values():
+            chan.close()
     return metrics
 
 
@@ -492,8 +489,8 @@ def run_fedmd(
     ``transport_kind`` selects the channel implementation ("bus" in-process,
     "tcp" on 127.0.0.1); results are independent of the choice. The prologue,
     the hooks and every party's rounds (``party_loop``) run on the caller's
-    thread; the server runs on one ``fedmd-server`` thread, closed and joined
-    before this returns or raises. ``after_transfer`` is an optional hook
+    thread; the server (``server_loop``) runs on one ``fedmd-server`` thread,
+    joined before this returns or raises. ``after_transfer`` is an optional hook
     called with each party, in list order, between the baseline measurements
     and the first round; a failure raises ``ProtocolError`` ``party K failed
     after transfer: …``.
@@ -530,30 +527,31 @@ def run_fedmd(
 
     if transport_kind == "bus":
         pairs = [transport.bus_pair() for _ in parties]
-        incoming = [server_end for server_end, _ in pairs]
+        server_ends = [server_end for server_end, _ in pairs]
         party_channels = {p.id: party_end for p, (_, party_end) in zip(parties, pairs)}
-        listener = None
     else:
         # every party connects before the first accept, so the backlog must hold them all
         listener = transport.serve(("127.0.0.1", 0), backlog=cfg.parties)
-        party_channels = {p.id: transport.connect(listener.address) for p in parties}
-        incoming = (listener.accept() for _ in parties)
+        party_channels, server_ends = {}, []
+        try:
+            for p in parties:
+                party_channels[p.id] = transport.connect(listener.address)
+            for _ in parties:
+                server_ends.append(listener.accept())
+        except BaseException:
+            for chan in [*party_channels.values(), *server_ends]:
+                chan.close()
+            raise
+        finally:
+            listener.close()
 
     server_errors = []
 
     def serve_rounds() -> None:
-        server_channels = {}
         try:
-            server_channels = accept_parties(incoming, cfg.parties, test.num_classes)
-            server_loop(server_channels, cfg, public.n, test.num_classes)
+            server_loop(server_ends, cfg, public.n, test.num_classes)
         except BaseException as exc:  # raised by run_fedmd after the join
             server_errors.append(exc)
-        finally:
-            # a failed handshake may leave bus ends unread; closing them releases their parties
-            for chan in incoming if listener is None else server_channels.values():
-                chan.close()
-            if listener is not None:
-                listener.close()
 
     server = threading.Thread(target=serve_rounds, name="fedmd-server", daemon=True)
     server.start()
@@ -563,9 +561,6 @@ def run_fedmd(
     except BaseException as exc:
         party_error = exc
     finally:
-        # closing the party ends releases a server that still waits on a party
-        for chan in party_channels.values():
-            chan.close()
         server.join()
 
     # report the root cause: a party-side channel error is only the teardown of a failed server

@@ -14,7 +14,6 @@ from fedmd.errors import ChannelError, ConfigError, DivergenceError, ProtocolErr
 from fedmd.protocol import (
     CollaborationConfig,
     PartyState,
-    accept_parties,
     aggregate,
     compute_scores,
     make_party,
@@ -578,6 +577,43 @@ def test_no_thread_outlives_a_run(monkeypatch, kind, fail):
     assert alive == []
 
 
+@pytest.mark.parametrize("failing", ["connect", "accept"])
+def test_failed_tcp_setup_closes_the_listener_and_every_end_before_it(monkeypatch, failing):
+    cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
+    made, closed = [], []
+
+    def record(owner, name, fails_on_call):
+        inner, calls = getattr(owner, name), []
+
+        def call(*args):
+            calls.append(args)
+            if len(calls) == fails_on_call:
+                raise ChannelError("refused")
+            made.append(inner(*args))
+            return made[-1]
+
+        monkeypatch.setattr(owner, name, call)
+
+    def spy_close(cls):
+        inner = cls.close
+
+        def close(self):
+            closed.append(self)
+            inner(self)
+
+        monkeypatch.setattr(cls, "close", close)
+
+    record(transport, "connect", 2 if failing == "connect" else None)
+    record(transport.TcpListener, "accept", 2 if failing == "accept" else None)
+    spy_close(transport.TcpChannel)
+    spy_close(transport.TcpListener)
+    with pytest.raises(ChannelError, match="^refused$"):
+        run_fedmd(cfg, parties, public, test, transport_kind="tcp")
+    assert len(made) == (1 if failing == "connect" else 4)  # the party ends first, then the accepted ones
+    assert closed[:-1] == made
+    assert isinstance(closed[-1], transport.TcpListener)
+
+
 def test_party_loop_order_survives_frames_larger_than_socket_buffers():
     # a send of a frame larger than the socket buffers blocks until the peer reads it
     cfg = small_cfg(3, rounds=2, subset_size=3000)
@@ -596,7 +632,7 @@ def test_party_loop_order_survives_frames_larger_than_socket_buffers():
 
     def serve():
         try:
-            server_loop(accept_parties(server_ends.values(), 3, 3), cfg, public.n, 3)
+            server_loop(list(server_ends.values()), cfg, public.n, 3)
         except BaseException as exc:
             errors.append(exc)
 
@@ -621,8 +657,7 @@ def rounds_over_bus(parties, public, test, cfg):
 
     def serve():
         try:
-            server_ends = accept_parties([ends[0] for ends in pairs.values()], cfg.parties, test.num_classes)
-            server_loop(server_ends, cfg, public.n, test.num_classes)
+            server_loop([ends[0] for ends in pairs.values()], cfg, public.n, test.num_classes)
         except BaseException as exc:
             errors.append(exc)
 
@@ -630,9 +665,7 @@ def rounds_over_bus(parties, public, test, cfg):
     server.start()
     try:
         rows = party_loop(parties, public, test, cfg, {k: ends[1] for k, ends in pairs.items()})
-    finally:
-        for _, party_end in pairs.values():
-            party_end.close()
+    finally:  # party_loop closed the party ends, which releases a server still waiting on one
         server.join()
     assert errors == []
     return rows
@@ -709,6 +742,28 @@ def test_grouped_round_failure_names_the_member_or_the_group(monkeypatch, step, 
         rounds_over_bus(parties, public, test, cfg)
 
 
+@pytest.mark.parametrize("fail", [False, True], ids=["clean", "failing-digest"])
+def test_party_loop_closes_every_party_end(monkeypatch, fail):
+    cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
+    pairs, inner = [], transport.bus_pair
+
+    def recording_pair(**kw):
+        pairs.append(inner(**kw))
+        return pairs[-1]
+
+    monkeypatch.setattr(transport, "bus_pair", recording_pair)
+    if fail:
+        monkeypatch.setattr(nn, "train_distill", diverging_member(parties[1].net, nn.train_distill))
+        with pytest.raises(ProtocolError, match=r"^party 1 round 1: digest failed: poisoned$"):
+            rounds_over_bus(parties, public, test, cfg)
+    else:
+        rounds_over_bus(parties, public, test, cfg)
+    assert len(pairs) == 3
+    for _, party_end in pairs:
+        with pytest.raises(ChannelError, match="closed"):
+            party_end.send(transport.RoundComplete(1))
+
+
 def test_config_weight_renormalization():
     cfg = CollaborationConfig(parties=2, rounds=0, weights=(2.0, 6.0))
     assert cfg.weights == (0.25, 0.75)
@@ -723,21 +778,29 @@ def hello(party, rnd=0):
 
 
 def handshake(frames, m):
-    """accept_parties over one bus pair per frame, each party end having sent its frame."""
+    """server_loop for no rounds over one bus pair per frame, each party end having sent its frame."""
     server_ends = []
     for frame in frames:
         server_end, party_end = transport.bus_pair(timeout=5.0)
         party_end.send(frame)
         server_ends.append(server_end)
-    return accept_parties(server_ends, m, 3)
+    server_loop(server_ends, small_cfg(m, rounds=0), 10, 3)
 
 
 def test_accept_parties_keys_channels_by_hello():
+    """``server_loop`` accepts the parties: each end is keyed to the party its hello names."""
+    cfg = small_cfg(2, rounds=1, subset_size=4)
     pairs = [transport.bus_pair(timeout=5.0) for _ in range(2)]
-    for (_, party_end), k in zip(pairs, (1, 0)):
-        party_end.send(hello(k))
-    keyed = accept_parties([server_end for server_end, _ in pairs], 2, 3)
-    assert keyed == {1: pairs[0][0], 0: pairs[1][0]}
+    for (_, party_end), k in zip(pairs, (1, 0)):  # listed in the reverse of id order
+        for frame in (hello(k), scores_of(k, 4), transport.RoundComplete(1)):
+            party_end.send(frame)
+    # a channel keyed to the wrong party would deliver the scores of another
+    server_loop([server_end for server_end, _ in pairs], cfg, 10, 3)
+    for _, party_end in pairs:
+        assert isinstance(party_end.recv(), transport.SubsetAnnouncement)
+        assert isinstance(party_end.recv(), transport.ConsensusBroadcast)
+        with pytest.raises(ChannelError, match="closed"):
+            party_end.recv()
 
 
 @pytest.mark.parametrize(
@@ -765,17 +828,34 @@ def test_accept_parties_keys_channels_by_hello():
     ],
 )
 def test_accept_parties_rejects_bad_hellos(frames, message):
+    """``server_loop`` accepts the parties only on exactly one good hello from each of 0..m-1."""
     with pytest.raises(ProtocolError, match=message):
         handshake(frames, 2)
 
 
-def test_accept_parties_closes_taken_channels_on_rejection():
-    server_end, party_end = transport.bus_pair(timeout=5.0)
-    party_end.send(hello(3))
-    with pytest.raises(ProtocolError):
-        accept_parties([server_end], 2, 3)
-    with pytest.raises(ChannelError, match="closed"):
-        party_end.recv()
+def stream_pair(timeout):
+    """Two ``TcpChannel`` ends of one ``socket.socketpair()``."""
+    a, b = socket.socketpair()
+    return transport.TcpChannel(a, timeout), transport.TcpChannel(b, timeout)
+
+
+@pytest.mark.parametrize("make_pair", [transport.bus_pair, stream_pair], ids=["bus", "tcp"])
+def test_server_loop_closes_every_end_on_rejection(make_pair):
+    timeout = 5.0
+    pairs = [make_pair(timeout) for _ in range(3)]
+    for (_, party_end), frame in zip(pairs, (hello(3), hello(1), hello(2))):  # the first-listed is bad
+        party_end.send(frame)
+    t0 = time.perf_counter()
+    with pytest.raises(ProtocolError, match=r"party 3 round 0: hello from outside 0\.\.2"):
+        server_loop([server_end for server_end, _ in pairs], small_cfg(3, rounds=1), 10, 3)
+    try:
+        for _, party_end in pairs:  # EOF or a reset, and none of them waits for the timeout
+            with pytest.raises(ChannelError):
+                party_end.recv()
+        assert time.perf_counter() - t0 < timeout / 10
+    finally:
+        for _, party_end in pairs:
+            party_end.close()
 
 
 # --- frames from a faulty peer --------------------------------------------------------
@@ -788,17 +868,18 @@ def scores_of(party, rows, fill=0.0, cols=3):
 def drive_round(side, frames):
     """One round of server_loop or party_loop over bus pairs whose peer ends hold ``frames``.
 
-    Server side: ``frames[k]`` is what party k sends. Party side: ``frames`` is
-    what the server sends to the one party of ``small_world``, which has 120
-    public samples and subsets of 64.
+    Server side: ``frames[k]`` is what party k sends after its hello. Party
+    side: ``frames`` is what the server sends to the one party of
+    ``small_world``, which has 120 public samples and subsets of 64.
     """
     if side == "server":
         cfg = small_cfg(len(frames), rounds=1, subset_size=4)
-        channels = {}
+        channels = []
         for k, sent in enumerate(frames):
-            channels[k], party_end = transport.bus_pair(timeout=5.0)
-            for frame in sent + [transport.RoundComplete(1)]:
+            server_end, party_end = transport.bus_pair(timeout=5.0)
+            for frame in [hello(k)] + sent + [transport.RoundComplete(1)]:
                 party_end.send(frame)
+            channels.append(server_end)
         server_loop(channels, cfg, 10, 3)
     else:
         cfg, parties, public, test = small_world(1, rounds=1)
