@@ -12,8 +12,8 @@ its private data for a few supervised epochs, again in lockstep groups
 (``nn.train_distill``, ``nn.train_supervised``). Test accuracy is recorded
 after the revisit.
 
-The round loop runs over channels (in-process bus or TCP loopback), so
-simulation and networked runs share one code path: one call per side.
+The round loop runs over ``TcpChannel`` ends (in-process socketpairs or TCP),
+so simulation and networked runs share one code path: one call per side.
 ``server_loop`` reads every hello and drives the rounds, for the in-process
 run on one thread of its own and for ``fedmd serve`` on its main thread.
 Lockstep rounds leave no compute to overlap, so one ``party_loop`` on the
@@ -361,13 +361,13 @@ def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int
 def server_loop(channels, cfg: CollaborationConfig, n0: int, num_classes: int) -> None:
     """Read every party's hello, then drive P rounds; closes every server end it was given.
 
-    ``channels`` yields the server ends: bus endpoints, or TCP connections
-    accepted one by one. Every end is taken before the first hello is read,
-    and every end is closed when this returns or raises, so no party waits on
-    a server that gave up. A hello is an empty 0 x ``num_classes`` score
-    report for round 0; the ids must be exactly 0..m-1. The aggregate step is
-    a barrier: it blocks until every party's score report for the round,
-    subset rows by ``num_classes`` columns, has arrived.
+    ``channels`` yields the server ends: bus socketpair ends, or TCP
+    connections accepted one by one. Every end is taken before the first
+    hello is read, and every end is closed when this returns or raises, so no
+    party waits on a server that gave up. A hello is an empty 0 x
+    ``num_classes`` score report for round 0; the ids must be exactly 0..m-1.
+    The aggregate step is a barrier: it blocks until every party's score
+    report for the round, subset rows by ``num_classes`` columns, has arrived.
     """
     m = cfg.parties
     ends = []
@@ -486,14 +486,14 @@ def run_fedmd(
 ) -> MetricsLog:
     """Transfer-learning prologue for every party, then P collaboration rounds.
 
-    ``transport_kind`` selects the channel implementation ("bus" in-process,
-    "tcp" on 127.0.0.1); results are independent of the choice. The prologue,
-    the hooks and every party's rounds (``party_loop``) run on the caller's
-    thread; the server (``server_loop``) runs on one ``fedmd-server`` thread,
-    joined before this returns or raises. ``after_transfer`` is an optional hook
-    called with each party, in list order, between the baseline measurements
-    and the first round; a failure raises ``ProtocolError`` ``party K failed
-    after transfer: …``.
+    ``transport_kind`` selects what the channels run over ("bus": in-process
+    socketpairs, "tcp": 127.0.0.1); results are independent of the choice.
+    The prologue, the hooks and every party's rounds (``party_loop``) run on
+    the caller's thread; the server (``server_loop``) runs on one
+    ``fedmd-server`` thread, joined before this returns or raises.
+    ``after_transfer`` is an optional hook called with each party, in list
+    order, between the baseline measurements and the first round; a failure
+    raises ``ProtocolError`` ``party K failed after transfer: …``.
     """
     if len(parties) != cfg.parties:
         raise ConfigError(f"config names {cfg.parties} parties but {len(parties)} were given")

@@ -25,6 +25,7 @@ from fedmd.protocol import (
     transfer_learn,
 )
 
+from channel_util import loopback_pair
 from net_util import share_no_parameter
 
 
@@ -779,12 +780,14 @@ def hello(party, rnd=0):
 
 def handshake(frames, m):
     """server_loop for no rounds over one bus pair per frame, each party end having sent its frame."""
-    server_ends = []
-    for frame in frames:
-        server_end, party_end = transport.bus_pair(timeout=5.0)
-        party_end.send(frame)
-        server_ends.append(server_end)
-    server_loop(server_ends, small_cfg(m, rounds=0), 10, 3)
+    pairs = [transport.bus_pair(timeout=5.0) for _ in frames]
+    try:
+        for (_, party_end), frame in zip(pairs, frames):
+            party_end.send(frame)
+        server_loop([server_end for server_end, _ in pairs], small_cfg(m, rounds=0), 10, 3)
+    finally:
+        for _, party_end in pairs:
+            party_end.close()
 
 
 def test_accept_parties_keys_channels_by_hello():
@@ -796,11 +799,15 @@ def test_accept_parties_keys_channels_by_hello():
             party_end.send(frame)
     # a channel keyed to the wrong party would deliver the scores of another
     server_loop([server_end for server_end, _ in pairs], cfg, 10, 3)
-    for _, party_end in pairs:
-        assert isinstance(party_end.recv(), transport.SubsetAnnouncement)
-        assert isinstance(party_end.recv(), transport.ConsensusBroadcast)
-        with pytest.raises(ChannelError, match="closed"):
-            party_end.recv()
+    try:
+        for _, party_end in pairs:
+            assert isinstance(party_end.recv(), transport.SubsetAnnouncement)
+            assert isinstance(party_end.recv(), transport.ConsensusBroadcast)
+            with pytest.raises(ChannelError, match="closed"):
+                party_end.recv()
+    finally:
+        for _, party_end in pairs:
+            party_end.close()
 
 
 @pytest.mark.parametrize(
@@ -833,13 +840,7 @@ def test_accept_parties_rejects_bad_hellos(frames, message):
         handshake(frames, 2)
 
 
-def stream_pair(timeout):
-    """Two ``TcpChannel`` ends of one ``socket.socketpair()``."""
-    a, b = socket.socketpair()
-    return transport.TcpChannel(a, timeout), transport.TcpChannel(b, timeout)
-
-
-@pytest.mark.parametrize("make_pair", [transport.bus_pair, stream_pair], ids=["bus", "tcp"])
+@pytest.mark.parametrize("make_pair", [transport.bus_pair, loopback_pair], ids=["bus", "tcp"])
 def test_server_loop_closes_every_end_on_rejection(make_pair):
     timeout = 5.0
     pairs = [make_pair(timeout) for _ in range(3)]
@@ -874,19 +875,24 @@ def drive_round(side, frames):
     """
     if side == "server":
         cfg = small_cfg(len(frames), rounds=1, subset_size=4)
-        channels = []
-        for k, sent in enumerate(frames):
-            server_end, party_end = transport.bus_pair(timeout=5.0)
-            for frame in [hello(k)] + sent + [transport.RoundComplete(1)]:
-                party_end.send(frame)
-            channels.append(server_end)
-        server_loop(channels, cfg, 10, 3)
+        pairs = [transport.bus_pair(timeout=5.0) for _ in frames]
+        try:
+            for k, ((_, party_end), sent) in enumerate(zip(pairs, frames)):
+                for frame in [hello(k)] + sent + [transport.RoundComplete(1)]:
+                    party_end.send(frame)
+            server_loop([server_end for server_end, _ in pairs], cfg, 10, 3)
+        finally:
+            for _, party_end in pairs:
+                party_end.close()
     else:
         cfg, parties, public, test = small_world(1, rounds=1)
         server_end, party_end = transport.bus_pair(timeout=5.0)
-        for frame in frames:
-            server_end.send(frame)
-        party_loop(parties[:1], public, test, cfg, {0: party_end})
+        try:
+            for frame in frames:
+                server_end.send(frame)
+            party_loop(parties[:1], public, test, cfg, {0: party_end})
+        finally:
+            server_end.close()
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,8 @@ from fedmd.transport import (
     serve,
 )
 
+from channel_util import loopback_pair
+
 
 def matrix(rows, cols, seed=0):
     return np.random.default_rng(seed).normal(size=(rows, cols)).astype(np.float32)
@@ -173,88 +175,86 @@ def test_fuzz_decoder_never_crashes():
 # --- channels ---------------------------------------------------------------------
 
 
-def test_bus_send_recv_equality():
-    a, b = bus_pair()
-    msg = ScoreReport(2, 1, matrix(3, 4, seed=5))
-    a.send(msg)
-    assert b.recv() == msg
-    b.send(RoundComplete(2))
-    assert a.recv() == RoundComplete(2)
+PAIRS = pytest.mark.parametrize("make_pair", [bus_pair, loopback_pair], ids=["bus", "tcp"])
 
 
-def test_bus_preserves_order_of_1000_messages():
-    a, b = bus_pair()
-    for i in range(1000):
-        a.send(RoundComplete(i))
-    received = [b.recv().round for _ in range(1000)]
-    assert received == list(range(1000))
+@PAIRS
+def test_channel_send_recv_equality(make_pair):
+    a, b = make_pair(10)
+    try:
+        msg = ScoreReport(2, 1, matrix(3, 4, seed=5))
+        a.send(msg)
+        assert b.recv() == msg
+        reply = ConsensusBroadcast(4, matrix(5, 3, seed=8))
+        b.send(reply)
+        assert a.recv() == reply
+    finally:
+        a.close()
+        b.close()
 
 
-def test_bus_close_surfaces_channel_error():
-    a, b = bus_pair()
-    a.close()
-    with pytest.raises(ChannelError):
-        b.recv()
-
-
-def test_tcp_send_recv_equality():
-    listener = serve(("127.0.0.1", 0), timeout=10)
-    result = {}
-
-    def server_side():
-        chan = listener.accept()
-        result["msg"] = chan.recv()
-        chan.send(RoundComplete(9))
-        chan.close()
-
-    t = threading.Thread(target=server_side)
-    t.start()
-    client = connect(listener.address, timeout=10)
-    msg = ConsensusBroadcast(4, matrix(5, 3, seed=8))
-    client.send(msg)
-    assert client.recv() == RoundComplete(9)
-    t.join()
-    client.close()
-    listener.close()
-    assert result["msg"] == msg
-
-
-def test_tcp_preserves_order_of_1000_messages():
-    listener = serve(("127.0.0.1", 0), timeout=10)
+@PAIRS
+def test_channel_preserves_order_of_1000_messages(make_pair):
+    # a stream buffers far fewer frames than this, so a thread reads while the sender writes
+    a, b = make_pair(10)
     received = []
 
-    def server_side():
-        chan = listener.accept()
+    def reader():
         for _ in range(1000):
-            received.append(chan.recv().round)
-        chan.close()
+            received.append(b.recv().round)
 
-    t = threading.Thread(target=server_side)
+    t = threading.Thread(target=reader)
     t.start()
-    client = connect(listener.address, timeout=10)
-    for i in range(1000):
-        client.send(SubsetAnnouncement(i, np.array([i])))
-    t.join()
-    client.close()
-    listener.close()
+    try:
+        for i in range(1000):
+            a.send(SubsetAnnouncement(i, np.array([i])))
+    finally:
+        t.join()
+        a.close()
+        b.close()
     assert received == list(range(1000))
 
 
-def test_tcp_connection_loss_surfaces_channel_error():
-    listener = serve(("127.0.0.1", 0), timeout=10)
+@PAIRS
+def test_channel_close_surfaces_channel_error(make_pair):
+    a, b = make_pair(10)
+    a.close()
+    try:
+        with pytest.raises(ChannelError, match="^peer closed the channel$"):
+            b.recv()
+        # an end its own side closed says so, and closing it again is a no-op
+        with pytest.raises(ChannelError, match="^channel is closed$"):
+            a.send(RoundComplete(0))
+        with pytest.raises(ChannelError, match="^channel is closed$"):
+            a.recv()
+        a.close()
+    finally:
+        b.close()
 
-    def server_side():
-        chan = listener.accept()
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (0, "^peer closed the channel$"),
+        (2, "^connection closed mid-message$"),
+        (8, "^connection closed mid-message$"),
+    ],
+    ids=["between-frames", "inside-the-prefix", "inside-the-payload"],
+)
+def test_peer_close_at_a_frame_boundary_differs_from_a_cut_frame(cut, message):
+    raw, sock = socket.socketpair()
+    chan = transport.TcpChannel(sock, 5.0)
+    try:
+        frame = encode_message(RoundComplete(3))
+        assert len(frame) == 13  # so the cut of 8 bytes is inside the payload
+        raw.sendall(frame + frame[:cut])
+        raw.close()
+        assert chan.recv() == RoundComplete(3)
+        with pytest.raises(ChannelError, match=message):
+            chan.recv()
+    finally:
+        raw.close()
         chan.close()
-
-    t = threading.Thread(target=server_side)
-    t.start()
-    client = connect(listener.address, timeout=10)
-    t.join()
-    with pytest.raises(ChannelError):
-        client.recv()
-    client.close()
-    listener.close()
 
 
 def unused_port():
