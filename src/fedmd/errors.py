@@ -12,7 +12,7 @@ class ConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """Training or inference produced a non-finite value.
 
-    ``member`` is the index, in its lockstep training group, of the network that did.
+    ``member`` is that network's index in the member list of its training call.
     """
 
     def __init__(self, message: str, member: int = 0):

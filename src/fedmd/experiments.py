@@ -224,9 +224,9 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartySt
     Each party's post-public network (``pretrained``, kept by its transfer
     prologue) is copied and fitted by ``fit_private`` on the union of all
     private sets, with the party's own ``transfer-private`` stream; the copies
-    train in lockstep groups on the caller's thread. The public
-    phase is not repeated; it would use the same streams and give the same
-    network.
+    train in one ``fit_and_measure`` call, phase ``pooled fit``, on the
+    caller's thread. The public phase is not repeated; it would use the same
+    streams and give the same network.
     """
     pooled_private = Dataset(
         np.concatenate([d.features for d in task.privates]),
@@ -239,10 +239,10 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartySt
             raise ConfigError(f"party {party.id} has no post-public network; run its prologue first")
         copies.append(replace(party, net=party.pretrained.copy(), private=pooled_private))
 
-    def fit(group):
-        return fit_private(group, cfg.collab)
+    def fit(parties):
+        fit_private(parties, cfg.collab)
 
-    return fit_and_measure(copies, fit, task.test, POOLED)
+    return fit_and_measure(copies, fit, task.test, POOLED, "pooled fit")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -287,7 +287,7 @@ def _adam_in_place(p, g, m, v, tmp, hp: AdamParams, t: int) -> None:
 
 @dataclass
 class Member:
-    """One network of a lockstep group, and what it trains on.
+    """One network of a training call, and what it trains on.
 
     It descends on rows ``rows`` of ``inputs`` toward the same rows of
     ``targets``: class labels, or score targets to distill. ``rows`` None means
@@ -470,80 +470,83 @@ class _Plan:
 
 
 def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_epoch=None) -> list[TrainReport]:
-    """Minibatch descent of a lockstep group, with one persistent Adam state across all epochs.
+    """Minibatch descent of any members: those of one row count and dtype step as a lockstep group.
 
-    The members need one row count, dtype, input dim and class count; they
-    share ``batch_size`` and ``opt``. ``loss`` is "xent" (the targets are class
-    labels) or a distillation loss. Each member's shuffling, parameters and
-    losses are bit for bit those it would get trained alone. Gradients,
-    moments and scratch live only for this call; the members' layers stay
-    views of the last group's ``flat``. ``on_epoch(member_index, epoch_index,
-    mean_loss)`` may return True to stop that member, and the others go on.
+    The groups train one after another, each with one persistent Adam state.
+    All members need one input dim and class count and share ``batch_size``
+    and ``opt``. ``loss`` is "xent" (the targets are class labels) or a
+    distillation loss. Each member's shuffling, parameters and losses are bit
+    for bit those it would get trained alone. Gradients, moments and scratch
+    live only for this call; the members' layers stay views of their group's
+    ``flat``. ``on_epoch(i, epoch_index, mean_loss)`` may return True to stop
+    member ``members[i]``, and the others go on; a ``DivergenceError`` names
+    its member the same way.
     """
-    inputs, targets, rows = _shared_rows(members)
-    counts = {inputs.shape[0] if r is None else len(r) for r in rows}
-    n = counts.pop()
-    if counts:
-        raise ConfigError("members of a lockstep group need equal row counts")
-    if n == 0:
-        raise ConfigError("cannot train on an empty dataset")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    nets = [mem.net for mem in members]
-    if len({(net.layers[0].weight.dtype, net.input_dim, net.output_dim) for net in nets}) != 1:
-        raise ConfigError("members of a lockstep group need one dtype, input dim and class count")
-    inputs = inputs.astype(nets[0].layers[0].weight.dtype, copy=False)
-    if inputs.shape[1] != nets[0].input_dim:
-        raise ShapeError(
-            f"batch feature dim {inputs.shape[1]} does not match network input dim {nets[0].input_dim}"
-        )
-    if loss == "xent":
-        _check_labels(targets, nets[0].output_dim)
-    elif targets.shape[1:] != (nets[0].output_dim,):
-        raise ShapeError(f"targets of shape {targets.shape[1:]} for {nets[0].output_dim} classes")
+    if len({(mem.net.input_dim, mem.net.output_dim) for mem in members}) > 1:
+        raise ConfigError("members of one call need one input dim and class count")
+    groups = {}
+    for i, mem in enumerate(members):
+        n = mem.inputs.shape[0] if mem.rows is None else len(mem.rows)
+        if n == 0:
+            raise ConfigError("cannot train on an empty dataset")
+        groups.setdefault((n, mem.net.layers[0].weight.dtype), []).append(i)
     reports = [TrainReport() for _ in members]
-    active = list(range(len(members)))
-    group = _Group(nets, min(batch_size, n)) if epochs else None
-    t = 0
-    for epoch in range(epochs):
-        order = np.empty((len(active), n), dtype=np.intp)
-        for j, i in enumerate(active):
-            perm = members[i].rng.permutation(n)
-            order[j] = perm if rows[i] is None else rows[i][perm]
-        totals = [0.0] * len(active)
-        for start in range(0, n, batch_size):
-            idx = order[:, start : start + batch_size]
-            plan = group.plan(idx.shape[1])
-            inputs.take(idx, axis=0, out=plan.x, mode="clip")
-            losses = group.gradients(plan, targets.take(idx, axis=0), loss).tolist()
-            for j, value in enumerate(losses):
-                if not math.isfinite(value):
-                    raise DivergenceError(f"non-finite training loss in epoch {epoch}", active[j])
-                totals[j] += value * idx.shape[1]
-            t += 1
-            _adam_in_place(group.flat, group.grad, group.m, group.v, group.tmp, opt, t)
-        stopping = []
-        for j, i in enumerate(active):
-            reports[i].epoch_losses.append(totals[j] / n)
-            if on_epoch is not None and on_epoch(i, epoch, reports[i].epoch_losses[-1]):
-                stopping.append(j)
-        if stopping:
-            group = group.keep([j for j in range(len(active)) if j not in stopping])
-            active = [i for j, i in enumerate(active) if j not in stopping]
-            if group is None:
-                break
+    for (n, dtype), active in groups.items():
+        inputs, targets, rows = _shared_rows([members[i] for i in active])
+        inputs = inputs.astype(dtype, copy=False)
+        net = members[active[0]].net
+        if inputs.shape[1] != net.input_dim:
+            raise ShapeError(
+                f"batch feature dim {inputs.shape[1]} does not match network input dim {net.input_dim}"
+            )
+        if loss == "xent":
+            _check_labels(targets, net.output_dim)
+        elif targets.shape[1:] != (net.output_dim,):
+            raise ShapeError(f"targets of shape {targets.shape[1:]} for {net.output_dim} classes")
+        rows = dict(zip(active, rows))
+        group = _Group([members[i].net for i in active], min(batch_size, n)) if epochs else None
+        t = 0
+        for epoch in range(epochs):
+            order = np.empty((len(active), n), dtype=np.intp)
+            for j, i in enumerate(active):
+                perm = members[i].rng.permutation(n)
+                order[j] = perm if rows[i] is None else rows[i][perm]
+            totals = [0.0] * len(active)
+            for start in range(0, n, batch_size):
+                idx = order[:, start : start + batch_size]
+                plan = group.plan(idx.shape[1])
+                inputs.take(idx, axis=0, out=plan.x, mode="clip")
+                losses = group.gradients(plan, targets.take(idx, axis=0), loss).tolist()
+                for j, value in enumerate(losses):
+                    if not math.isfinite(value):
+                        raise DivergenceError(f"non-finite training loss in epoch {epoch}", active[j])
+                    totals[j] += value * idx.shape[1]
+                t += 1
+                _adam_in_place(group.flat, group.grad, group.m, group.v, group.tmp, opt, t)
+            stopping = []
+            for j, i in enumerate(active):
+                reports[i].epoch_losses.append(totals[j] / n)
+                if on_epoch is not None and on_epoch(i, epoch, reports[i].epoch_losses[-1]):
+                    stopping.append(j)
+            if stopping:
+                group = group.keep([j for j in range(len(active)) if j not in stopping])
+                active = [i for j, i in enumerate(active) if j not in stopping]
+                if group is None:
+                    break
     return reports
 
 
 def train_supervised(members: list[Member], epochs, batch_size, opt: AdamParams) -> list[TrainReport]:
-    """Minibatch cross-entropy descent of a lockstep group toward each member's labels, with a fresh Adam state."""
+    """Minibatch cross-entropy descent of any members toward their labels (``_run_epochs``), with a fresh Adam state."""
     return _run_epochs(members, "xent", epochs, batch_size, opt)
 
 
 def train_distill(members: list[Member], epochs, batch_size, opt: AdamParams, kind: str = "mae") -> list[TrainReport]:
-    """Minibatch descent of a lockstep group toward each member's consensus targets; shuffling keeps rows paired."""
+    """Minibatch descent of any members toward their consensus targets (``_run_epochs``), rows kept paired."""
     if kind not in DISTILL_LOSSES:
         raise ConfigError(f"unknown distillation loss {kind!r}")
     return _run_epochs(members, kind, epochs, batch_size, opt)
@@ -565,12 +568,12 @@ def train_to_convergence(
     patience: int = 5,
     min_improvement: float = 1e-3,
 ) -> list[TrainReport]:
-    """Supervised training of a lockstep group; each member stops once its val accuracy stalls.
+    """Supervised training of any members (``_run_epochs``); each stops once its val accuracy stalls.
 
     A member stops after ``patience`` consecutive epochs without an
     improvement larger than ``min_improvement`` (absolute accuracy on its
-    ``val``), capped at ``max_epochs``. The others keep their optimizer state
-    and go on.
+    ``val``), capped at ``max_epochs``. The others in its group keep their
+    optimizer state and go on.
     """
     best = [-1.0] * len(members)
     stall = [0] * len(members)

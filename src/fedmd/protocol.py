@@ -2,15 +2,14 @@
 
 Every party first runs the transfer-learning prologue (public data to
 convergence, then its own private data); the resulting test accuracy is its
-baseline. The in-process parties run it in lockstep groups that step every
-member's network together (``nn.train_to_convergence``), before the rounds
-start. Then, for each round: the server picks a public subset and
+baseline. Then, for each round: the server picks a public subset and
 announces it; every party sends raw class scores on that subset; the server
 aggregates them into weighted-average consensus targets and broadcasts them;
 every party digests the consensus (score-matching descent) and then revisits
-its private data for a few supervised epochs, again in lockstep groups
-(``nn.train_distill``, ``nn.train_supervised``). Test accuracy is recorded
-after the revisit.
+its private data for a few supervised epochs. Test accuracy is recorded after
+the revisit. Each training phase is one ``nn`` call over every party, which
+``fit_and_measure`` runs, times and turns into metrics rows; ``nn`` steps
+together the members that share a row count and dtype.
 
 The round loop runs over ``TcpChannel`` ends (in-process socketpairs or TCP),
 so simulation and networked runs share one code path: one call per side.
@@ -18,12 +17,12 @@ so simulation and networked runs share one code path: one call per side.
 run on one thread of its own and for ``fedmd serve`` on its main thread.
 Lockstep rounds leave no compute to overlap, so one ``party_loop`` on the
 caller's thread serves every in-process party; ``fedmd join`` runs the same
-loop for its one party, a group of one. Each loop closes every channel it
-was given when it returns or raises, so no side waits on a peer that gave
-up. The wire messages of ``transport`` are the round's data types: a subset
-is a ``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the
-consensus a ``ConsensusBroadcast``, from the moment they are made to the
-moment they are used. ``expect`` checks each one once, where it is received.
+loop for its one party. Each loop closes every channel it was given when it
+returns or raises, so no side waits on a peer that gave up. The wire messages
+of ``transport`` are the round's data types: a subset is a
+``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the consensus a
+``ConsensusBroadcast``, from the moment they are made to the moment they are
+used. ``expect`` checks each one once, where it is received.
 """
 
 import math
@@ -147,24 +146,11 @@ def make_party(
     return PartyState(party_id, net, private)
 
 
-def lockstep_groups(parties: list[PartyState]) -> list[list[PartyState]]:
-    """The parties in groups that can train in lockstep, in first-seen order.
-
-    A group shares its private row count and dtype; the public phase gives
-    every party the same row count, and every party trains with the run's
-    optimizer settings.
-    """
-    groups = {}
-    for p in parties:
-        groups.setdefault((p.private.n, p.net.layers[0].weight.dtype), []).append(p)
-    return list(groups.values())
-
-
-def pretrain_public(group: list[PartyState], public: Dataset, cfg: CollaborationConfig) -> list[TrainReport]:
-    """Train a lockstep group to convergence on public data, each party monitored on its own held-out slice."""
+def pretrain_public(parties: list[PartyState], public: Dataset, cfg: CollaborationConfig) -> list[TrainReport]:
+    """Train the parties to convergence on public data in one call, each monitored on its own held-out slice."""
     n_val = int(public.n * cfg.val_fraction)
     members = []
-    for party in group:
+    for party in parties:
         rows, val = None, public
         if 0 < n_val < public.n:
             perm = rng_stream(cfg.seed, party.id, "holdout").permutation(public.n)
@@ -176,10 +162,10 @@ def pretrain_public(group: list[PartyState], public: Dataset, cfg: Collaboration
     )
 
 
-def fit_private(group: list[PartyState], cfg: CollaborationConfig) -> list[TrainReport]:
-    """Train a lockstep group to convergence on each party's private data, monitored on that set itself."""
+def fit_private(parties: list[PartyState], cfg: CollaborationConfig) -> list[TrainReport]:
+    """Train the parties to convergence on their own private data in one call, each monitored on that set itself."""
     members = []
-    for p in group:
+    for p in parties:
         rng = rng_stream(cfg.seed, p.id, "transfer-private")
         members.append(nn.Member(p.net, p.private.features, p.private.labels, rng, val=p.private))
     return nn.train_to_convergence(
@@ -188,61 +174,69 @@ def fit_private(group: list[PartyState], cfg: CollaborationConfig) -> list[Train
 
 
 def transfer_learn(
-    group: list[PartyState], public: Dataset, cfg: CollaborationConfig
+    parties: list[PartyState], public: Dataset, cfg: CollaborationConfig
 ) -> list[tuple[TrainReport, TrainReport]]:
     """``pretrain_public``, then ``fit_private``; returns each party's two reports.
 
     A copy of each post-public network is kept as ``party.pretrained``, so the
     pooled baseline can continue from it instead of repeating the public phase.
     """
-    public_reports = pretrain_public(group, public, cfg)
-    for party in group:
+    public_reports = pretrain_public(parties, public, cfg)
+    for party in parties:
         party.pretrained = party.net.copy()
-    return list(zip(public_reports, fit_private(group, cfg)))
+    return list(zip(public_reports, fit_private(parties, cfg)))
 
 
-def _blame(group: list[PartyState], exc: Exception) -> str:
-    """Who a lockstep group's failure names: the member that diverged, a lone member, else the whole group."""
+def _blame(parties: list[PartyState], exc: Exception) -> str:
+    """Who a failed training call names: the member that diverged, a lone party, else every party of the call."""
     if isinstance(exc, DivergenceError):
-        return f"party {group[exc.member].id}"
-    ids = ", ".join(str(p.id) for p in group)
-    return f"party {ids}" if len(group) == 1 else f"parties {ids}"
+        return f"party {parties[exc.member].id}"
+    ids = ", ".join(str(p.id) for p in parties)
+    return f"party {ids}" if len(parties) == 1 else f"parties {ids}"
 
 
-def fit_and_measure(parties: list[PartyState], fit, test: Dataset, kind: str) -> list[MetricsRow]:
-    """``fit(group)`` for each lockstep group, then every party's test accuracy, as ``kind`` rows.
+def fit_and_measure(parties: list[PartyState], fit, test: Dataset, kind, phase: str) -> list[MetricsRow]:
+    """``fit(parties)``, then every party's test accuracy, as ``kind`` rows.
 
-    A row's ``wall_ms`` is its group's elapsed time split evenly among the
-    group, so the rows sum to the time of the whole phase.
+    ``fit`` returns each party's (digest loss, revisit loss), or None. A row's
+    ``wall_ms`` is the whole call's time split evenly among the parties. A
+    failure of ``fit`` other than a ``ProtocolError`` raises ``ProtocolError``
+    ``party K failed during {phase}: …`` (or ``parties K, L, …``, see
+    ``_blame``); a failed evaluation names its party.
     """
-    rows = {}
-    for group in lockstep_groups(parties):
-        t0 = time.perf_counter()
-        fit(group)
-        accs = [nn.accuracy(p.net, test) for p in group]
-        wall_ms = (time.perf_counter() - t0) * 1000.0 / len(group)
-        rows.update((p.id, MetricsRow(kind, p.id, acc, None, None, wall_ms)) for p, acc in zip(group, accs))
-    return [rows[p.id] for p in parties]
+    t0 = time.perf_counter()
+    try:
+        losses = fit(parties) or [(None, None)] * len(parties)
+    except ProtocolError:
+        raise
+    except Exception as exc:
+        raise ProtocolError(f"{_blame(parties, exc)} failed during {phase}: {exc}") from exc
+    accs = []
+    for p in parties:
+        try:
+            accs.append(nn.accuracy(p.net, test))
+        except Exception as exc:
+            raise ProtocolError(f"party {p.id} failed during {phase}: {exc}") from exc
+    wall_ms = (time.perf_counter() - t0) * 1000.0 / len(parties)
+    return [
+        MetricsRow(kind, p.id, acc, digest_loss, revisit_loss, wall_ms)
+        for p, acc, (digest_loss, revisit_loss) in zip(parties, accs, losses)
+    ]
 
 
 def prologue(
     parties: list[PartyState], public: Dataset, test: Dataset, cfg: CollaborationConfig
 ) -> list[MetricsRow]:
-    """Transfer-learn the parties in lockstep groups and measure each one's baseline test accuracy.
+    """Transfer-learn the parties and measure each one's baseline, on the caller's thread.
 
-    Runs on the caller's thread. Any failure of a group's training is a
-    ``ProtocolError``: ``party K failed during transfer: …`` for the party
-    whose training diverged or when the group is K alone, else
-    ``parties K, L, … failed during transfer: …`` naming the whole group.
+    Any failure is a ``ProtocolError`` ``party K failed during transfer: …``
+    (or ``parties K, L, …``, see ``fit_and_measure``).
     """
 
-    def transfer(group):
-        try:
-            transfer_learn(group, public, cfg)
-        except Exception as exc:
-            raise ProtocolError(f"{_blame(group, exc)} failed during transfer: {exc}") from exc
+    def transfer(parties):
+        transfer_learn(parties, public, cfg)
 
-    return fit_and_measure(parties, transfer, test, BASELINE)
+    return fit_and_measure(parties, transfer, test, BASELINE, "transfer")
 
 
 def select_subset(n0: int, subset_size: int, rng: np.random.Generator, round_index: int) -> SubsetAnnouncement:
@@ -288,34 +282,41 @@ def aggregate(reports: list[ScoreReport], weights: "tuple[float, ...] | list[flo
     return ConsensusBroadcast(rnd, acc.astype(np.float32))
 
 
-def _digest_and_revisit(group: list[PartyState], public: Dataset, cfg: CollaborationConfig, selections, consensus):
-    """Digest each party's consensus, then revisit its private data, as one lockstep group; returns the revisit reports.
+def _digest_and_revisit(
+    parties: list[PartyState], public: Dataset, cfg: CollaborationConfig, selections, reports, consensus
+):
+    """Digest each party's consensus, then revisit its private data; returns each party's (digest loss, revisit loss).
 
-    Members whose subset and consensus frames hold the first member's bits (an
-    honest server sends every party the same) share one inputs and one targets
-    array. A failure reads ``party K round J: digest failed: …`` (or ``revisit
-    failed``), naming the member that diverged or a lone member, else ``parties K, L, …``.
+    Members whose subset and consensus frames hold the first party's bits (an
+    honest server sends every party the same) share one inputs and one
+    targets array. A failure reads ``party K round J: digest failed: …`` (or
+    ``revisit failed``), naming the member that diverged or a lone party, else
+    ``parties K, L, …``.
     """
-    head = group[0].id
+    head = parties[0].id
     j, first, targets = selections[head].round, selections[head].indices, consensus[head].targets
     inputs, digest = public.features[first], []
-    for p in group:
+    for p in parties:
         x, y = selections[p.id].indices, consensus[p.id].targets
         x = inputs if np.array_equal(x, first) else public.features[x]
         y = targets if np.array_equal(y.view(np.uint8), targets.view(np.uint8)) else y
         digest.append(nn.Member(p.net, x, y, rng_stream(cfg.seed, p.id, "digest", j)))
     try:
+        digest_losses = [
+            nn.distill_loss(reports[p.id].scores, consensus[p.id].targets, cfg.distill)[0] for p in parties
+        ]
         nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, cfg.opt, cfg.distill)
     except Exception as exc:
-        raise ProtocolError(f"{_blame(group, exc)} round {j}: digest failed: {exc}") from exc
+        raise ProtocolError(f"{_blame(parties, exc)} round {j}: digest failed: {exc}") from exc
     revisit = [
         nn.Member(p.net, p.private.features, p.private.labels, rng_stream(cfg.seed, p.id, "revisit", j))
-        for p in group
+        for p in parties
     ]
     try:
-        return nn.train_supervised(revisit, cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
+        revisits = nn.train_supervised(revisit, cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
     except Exception as exc:
-        raise ProtocolError(f"{_blame(group, exc)} round {j}: revisit failed: {exc}") from exc
+        raise ProtocolError(f"{_blame(parties, exc)} round {j}: revisit failed: {exc}") from exc
+    return [(d, r.epoch_losses[-1] if r.epoch_losses else None) for d, r in zip(digest_losses, revisits)]
 
 
 # --- channel-driven execution ---------------------------------------------------
@@ -413,21 +414,21 @@ def party_loop(
     """Follow the server through P rounds for every party, each on its own channel (keyed by party id).
 
     Each party starts with a hello frame (an empty 0xC score report for round
-    0) so the server can map its channel to it before round 1. Returns the
-    round rows in round, then party order, and closes every channel given
-    when it returns or raises, which releases a server still waiting on a
-    party. A failure that is neither a ``ProtocolError`` nor a
-    ``ChannelError`` raises ``ProtocolError`` ``party K failed during
+    0) so the server can map its channel to it before round 1. A round's
+    training and evaluations are one ``fit_and_measure`` call. Returns the
+    round rows in round, then party order, and closes every channel given when
+    it returns or raises, which releases a server still waiting on a party. A
+    frame that fails to decode raises ``ProtocolError`` ``party K failed during
     rounds: …`` for the party being served.
     """
     # Ordering rule: a stream channel may buffer less than one frame, so a send
     # can block until the peer reads it. Serve the parties in ascending id, the
     # order server_loop uses, and receive every party's frame of a phase before
     # sending any frame of the next phase: all subsets, then all scores, then
-    # all consensus frames, then the grouped rounds, then every completion frame
-    # in ascending id. Breaking either half can leave both ends blocked.
+    # all consensus frames, then the round's training and evaluation in one
+    # call, then every completion frame in ascending id. Breaking either half
+    # can leave both ends blocked.
     parties = sorted(parties, key=lambda p: p.id)
-    groups = lockstep_groups(parties)
     subset_size = min(cfg.subset_size, public.n)
     metrics = []
     try:
@@ -435,7 +436,7 @@ def party_loop(
             hello = ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32))
             channels[party.id].send(hello)
         for j in range(1, cfg.rounds + 1):
-            selections, reports, consensus, rows = {}, {}, {}, {}
+            selections, reports, consensus = {}, {}, {}
             for party in parties:
                 chan = channels[party.id]
                 selections[party.id] = expect(chan, SubsetAnnouncement, j, party.id, (subset_size,), public.n)
@@ -448,27 +449,16 @@ def party_loop(
             for party in parties:
                 shape = reports[party.id].scores.shape
                 consensus[party.id] = expect(channels[party.id], ConsensusBroadcast, j, party.id, shape)
-            # a row's wall_ms is its group's time split evenly; ``party`` names a failed loss or evaluation
-            for group in groups:
-                t0 = time.perf_counter()
-                digest_losses = []
-                for party in group:
-                    scores, targets = reports[party.id].scores, consensus[party.id].targets
-                    digest_losses.append(nn.distill_loss(scores, targets, cfg.distill)[0])
-                revisits = _digest_and_revisit(group, public, cfg, selections, consensus)
-                accs = []
-                for party in group:
-                    accs.append(nn.accuracy(party.net, test))
-                wall_ms = (time.perf_counter() - t0) * 1000.0 / len(group)
-                for party, digest_loss, revisit, acc in zip(group, digest_losses, revisits, accs):
-                    revisit_loss = revisit.epoch_losses[-1] if revisit.epoch_losses else None
-                    rows[party.id] = MetricsRow(j, party.id, acc, digest_loss, revisit_loss, wall_ms)
+
+            def fit(parties):
+                return _digest_and_revisit(parties, public, cfg, selections, reports, consensus)
+
+            metrics.extend(fit_and_measure(parties, fit, test, j, "rounds"))
             for party in parties:
-                metrics.append(rows[party.id])
                 channels[party.id].send(RoundComplete(j))
     except (ProtocolError, ChannelError):
         raise
-    except Exception as exc:  # ``party`` is the one being served when it was raised
+    except Exception as exc:  # a frame that failed to decode; ``party`` is the one being served
         raise ProtocolError(f"party {party.id} failed during rounds: {exc}") from exc
     finally:
         for chan in channels.values():

@@ -233,19 +233,22 @@ class TcpChannel:
         except OSError as exc:
             raise ChannelError(f"send failed: {exc}") from exc
 
-    def _read_exact(self, count: int, eof: str = "connection closed mid-message") -> bytes:
-        """``count`` bytes; a peer that closes before the first of them raises ``eof``."""
+    def _read_exact(self, count: int, between_frames: bool = False) -> bytes:
+        """``count`` bytes; a close, or a reset, before the first of them ``between_frames`` reads as a closed peer."""
         chunks = []
         remaining = count
         while remaining:
+            at_start = between_frames and remaining == count
             try:
                 chunk = self._sock.recv(remaining)
             except socket.timeout:
                 raise ChannelError(f"recv timed out after {self._timeout}s") from None
+            except ConnectionResetError as exc:
+                raise ChannelError("peer closed the channel" if at_start else f"recv failed: {exc}") from exc
             except OSError as exc:
                 raise ChannelError(f"recv failed: {exc}") from exc
             if not chunk:
-                raise ChannelError(eof if remaining == count else "connection closed mid-message")
+                raise ChannelError("peer closed the channel" if at_start else "connection closed mid-message")
             chunks.append(chunk)
             remaining -= len(chunk)
         return b"".join(chunks)
@@ -253,7 +256,7 @@ class TcpChannel:
     def recv(self):
         if self._closed:
             raise ChannelError("channel is closed")
-        prefix = self._read_exact(4, eof="peer closed the channel")
+        prefix = self._read_exact(4, between_frames=True)
         declared = struct.unpack(">I", prefix)[0]
         if declared > MAX_PAYLOAD:
             raise CodecError(f"declared payload of {declared} bytes exceeds {MAX_PAYLOAD}", 0)

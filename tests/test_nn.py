@@ -625,16 +625,37 @@ def test_group_divergence_names_the_member_and_shares_no_parameter():
     assert share_no_parameter(nets)
 
 
-def test_group_rejects_members_that_cannot_step_together():
-    a, b = canonical_nets()[:2]
-    short = TRAIN.take(np.arange(80))
-    with pytest.raises(ConfigError, match="equal row counts"):
-        nn._run_epochs(
-            [nn.Member(a, TRAIN.features, TRAIN.labels, np.random.default_rng(0)),
-             nn.Member(b, short.features, short.labels, np.random.default_rng(1))],
-            "xent", 1, 32, nn.AdamParams(),
-        )
-    assert share_no_parameter([a, b])
+def test_members_of_unequal_row_counts_train_in_one_call_each_as_alone():
+    # 90, 80, 90, 80 and 60 rows: one call steps members 0 and 2, then 1 and 3, then 4
+    picks = [None, np.arange(80), None, np.arange(10, 90), np.arange(60)]
+    opt = nn.AdamParams(lr=0.01)
+    kw = dict(max_epochs=40, patience=3, min_improvement=0.02)
+
+    def member(net, k, seed, features=TRAIN.features):
+        return nn.Member(net, features, TRAIN.labels, np.random.default_rng(seed + k), picks[k], VAL)
+
+    def train(nets, ks, seed):
+        members = [member(net, k, seed) for net, k in zip(nets, ks)]
+        return nn.train_to_convergence(members, 32, opt, **kw), nn._run_epochs(members, "xent", 3, 32, opt)
+
+    nets = canonical_nets()[:5]
+    alone = [net.copy() for net in nets]
+    converged, stepped = train(nets, range(5), 300)
+    assert len({r.epochs for r in converged}) > 1, [r.epochs for r in converged]
+    for k, net in enumerate(alone):
+        (ref_converged,), (ref_stepped,) = train([net], [k], 300)
+        assert converged[k].epoch_losses == ref_converged.epoch_losses
+        assert stepped[k].epoch_losses == ref_stepped.epoch_losses
+        assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), net.parameters()))
+    assert share_no_parameter(nets + alone)
+
+    poisoned = TRAIN.features.copy()
+    poisoned[20, 0] = np.inf  # a row of member 3 only, in the second group
+    members = [member(net, k, 500, poisoned if k == 3 else TRAIN.features) for k, net in enumerate(nets)]
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0") as err:
+        nn._run_epochs(members, "xent", 2, 32, opt)
+    assert err.value.member == 3
+    assert share_no_parameter(nets)
 
 
 def test_forward_matches_the_training_forward():

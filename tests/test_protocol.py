@@ -111,7 +111,7 @@ def test_transfer_learn_dim_mismatch():
         transfer_learn(parties[:1], bad_public, cfg)
 
 
-# --- lockstep groups change no result ------------------------------------------------
+# --- training every party in one call changes no result ---------------------------
 
 MIXED_ARCHS = ((8,), (6, 5), (12,), (4, 7))
 
@@ -120,10 +120,23 @@ def row_values(rows):
     return [(r.round, r.party, r.accuracy, r.digest_loss, r.revisit_loss) for r in rows]
 
 
-def test_prologue_in_one_group_matches_each_party_alone():
+def phase_calls(monkeypatch, name):
+    """The member count of every later ``nn.<name>`` call, in call order."""
+    calls, inner = [], getattr(nn, name)
+
+    def recording(members, *args, **kwargs):
+        calls.append(len(members))
+        return inner(members, *args, **kwargs)
+
+    monkeypatch.setattr(nn, name, recording)
+    return calls
+
+
+def test_prologue_in_one_group_matches_each_party_alone(monkeypatch):
     cfg, parties, public, test = small_world(4, archs=MIXED_ARCHS, max_epochs=40, patience=4)
-    assert [len(g) for g in protocol.lockstep_groups(parties)] == [4]
+    calls = phase_calls(monkeypatch, "train_to_convergence")
     grouped = protocol.prologue(parties, public, test, cfg)
+    assert calls == [4, 4]  # the public phase, then the private one
     _, lone, _, _ = small_world(4, archs=MIXED_ARCHS, max_epochs=40, patience=4)
     alone = [row for p in lone for row in protocol.prologue([p], public, test, cfg)]
     assert row_values(grouped) == row_values(alone)
@@ -147,15 +160,16 @@ def test_pooled_rows_in_one_group_match_each_party_alone():
 
 
 def shorten_private(party):
-    """Drop the last row of ``party``'s private set, so it trains in a lockstep group of its own."""
+    """Drop the last row of ``party``'s private set, so ``nn`` steps its private phase in a group of its own."""
     party.private = party.private.take(np.arange(party.private.n - 1))
 
 
-def test_party_with_a_shorter_private_set_trains_in_its_own_group():
+def test_party_with_a_shorter_private_set_trains_in_its_own_group(monkeypatch):
     cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, max_epochs=20)
     shorten_private(parties[1])
-    assert [[p.id for p in g] for g in protocol.lockstep_groups(parties)] == [[0, 2], [1]]
+    calls = phase_calls(monkeypatch, "train_to_convergence")
     grouped = protocol.prologue(parties, public, test, cfg)
+    assert calls == [3, 3]  # nn, not protocol, splits the private call
     _, lone, _, _ = small_world(3, archs=MIXED_ARCHS, max_epochs=20)
     shorten_private(lone[1])
     alone = [row for p in lone for row in protocol.prologue([p], public, test, cfg)]
@@ -172,20 +186,51 @@ def test_non_finite_private_row_fails_its_party_and_shares_no_parameter():
     assert share_no_parameter([p.net for p in parties])
 
 
-@pytest.mark.parametrize("lone, who", [(False, "parties 0, 1, 2"), (True, "party 1")])
+@pytest.mark.parametrize("lone, who", [(False, "parties 0, 1, 2"), (True, "party 0")])
 def test_other_transfer_failure_names_its_group(monkeypatch, lone, who):
-    cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, rounds=1, max_epochs=5)
-    if lone:
-        shorten_private(parties[1])
-    real_fit_private = protocol.fit_private
+    # a failure that names no member names every party of the call, or its lone party
+    cfg, parties, public, test = small_world(1 if lone else 3, archs=MIXED_ARCHS, rounds=1, max_epochs=5)
 
-    def fit_private(group, cfg):
-        if 1 in [p.id for p in group]:
-            raise RuntimeError("boom")
-        return real_fit_private(group, cfg)
+    def fit_private(parties, cfg):
+        raise RuntimeError("boom")
 
     monkeypatch.setattr(protocol, "fit_private", fit_private)
     with pytest.raises(ProtocolError, match=rf"^{who} failed during transfer: boom$"):
+        run_fedmd(cfg, parties, public, test)
+
+
+@pytest.mark.parametrize(
+    "error, who",
+    [(DivergenceError("poisoned", 1), "party 1"), (RuntimeError("boom"), "parties 0, 1, 2")],
+    ids=["member", "every-party"],
+)
+def test_pooled_fit_failure_names_the_member_or_every_party(monkeypatch, error, who):
+    from fedmd import experiments
+    from fedmd.experiments import ExperimentConfig, TaskData, baseline_pooled
+
+    cfg, parties, public, test = small_world(3, max_epochs=5)
+    protocol.prologue(parties, public, test, cfg)
+    task = TaskData(public, [p.private for p in parties], test, test.num_classes)
+
+    def fit_private(parties, cfg):
+        raise error
+
+    monkeypatch.setattr(experiments, "fit_private", fit_private)
+    with pytest.raises(ProtocolError, match=rf"^{who} failed during pooled fit: {error}$"):
+        baseline_pooled(ExperimentConfig(cfg, architectures=((8,),) * 3), task, parties)
+
+
+def test_baseline_evaluation_failure_names_its_party(monkeypatch):
+    cfg, parties, public, test = small_world(3, rounds=1, max_epochs=5)
+    inner = nn.accuracy
+
+    def accuracy(net, data):  # the convergence checks evaluate on held-out data, not on ``test``
+        if net is parties[1].net and data is test:
+            raise ValueError("boom")
+        return inner(net, data)
+
+    monkeypatch.setattr(nn, "accuracy", accuracy)
+    with pytest.raises(ProtocolError, match=r"^party 1 failed during transfer: boom$"):
         run_fedmd(cfg, parties, public, test)
 
 
@@ -410,7 +455,7 @@ def test_run_fedmd_event_ordering_with_threads(monkeypatch):
 
 
 def test_baseline_wall_ms_counts_only_own_compute():
-    # each lockstep group's time is split among its members, so the rows sum to the prologue's time
+    # the prologue call's time is split among its parties, so the rows sum to the prologue's time
     cfg, parties, public, test = small_world(3, rounds=0, max_epochs=15)
     t0 = time.perf_counter()
     log = run_fedmd(cfg, parties, public, test)
@@ -549,9 +594,8 @@ def test_failed_compute_job_leaves_the_compute_thread_usable(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["bus", "tcp"])
 def test_round_failure_outside_digest_and_revisit_names_its_party(monkeypatch, kind):
-    # party 1's evaluation after its grouped digest and revisit fails; the group has parties 0-2
+    # party 1's evaluation after the round's digest and revisit of parties 0-2 fails
     cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
-    assert protocol.lockstep_groups(parties) == [parties]
     rounds_started, inner = [], nn.accuracy
 
     def accuracy(net, data):
@@ -680,17 +724,16 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch, distill):
     public = synth_blobs(3, 40, 4, 1.0, seed=21)
     test = synth_blobs(3, 20, 4, 1.0, seed=22)
     pool = synth_blobs(3, 40, 4, 1.0, seed=23)
-    # private sets of 9, 6 and 12 rows: lockstep groups of five, four and one party
+    # private sets of 9, 6 and 12 rows: nn steps each revisit as groups of five, four and one party
     sizes = [9] * 5 + [6] * 4 + [12]
     starts = np.cumsum([0] + sizes)
     parties = [
         make_party(k, arch, pool.take(np.arange(starts[k], starts[k + 1])), 4, 3, cfg)
         for k, arch in enumerate(archs)
     ]
-    assert [len(g) for g in protocol.lockstep_groups(parties)] == [5, 4, 1]
     alone = [PartyState(p.id, p.net.copy(), p.private) for p in parties]
 
-    calls = []  # (members, distinct inputs arrays, distinct targets arrays) of each grouped digest
+    calls = []  # (members, distinct inputs arrays, distinct targets arrays) of each digest call
     inner = nn.train_distill
 
     def recording(members, *args):
@@ -698,9 +741,11 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch, distill):
         return inner(members, *args)
 
     monkeypatch.setattr(nn, "train_distill", recording)
+    revisits = phase_calls(monkeypatch, "train_supervised")
     rows = rounds_over_bus(parties, public, test, cfg)
     monkeypatch.undo()
-    assert calls == [(5, 1, 1), (4, 1, 1), (1, 1, 1)] * 2  # an honest server's frames are shared
+    assert calls == [(10, 1, 1)] * 2  # one call a round, and an honest server's frames are shared
+    assert revisits == [10] * 2
 
     expected = []
     for j in (1, 2):
@@ -732,7 +777,6 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch, distill):
 )
 def test_grouped_round_failure_names_the_member_or_the_group(monkeypatch, step, failure, message):
     cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
-    assert protocol.lockstep_groups(parties) == [parties]
     if failure == "member":
         failing = diverging_member(parties[1].net, getattr(nn, step))
     else:
@@ -851,7 +895,7 @@ def test_server_loop_closes_every_end_on_rejection(make_pair):
         server_loop([server_end for server_end, _ in pairs], small_cfg(3, rounds=1), 10, 3)
     try:
         for _, party_end in pairs:  # EOF or a reset, and none of them waits for the timeout
-            with pytest.raises(ChannelError):
+            with pytest.raises(ChannelError, match="^peer closed the channel$"):
                 party_end.recv()
         assert time.perf_counter() - t0 < timeout / 10
     finally:
