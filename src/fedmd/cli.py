@@ -151,18 +151,22 @@ def _cmd_join(args) -> int:
     if not 0 <= k < cfg.collab.parties:
         raise ConfigError(f"party id {k} outside 0..{cfg.collab.parties - 1}")
     task = experiments.build_task(cfg)
-    party = experiments.build_parties(cfg, task)[k]
-    (baseline,) = protocol.prologue([party], task.public, task.test, cfg.collab)
-    print(f"party {k} baseline accuracy {baseline.accuracy:.4f}")
+    party = protocol.make_party(
+        k, cfg.architectures[k], task.privates[k], task.public.dim, task.num_classes, cfg.collab
+    )
+    # connect first, so that a failing prologue closes the channel and releases the server at once
     chan = transport.connect(_parse_addr(args.addr))
-    rounds = protocol.party_loop([party], task.public, task.test, cfg.collab, {k: chan})
-    log = MetricsLog(seed=cfg.seed, config_hash=experiments.config_hash(cfg))
-    log.rows.append(baseline)
-    log.rows.extend(rounds)
+    try:
+        rows = protocol.party_side([party], task.public, task.test, cfg.collab, lambda: {k: chan})
+    finally:
+        chan.close()
+    log = MetricsLog(rows, seed=cfg.seed, config_hash=experiments.config_hash(cfg))
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, f"party_{k}.csv")
     with open(out_path, "w") as f:
         f.write(log.to_csv())
+    baseline, *rounds = rows
+    print(f"party {k} baseline accuracy {baseline.accuracy:.4f}")
     for r in rounds:
         print(f"round {r.round}: accuracy {r.accuracy:.4f}")
     print(f"wrote {out_path}")

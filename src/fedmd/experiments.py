@@ -404,7 +404,10 @@ class NonIidProbe:
 
 
 def run_noniid_probe(cfg: ExperimentConfig, transport_kind: str = "bus") -> NonIidProbe:
-    """Run a noniid experiment and measure never-seen-subclass accuracy before and after."""
+    """Run a noniid experiment and measure never-seen-subclass accuracy before and after.
+
+    "Before" is each party's network as its prologue left it (``transferred``).
+    """
     if cfg.partition_mode != "noniid":
         raise ConfigError("the probe needs a noniid config")
     task = build_task(cfg)
@@ -415,15 +418,9 @@ def run_noniid_probe(cfg: ExperimentConfig, transport_kind: str = "bus") -> NonI
         seen = set(task.assignment[k].values())
         mask = ~np.isin(task.test_subclasses, sorted(seen))
         unseen_sets.append(task.test.take(np.flatnonzero(mask)))
-    pre = [0.0] * m
-
-    def capture(party: PartyState) -> None:
-        pre[party.id] = nn.accuracy(party.net, unseen_sets[party.id])
-
-    log = run_fedmd(
-        cfg.collab, parties, task.public, task.test, transport_kind, after_transfer=capture
-    )
-    post = [nn.accuracy(p.net, unseen_sets[p.id]) for p in sorted(parties, key=lambda p: p.id)]
+    log = run_fedmd(cfg.collab, parties, task.public, task.test, transport_kind)
+    pre = [nn.accuracy(p.transferred, unseen_sets[p.id]) for p in parties]
+    post = [nn.accuracy(p.net, unseen_sets[p.id]) for p in parties]
     return NonIidProbe(
         pre_unseen=pre,
         post_unseen=post,

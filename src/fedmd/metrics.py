@@ -84,29 +84,6 @@ class MetricsLog:
             )
         return out.getvalue()
 
-    @staticmethod
-    def from_csv(text: str) -> "MetricsLog":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != CSV_HEADER:
-            raise DataError(f"unexpected CSV header: {lines[0] if lines else '<empty>'!r}")
-        log = MetricsLog()
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            if len(cells) != 6:
-                raise DataError(f"expected 6 cells, got {len(cells)}: {ln!r}")
-            round_key: "int | str" = cells[0] if cells[0] in (BASELINE, POOLED) else int(cells[0])
-            log.rows.append(
-                MetricsRow(
-                    round=round_key,
-                    party=int(cells[1]),
-                    accuracy=float(cells[2]),
-                    digest_loss=float(cells[3]) if cells[3] else None,
-                    revisit_loss=float(cells[4]) if cells[4] else None,
-                    wall_ms=float(cells[5]),
-                )
-            )
-        return log
-
 
 def summarize(log: MetricsLog) -> dict:
     """Per-party gain over baseline and gap to pooled, with their means.

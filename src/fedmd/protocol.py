@@ -16,8 +16,9 @@ so simulation and networked runs share one code path: one call per side.
 ``server_loop`` reads every hello and drives the rounds, for the in-process
 run on one thread of its own and for ``fedmd serve`` on its main thread.
 Lockstep rounds leave no compute to overlap, so one ``party_loop`` on the
-caller's thread serves every in-process party; ``fedmd join`` runs the same
-loop for its one party. Each loop closes every channel it was given when it
+caller's thread serves every in-process party. ``party_side`` runs the
+prologue, then that loop: ``run_fedmd`` calls it for every party, ``fedmd
+join`` for its one. Each loop closes every channel it was given when it
 returns or raises, so no side waits on a peer that gave up. The wire messages
 of ``transport`` are the round's data types: a subset is a
 ``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the consensus a
@@ -130,6 +131,7 @@ class PartyState:
     net: Network
     private: Dataset
     pretrained: "Network | None" = None  # copy of ``net`` after the public phase
+    transferred: "Network | None" = None  # copy of ``net`` after the whole prologue
 
 
 def make_party(
@@ -179,12 +181,17 @@ def transfer_learn(
     """``pretrain_public``, then ``fit_private``; returns each party's two reports.
 
     A copy of each post-public network is kept as ``party.pretrained``, so the
-    pooled baseline can continue from it instead of repeating the public phase.
+    pooled baseline can continue from it instead of repeating the public phase,
+    and a copy of each final one as ``party.transferred``, so a caller can
+    measure the network the rounds started from after the rounds have run.
     """
     public_reports = pretrain_public(parties, public, cfg)
     for party in parties:
         party.pretrained = party.net.copy()
-    return list(zip(public_reports, fit_private(parties, cfg)))
+    private_reports = fit_private(parties, cfg)
+    for party in parties:
+        party.transferred = party.net.copy()
+    return list(zip(public_reports, private_reports))
 
 
 def _blame(parties: list[PartyState], exc: Exception) -> str:
@@ -466,24 +473,35 @@ def party_loop(
     return metrics
 
 
+def party_side(
+    parties: list[PartyState], public: Dataset, test: Dataset, cfg: CollaborationConfig, connect
+) -> list[MetricsRow]:
+    """A party's whole run: ``prologue``, then ``party_loop`` over the channels ``connect()`` returns.
+
+    ``connect`` is called only once the prologue has returned and gives the
+    channels keyed by party id. Returns the baseline rows in party order, then
+    the round rows.
+    """
+    baselines = prologue(parties, public, test, cfg)
+    rounds = party_loop(parties, public, test, cfg, connect())
+    return sorted(baselines, key=lambda m: m.party) + rounds
+
+
 def run_fedmd(
     cfg: CollaborationConfig,
     parties: list[PartyState],
     public: Dataset,
     test: Dataset,
     transport_kind: str = "bus",
-    after_transfer=None,
 ) -> MetricsLog:
     """Transfer-learning prologue for every party, then P collaboration rounds.
 
     ``transport_kind`` selects what the channels run over ("bus": in-process
     socketpairs, "tcp": 127.0.0.1); results are independent of the choice.
-    The prologue, the hooks and every party's rounds (``party_loop``) run on
-    the caller's thread; the server (``server_loop``) runs on one
-    ``fedmd-server`` thread, joined before this returns or raises.
-    ``after_transfer`` is an optional hook called with each party, in list
-    order, between the baseline measurements and the first round; a failure
-    raises ``ProtocolError`` ``party K failed after transfer: …``.
+    Every party's side (``party_side``) runs on the caller's thread. The
+    channels open after the prologue, and the server (``server_loop``) then
+    starts on one ``fedmd-server`` thread, joined before this returns or
+    raises.
     """
     if len(parties) != cfg.parties:
         raise ConfigError(f"config names {cfg.parties} parties but {len(parties)} were given")
@@ -507,51 +525,47 @@ def run_fedmd(
         raise ShapeError(f"test feature dim {test.dim} does not match public dim {public.dim}")
     if transport_kind not in ("bus", "tcp"):
         raise ConfigError(f"unknown transport {transport_kind!r}")
-    baselines = prologue(parties, public, test, cfg)
-    if after_transfer is not None:
-        for p in parties:
-            try:
-                after_transfer(p)
-            except Exception as exc:
-                raise ProtocolError(f"party {p.id} failed after transfer: {exc}") from exc
+    server, server_errors = None, []
 
-    if transport_kind == "bus":
-        pairs = [transport.bus_pair() for _ in parties]
-        server_ends = [server_end for server_end, _ in pairs]
-        party_channels = {p.id: party_end for p, (_, party_end) in zip(parties, pairs)}
-    else:
-        # every party connects before the first accept, so the backlog must hold them all
-        listener = transport.serve(("127.0.0.1", 0), backlog=cfg.parties)
-        party_channels, server_ends = {}, []
-        try:
-            for p in parties:
-                party_channels[p.id] = transport.connect(listener.address)
-            for _ in parties:
-                server_ends.append(listener.accept())
-        except BaseException:
-            for chan in [*party_channels.values(), *server_ends]:
-                chan.close()
-            raise
-        finally:
-            listener.close()
-
-    server_errors = []
-
-    def serve_rounds() -> None:
+    def serve_rounds(server_ends) -> None:
         try:
             server_loop(server_ends, cfg, public.n, test.num_classes)
         except BaseException as exc:  # raised by run_fedmd after the join
             server_errors.append(exc)
 
-    server = threading.Thread(target=serve_rounds, name="fedmd-server", daemon=True)
-    server.start()
+    def connect() -> "dict[int, object]":
+        nonlocal server
+        if transport_kind == "bus":
+            pairs = [transport.bus_pair() for _ in parties]
+            server_ends = [server_end for server_end, _ in pairs]
+            party_channels = {p.id: party_end for p, (_, party_end) in zip(parties, pairs)}
+        else:
+            # every party connects before the first accept, so the backlog must hold them all
+            listener = transport.serve(("127.0.0.1", 0), backlog=cfg.parties)
+            party_channels, server_ends = {}, []
+            try:
+                for p in parties:
+                    party_channels[p.id] = transport.connect(listener.address)
+                for _ in parties:
+                    server_ends.append(listener.accept())
+            except BaseException:
+                for chan in [*party_channels.values(), *server_ends]:
+                    chan.close()
+                raise
+            finally:
+                listener.close()
+        server = threading.Thread(target=serve_rounds, args=(server_ends,), name="fedmd-server", daemon=True)
+        server.start()
+        return party_channels
+
     party_error: "BaseException | None" = None
     try:
-        rounds = party_loop(parties, public, test, cfg, party_channels)
+        rows = party_side(parties, public, test, cfg, connect)
     except BaseException as exc:
         party_error = exc
     finally:
-        server.join()
+        if server is not None:
+            server.join()
 
     # report the root cause: a party-side channel error is only the teardown of a failed server
     if server_errors and (party_error is None or isinstance(party_error, ChannelError)):
@@ -562,8 +576,6 @@ def run_fedmd(
     if party_error is not None:
         raise party_error
 
-    log = MetricsLog(seed=cfg.seed)
-    log.rows.extend(sorted(baselines, key=lambda m: m.party))
-    log.rows.extend(rounds)
+    log = MetricsLog(rows, seed=cfg.seed)
     log.validate()
     return log

@@ -23,7 +23,6 @@ connection; both move the same frames through the same send, recv and close.
 
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -214,13 +213,16 @@ def decode_message(data: bytes):
 
 
 class TcpChannel:
-    """One end of a stream socket, a TCP connection or a socketpair, moving length-prefixed frames."""
+    """One end of a stream socket, a TCP connection or a socketpair, moving length-prefixed frames.
+
+    An end is sent on from one thread at a time (sends are not locked); one
+    other thread may receive on it meanwhile.
+    """
 
     def __init__(self, sock: socket.socket, timeout: float):
         self._sock = sock
         self._sock.settimeout(timeout)
         self._timeout = timeout
-        self._lock = threading.Lock()
         self._closed = False
 
     def send(self, msg) -> None:
@@ -228,8 +230,7 @@ class TcpChannel:
             raise ChannelError("channel is closed")
         frame = encode_message(msg)
         try:
-            with self._lock:
-                self._sock.sendall(frame)
+            self._sock.sendall(frame)
         except OSError as exc:
             raise ChannelError(f"send failed: {exc}") from exc
 

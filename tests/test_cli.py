@@ -5,15 +5,17 @@ import os
 import socket
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from fedmd import cli, experiments
-from fedmd.errors import ConfigError
-from fedmd.metrics import MetricsLog
+from fedmd import cli, experiments, protocol, transport
+from fedmd.errors import ChannelError, ConfigError
 
 from idx_util import encode_idx
+from metrics_util import metrics_from_csv
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
@@ -92,7 +94,7 @@ def test_run_writes_outputs_and_prints_summary(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "mean gain" in out
     csv_text = (tmp_path / "out" / "metrics.csv").read_text()
-    log = MetricsLog.from_csv(csv_text)
+    log = metrics_from_csv(csv_text)
     log.validate()
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     for key in ("mean_gain", "per_party_gain", "mean_gap_to_pooled", "config_hash", "seed"):
@@ -149,7 +151,7 @@ def test_baseline_transfer_kind(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "base"))
     path = write_config(tmp_path)
     assert cli.main(["baseline", path, "--kind", "transfer"]) == 0
-    log = MetricsLog.from_csv((tmp_path / "base" / "metrics.csv").read_text())
+    log = metrics_from_csv((tmp_path / "base" / "metrics.csv").read_text())
     assert all(r.round == "baseline" for r in log.rows)
 
 
@@ -157,7 +159,7 @@ def test_baseline_pooled_kind(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "pooled"))
     path = write_config(tmp_path)
     assert cli.main(["baseline", path, "--kind", "pooled"]) == 0
-    log = MetricsLog.from_csv((tmp_path / "pooled" / "metrics.csv").read_text())
+    log = metrics_from_csv((tmp_path / "pooled" / "metrics.csv").read_text())
     assert any(r.round == "pooled" for r in log.rows)
 
 
@@ -231,7 +233,7 @@ def test_serve_join_matches_in_process_run(tmp_path):
         server.kill()
 
     for k in range(2):
-        party_log = MetricsLog.from_csv((tmp_path / "net" / f"party_{k}.csv").read_text())
+        party_log = metrics_from_csv((tmp_path / "net" / f"party_{k}.csv").read_text())
         mine = [r for r in reference.rows if r.party == k]
         assert len(party_log.rows) == len(mine)
         for got, want in zip(party_log.rows, mine):
@@ -242,3 +244,50 @@ def test_serve_join_matches_in_process_run(tmp_path):
                 want.digest_loss,
                 want.revisit_loss,
             )
+
+
+def test_join_whose_prologue_fails_releases_the_server_and_the_other_join(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, {"out_dir": str(tmp_path / "net")})
+    cfg = cli.parse_config(cfg_path)
+    task = experiments.build_task(cfg)
+    inner = protocol.transfer_learn
+
+    def transfer_learn(parties, *args):  # party 0's prologue fails, party 1's runs
+        if parties[0].id == 0:
+            raise ValueError("boom")
+        return inner(parties, *args)
+
+    monkeypatch.setattr(protocol, "transfer_learn", transfer_learn)
+    timeout = 20.0
+    listener = transport.serve(("127.0.0.1", 0), backlog=2, timeout=timeout)
+    addr = "{}:{}".format(*listener.address)
+    done = {}
+
+    def serve():
+        t0 = time.perf_counter()
+        try:
+            accepted = (listener.accept() for _ in range(2))
+            protocol.server_loop(accepted, cfg.collab, task.public.n, task.num_classes)
+        except BaseException as exc:
+            done["server"] = exc
+        finally:
+            done["server_s"] = time.perf_counter() - t0
+            listener.close()
+
+    threads = [
+        threading.Thread(target=serve, daemon=True),
+        threading.Thread(target=lambda: done.update(join_1=cli.main(["join", addr, "1", cfg_path])), daemon=True),
+    ]
+    for t in threads:
+        t.start()
+    assert cli.main(["join", addr, "0", cfg_path]) == 1
+    for t in threads:
+        t.join(timeout=2 * timeout)
+        assert not t.is_alive()
+    err = capsys.readouterr().err.splitlines()
+    assert "fedmd: error: protocol: party 0 failed during transfer: boom" in err
+    assert isinstance(done["server"], ChannelError)
+    assert str(done["server"]) == "peer closed the channel"
+    assert done["server_s"] < timeout / 4
+    assert done["join_1"] == 1  # released by the server's close, not by a timeout
+    assert any(line.startswith("fedmd: error: channel: ") for line in err)

@@ -24,6 +24,7 @@ from fedmd.metrics import BASELINE, POOLED, MetricsLog, MetricsRow, summarize
 from fedmd.protocol import CollaborationConfig, fit_private, make_party, transfer_learn
 
 from idx_util import encode_idx
+from metrics_util import metrics_from_csv
 
 
 def tiny_config(seed=0, parties=2, rounds=1, pooled=False, **data_kw):
@@ -58,7 +59,7 @@ def test_metrics_csv_round_trip():
         config_hash="abc",
         seed=3,
     )
-    back = MetricsLog.from_csv(log.to_csv())
+    back = metrics_from_csv(log.to_csv())
     assert back.rows == log.rows
 
 

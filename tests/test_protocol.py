@@ -62,6 +62,18 @@ def small_world(m, seed=0, classes=3, dim=4, per_class=3, public_spread=1.0, arc
     return cfg, parties, public, test
 
 
+def after_prologue(monkeypatch, hook):
+    """Has every run call ``hook(parties)`` once its ``protocol.prologue`` has returned."""
+    inner = protocol.prologue
+
+    def prologue(parties, *args):
+        rows = inner(parties, *args)
+        hook(parties)
+        return rows
+
+    monkeypatch.setattr(protocol, "prologue", prologue)
+
+
 # --- transfer learning -----------------------------------------------------------
 
 
@@ -232,20 +244,6 @@ def test_baseline_evaluation_failure_names_its_party(monkeypatch):
     monkeypatch.setattr(nn, "accuracy", accuracy)
     with pytest.raises(ProtocolError, match=r"^party 1 failed during transfer: boom$"):
         run_fedmd(cfg, parties, public, test)
-
-
-def test_after_transfer_failure_names_its_party():
-    cfg, parties, public, test = small_world(3, rounds=1, max_epochs=5)
-    seen = []
-
-    def hook(party):
-        seen.append(party.id)
-        if party.id == 1:
-            raise RuntimeError("boom")
-
-    with pytest.raises(ProtocolError, match=r"^party 1 failed after transfer: boom$"):
-        run_fedmd(cfg, parties, public, test, after_transfer=hook)
-    assert seen == [0, 1]  # in party order; party 2's hook never runs
 
 
 # --- subset selection ----------------------------------------------------------------
@@ -444,7 +442,8 @@ def test_run_fedmd_event_ordering_with_threads(monkeypatch):
     record(protocol, "aggregate", lambda reports, _weights: [("aggregate", reports[0].round)])
     record(nn, "train_distill", round_step("digest"))
     record(nn, "train_supervised", round_step("revisit"))
-    run_fedmd(cfg, parties, public, test, after_transfer=lambda p: owner.update({id(p.net): p.id}))
+    after_prologue(monkeypatch, lambda parties: owner.update({id(p.net): p.id for p in parties}))
+    run_fedmd(cfg, parties, public, test)
     for j in (1, 2):
         agg = events.index(("aggregate", j))
         for k in range(3):
@@ -526,15 +525,15 @@ def test_run_fedmd_class_count_mismatch_fails_before_training(monkeypatch):
         run_fedmd(cfg, parties, public, test)
 
 
-def test_run_fedmd_party_failure_identifies_party_and_step():
+def test_run_fedmd_party_failure_identifies_party_and_step(monkeypatch):
     cfg, parties, public, test = small_world(2, rounds=1, max_epochs=2)
 
-    def poison(party):  # party 1's private data goes non-finite after its prologue, so its revisit diverges
-        if party.id == 1:
-            party.private.features[0, 0] = np.nan
+    def poison(parties):  # party 1's private data goes non-finite after its prologue, so its revisit diverges
+        parties[1].private.features[0, 0] = np.nan
 
+    after_prologue(monkeypatch, poison)
     with np.errstate(all="ignore"), pytest.raises(ProtocolError, match="^party 1 round 1: revisit failed: non-finite"):
-        run_fedmd(cfg, parties, public, test, after_transfer=poison)
+        run_fedmd(cfg, parties, public, test)
 
 
 def test_one_compute_thread_runs_every_party_computation(monkeypatch):
@@ -604,22 +603,42 @@ def test_round_failure_outside_digest_and_revisit_names_its_party(monkeypatch, k
         return inner(net, data)
 
     monkeypatch.setattr(nn, "accuracy", accuracy)
+    after_prologue(monkeypatch, rounds_started.append)
     with pytest.raises(ProtocolError, match=r"^party 1 failed during rounds: boom$"):
-        run_fedmd(cfg, parties, public, test, transport_kind=kind, after_transfer=rounds_started.append)
+        run_fedmd(cfg, parties, public, test, transport_kind=kind)
 
 
-@pytest.mark.parametrize("fail", [False, True], ids=["clean", "failing-digest"])
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (None, None),
+        ("train_distill", r"^party 1 round 1: digest failed: poisoned$"),
+        ("train_to_convergence", r"^party 1 failed during transfer: poisoned$"),
+    ],
+    ids=["clean", "failing-digest", "failing-prologue"],
+)
 @pytest.mark.parametrize("kind", ["bus", "tcp"])
-def test_no_thread_outlives_a_run(monkeypatch, kind, fail):
+def test_no_thread_outlives_a_run(monkeypatch, kind, fail, message):
     cfg, parties, public, test = small_world(3, rounds=2, max_epochs=2)
+    made, inner = [], transport.TcpChannel.__init__
+
+    def recording_init(self, *args):
+        made.append(self)
+        inner(self, *args)
+
+    monkeypatch.setattr(transport.TcpChannel, "__init__", recording_init)
     if fail:
-        monkeypatch.setattr(nn, "train_distill", diverging_member(parties[1].net, nn.train_distill))
-        with pytest.raises(ProtocolError, match="party 1 round 1: digest failed: poisoned"):
+        monkeypatch.setattr(nn, fail, diverging_member(parties[1].net, getattr(nn, fail)))
+        with pytest.raises(ProtocolError, match=message):
             run_fedmd(cfg, parties, public, test, transport_kind=kind)
     else:
         run_fedmd(cfg, parties, public, test, transport_kind=kind)
     alive = [t.name for t in threading.enumerate() if t.name.startswith(("fedmd-", "party-"))]
     assert alive == []
+    assert len(made) == (0 if fail == "train_to_convergence" else 6)  # a failed prologue opens no channel
+    for chan in made:
+        with pytest.raises(ChannelError, match="^channel is closed$"):
+            chan.recv()
 
 
 @pytest.mark.parametrize("failing", ["connect", "accept"])
