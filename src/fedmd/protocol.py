@@ -328,12 +328,12 @@ def _digest_and_revisit(
 
 # --- channel-driven execution ---------------------------------------------------
 
-# each frame kind's name in error messages, and the field that holds its array
+# each frame kind's name in error messages
 _FRAMES = {
-    ScoreReport: ("scores", "scores"),
-    ConsensusBroadcast: ("consensus", "targets"),
-    SubsetAnnouncement: ("subset", "indices"),
-    RoundComplete: ("completion", None),
+    ScoreReport: "scores",
+    ConsensusBroadcast: "consensus",
+    SubsetAnnouncement: "subset",
+    RoundComplete: "completion",
 }
 
 
@@ -346,13 +346,14 @@ def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int
     ``ProtocolError`` starting ``party K round J:``.
     """
     msg = channel.recv()
-    what, array_field = ("hello", "scores") if round == 0 else _FRAMES[kind]
+    what = "hello" if round == 0 else _FRAMES[kind]
     sender = party if party is not None else getattr(msg, "party", "?")
     where = f"party {sender} round {round}:"
     if not isinstance(msg, kind) or msg.round != round:
         raise ProtocolError(f"{where} expected a {what}, got a round-{msg.round} {type(msg).__name__}")
     if party is not None and getattr(msg, "party", party) != party:
         raise ProtocolError(f"{where} its channel delivered the {what} of party {msg.party}")
+    array_field = transport.LAYOUT[kind].array
     if array_field is None:
         return msg
     arr = getattr(msg, array_field)

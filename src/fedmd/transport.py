@@ -8,24 +8,30 @@ Frame layout (golden-byte tested):
     u32 BE   round number
     ...      tag-specific body
 
-Bodies:
+Bodies, by tag:
 
-    ScoreReport        u32 BE party | u32 BE rows | u32 BE cols | rows*cols f32 LE row-major
-    ConsensusBroadcast u32 BE rows  | u32 BE cols | rows*cols f32 LE row-major
-    SubsetAnnouncement u32 BE count | count * u32 BE indices
-    RoundComplete      (empty)
+    0x01 ScoreReport        u32 BE party | u32 BE rows | u32 BE cols | rows*cols f32 LE row-major
+    0x02 ConsensusBroadcast u32 BE rows  | u32 BE cols | rows*cols f32 LE row-major
+    0x03 SubsetAnnouncement u32 BE count | count * u32 BE indices
+    0x04 RoundComplete      (empty)
 
 Integers travel big-endian (network order); float payloads travel little-endian.
+This text is the spec. The code's one copy of it is ``_HEAD`` for the header
+and ``LAYOUT`` for the bodies, one row per kind; ``encode_message`` and
+``decode_message`` both read them. perfbench's output checks parse frames from
+this text on their own.
 ``TcpChannel`` is the only channel. The in-process bus (``bus_pair``) is one
 ``socket.socketpair()``, and a networked run (``serve``, ``connect``) is a TCP
 connection; both move the same frames through the same send, recv and close.
 """
 
+import math
 import socket
 import struct
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,162 +41,88 @@ PROTOCOL_VERSION = 1
 MAX_PAYLOAD = 2**31 - 1
 DEFAULT_TIMEOUT = 300.0
 
-TAG_SCORE_REPORT = 0x01
-TAG_CONSENSUS = 0x02
-TAG_SUBSET = 0x03
-TAG_ROUND_COMPLETE = 0x04
+
+class _Message:
+    """Equal to a message of its kind with equal fields; arrays need equal shapes and values, NaN equal to NaN."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(vars(self).values(), vars(other).values())
+        )
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreReport:
+class ScoreReport(_Message):
     round: int
     party: int
     scores: np.ndarray  # [rows, cols] float32
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScoreReport)
-            and self.round == other.round
-            and self.party == other.party
-            and self.scores.shape == other.scores.shape
-            and np.array_equal(self.scores, other.scores, equal_nan=True)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class ConsensusBroadcast:
+class ConsensusBroadcast(_Message):
     round: int
     targets: np.ndarray  # [rows, cols] float32
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConsensusBroadcast)
-            and self.round == other.round
-            and self.targets.shape == other.targets.shape
-            and np.array_equal(self.targets, other.targets, equal_nan=True)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class SubsetAnnouncement:
+class SubsetAnnouncement(_Message):
     round: int
     indices: np.ndarray  # [count] non-negative ints
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubsetAnnouncement)
-            and self.round == other.round
-            and np.array_equal(self.indices, other.indices)
-        )
 
-
-@dataclass(frozen=True)
-class RoundComplete:
+@dataclass(frozen=True, eq=False)
+class RoundComplete(_Message):
     round: int
 
 
-def _u32(value: int, what: str) -> bytes:
-    if not 0 <= value < 2**32:
-        raise CodecError(f"{what} {value} does not fit in u32")
-    return struct.pack(">I", value)
+class Layout(NamedTuple):
+    """One kind's frame after the round: its ``header`` u32s, then its ``array`` as ``dims`` u32s and the values.
+
+    A message is ``kind(round, *header, array)``. Its array is ``dtype`` in
+    memory and ``wire`` on the wire.
+    """
+
+    tag: int
+    header: tuple[str, ...]
+    array: "str | None"
+    dims: int
+    wire: "np.dtype | None"
+    dtype: "type | None"
 
 
-def _matrix_bytes(arr: np.ndarray) -> bytes:
-    if arr.ndim != 2:
-        raise CodecError(f"matrix payload must be 2-d, got shape {arr.shape}")
-    rows, cols = arr.shape
-    return _u32(rows, "rows") + _u32(cols, "cols") + np.ascontiguousarray(arr, "<f4").tobytes()
+LAYOUT = {
+    ScoreReport: Layout(0x01, ("party",), "scores", 2, np.dtype("<f4"), np.float32),
+    ConsensusBroadcast: Layout(0x02, (), "targets", 2, np.dtype("<f4"), np.float32),
+    SubsetAnnouncement: Layout(0x03, (), "indices", 1, np.dtype(">u4"), np.int64),
+    RoundComplete: Layout(0x04, (), None, 0, None, None),
+}
+_KINDS = {layout.tag: kind for kind, layout in LAYOUT.items()}
+_HEAD = struct.Struct(">IBII")  # length prefix, tag, version, round
 
 
 def encode_message(msg) -> bytes:
     """Serialize one message into a complete frame, length prefix included."""
-    if isinstance(msg, ScoreReport):
-        body = _u32(msg.party, "party") + _matrix_bytes(msg.scores)
-        tag = TAG_SCORE_REPORT
-    elif isinstance(msg, ConsensusBroadcast):
-        body = _matrix_bytes(msg.targets)
-        tag = TAG_CONSENSUS
-    elif isinstance(msg, SubsetAnnouncement):
-        idx = np.asarray(msg.indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= 2**32):
-            raise CodecError("subset indices must fit in u32")
-        body = _u32(len(idx), "count") + idx.astype(">u4").tobytes()
-        tag = TAG_SUBSET
-    elif isinstance(msg, RoundComplete):
-        body = b""
-        tag = TAG_ROUND_COMPLETE
-    else:
+    layout = LAYOUT.get(type(msg))
+    if layout is None:
         raise CodecError(f"cannot encode {type(msg).__name__}")
-    payload = struct.pack(">BI", tag, PROTOCOL_VERSION) + _u32(msg.round, "round") + body
-    if len(payload) > MAX_PAYLOAD:
-        raise CodecError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
-    return struct.pack(">I", len(payload)) + payload
-
-
-class _Reader:
-    """Bounds-checked cursor over one frame; never reads past the declared length."""
-
-    def __init__(self, data: bytes, start: int, end: int):
-        self.data = data
-        self.pos = start
-        self.end = end
-
-    def u8(self, what: str) -> int:
-        if self.pos + 1 > self.end:
-            raise CodecError(f"truncated {what}", self.pos)
-        v = self.data[self.pos]
-        self.pos += 1
-        return v
-
-    def u32(self, what: str) -> int:
-        if self.pos + 4 > self.end:
-            raise CodecError(f"truncated {what}", self.pos)
-        v = struct.unpack_from(">I", self.data, self.pos)[0]
-        self.pos += 4
-        return v
-
-    def raw(self, count: int, what: str) -> bytes:
-        if self.pos + count > self.end:
-            raise CodecError(f"truncated {what}: need {count} bytes", self.pos)
-        v = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return v
-
-    def done(self) -> None:
-        if self.pos != self.end:
-            raise CodecError(f"{self.end - self.pos} unconsumed payload bytes", self.pos)
-
-
-def _decode_payload(data: bytes, start: int, end: int):
-    r = _Reader(data, start, end)
-    tag = r.u8("tag")
-    version = r.u32("version")
-    if version != PROTOCOL_VERSION:
-        raise CodecError(f"protocol version {version}, expected {PROTOCOL_VERSION}", start + 1)
-    rnd = r.u32("round")
-    if tag == TAG_SCORE_REPORT:
-        party = r.u32("party")
-        rows, cols = r.u32("rows"), r.u32("cols")
-        raw = r.raw(rows * cols * 4, "score matrix")
-        r.done()
-        scores = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float32)
-        return ScoreReport(rnd, party, scores)
-    if tag == TAG_CONSENSUS:
-        rows, cols = r.u32("rows"), r.u32("cols")
-        raw = r.raw(rows * cols * 4, "consensus matrix")
-        r.done()
-        targets = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float32)
-        return ConsensusBroadcast(rnd, targets)
-    if tag == TAG_SUBSET:
-        count = r.u32("count")
-        raw = r.raw(count * 4, "indices")
-        r.done()
-        indices = np.frombuffer(raw, dtype=">u4").astype(np.int64)
-        return SubsetAnnouncement(rnd, indices)
-    if tag == TAG_ROUND_COMPLETE:
-        r.done()
-        return RoundComplete(rnd)
-    raise CodecError(f"unknown tag 0x{tag:02x}", start)
+    ints = [getattr(msg, name) for name in layout.header]
+    values = b""
+    if layout.array is not None:
+        arr = np.asarray(getattr(msg, layout.array), layout.dtype)
+        if arr.ndim != layout.dims:
+            raise CodecError(f"{layout.array} must be {layout.dims}-d, got shape {arr.shape}")
+        if layout.wire.kind == "u" and arr.size and (arr.min() < 0 or arr.max() >= 2**32):
+            raise CodecError(f"{layout.array} must fit in u32")
+        ints += arr.shape
+        values = arr.astype(layout.wire, copy=False).tobytes()
+    length = _HEAD.size - 4 + 4 * len(ints) + len(values)
+    if length > MAX_PAYLOAD:
+        raise CodecError(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
+    try:
+        head = _HEAD.pack(length, layout.tag, PROTOCOL_VERSION, msg.round) + struct.pack(f">{len(ints)}I", *ints)
+    except struct.error:
+        raise CodecError(f"round {msg.round} or {type(msg).__name__} fields {ints} do not fit in u32") from None
+    return head + values
 
 
 def decode_message(data: bytes):
@@ -206,7 +138,29 @@ def decode_message(data: bytes):
         )
     if len(data) - 4 > declared:
         raise CodecError("trailing bytes after frame", 4 + declared)
-    return _decode_payload(data, 4, 4 + declared)
+    if len(data) < _HEAD.size:
+        raise CodecError("truncated header", len(data))
+    _, tag, version, rnd = _HEAD.unpack_from(data)
+    if version != PROTOCOL_VERSION:
+        raise CodecError(f"protocol version {version}, expected {PROTOCOL_VERSION}", 5)
+    if tag not in _KINDS:
+        raise CodecError(f"unknown tag 0x{tag:02x}", 4)
+    kind = _KINDS[tag]
+    layout = LAYOUT[kind]
+    n = len(layout.header) + layout.dims
+    pos = _HEAD.size + 4 * n
+    if len(data) < pos:
+        raise CodecError(f"truncated {kind.__name__} header", len(data))
+    ints = struct.unpack_from(f">{n}I", data, _HEAD.size)
+    header, shape = ints[: len(layout.header)], ints[len(layout.header) :]
+    count = math.prod(shape)
+    body = count * layout.wire.itemsize if layout.array else 0
+    if len(data) - pos != body:
+        raise CodecError(f"{kind.__name__} of shape {shape} needs {body} bytes, got {len(data) - pos}", pos)
+    if layout.array is None:
+        return kind(rnd, *header)
+    arr = np.frombuffer(data, layout.wire, count, pos).reshape(shape).astype(layout.dtype)
+    return kind(rnd, *header, arr)
 
 
 # --- channels -----------------------------------------------------------------

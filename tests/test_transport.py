@@ -1,6 +1,7 @@
 """Wire-format and channel tests: golden bytes, round-trips, fuzz, ordering."""
 
 import socket
+import struct
 import threading
 import time
 
@@ -57,6 +58,21 @@ def test_score_report_golden_bytes():
     assert frame == expected
 
 
+def test_consensus_broadcast_golden_bytes():
+    frame = encode_message(ConsensusBroadcast(2, np.array([[1.5], [-2.0]], dtype=np.float32)))
+    expected = bytes.fromhex(
+        "00000019"  # 25 payload bytes
+        "02"  # tag
+        "00000001"  # version
+        "00000002"  # round
+        "00000002"  # rows
+        "00000001"  # cols
+        "0000c03f"  # 1.5 little-endian float32
+        "000000c0"  # -2.0 little-endian float32
+    )
+    assert frame == expected
+
+
 def test_subset_announcement_golden_bytes():
     frame = encode_message(SubsetAnnouncement(round=1, indices=np.array([0, 65536])))
     expected = bytes.fromhex(
@@ -81,14 +97,14 @@ message_strategy = st.one_of(
         ScoreReport,
         round=st.integers(0, 2**32 - 1),
         party=st.integers(0, 2**32 - 1),
-        scores=st.tuples(st.integers(0, 8), st.integers(1, 8), st.integers(0, 10**6)).map(
+        scores=st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 10**6)).map(
             lambda t: matrix(t[0], t[1], t[2])
         ),
     ),
     st.builds(
         ConsensusBroadcast,
         round=st.integers(0, 2**32 - 1),
-        targets=st.tuples(st.integers(0, 8), st.integers(1, 8), st.integers(0, 10**6)).map(
+        targets=st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 10**6)).map(
             lambda t: matrix(t[0], t[1], t[2])
         ),
     ),
@@ -108,19 +124,62 @@ def test_empty_score_matrix_round_trips():
     assert back.scores.shape == (0, 6)
 
 
+# --- equality ---------------------------------------------------------------------
+
+
+def test_a_score_report_holding_nan_equals_its_round_trip():
+    scores = matrix(2, 3)
+    scores[1, 2] = np.nan
+    msg = ScoreReport(1, 0, scores)
+    assert decode_message(encode_message(msg)) == msg
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (ScoreReport(0, 4, np.zeros((0, 6), np.float32)), ScoreReport(0, 4, np.zeros((0, 5), np.float32))),
+        (SubsetAnnouncement(1, np.array([3, 4])), SubsetAnnouncement(2, np.array([3, 4]))),
+        (ScoreReport(1, 0, matrix(2, 3)), ConsensusBroadcast(1, matrix(2, 3))),
+        (RoundComplete(1), SubsetAnnouncement(1, np.array([], np.int64))),
+    ],
+    ids=["empty-scores-of-other-widths", "subset-of-another-round", "other-kind", "other-kind-same-round"],
+)
+def test_messages_that_differ_are_unequal(a, b):
+    assert a != b and b != a
+    assert a == a and b == b
+
+
 # --- decoder robustness ---------------------------------------------------------------
 
 
-def test_decode_truncated_frame_errors():
-    frame = encode_message(RoundComplete(5))
+@pytest.mark.parametrize(
+    "msg",
+    [
+        ScoreReport(3, 1, matrix(2, 3)),
+        ConsensusBroadcast(4, matrix(2, 3, seed=1)),
+        SubsetAnnouncement(5, np.array([0, 7, 2**32 - 1])),
+        RoundComplete(5),
+    ],
+    ids=["score-report", "consensus", "subset", "round-complete"],
+)
+def test_decode_truncated_frame_errors(msg):
+    frame = encode_message(msg)
     for cut in range(len(frame)):
         with pytest.raises(CodecError):
             decode_message(frame[:cut])
+        if cut >= 4:  # the same cut, declared by its prefix, reaches the header and body checks
+            with pytest.raises(CodecError):
+                decode_message(struct.pack(">I", cut - 4) + frame[4:cut])
 
 
 def test_decode_overdeclared_length():
     with pytest.raises(CodecError, match="declares"):
         decode_message(bytes.fromhex("000000ff" "04" "00000001"))
+
+
+def test_decode_oversize_declaration():
+    with pytest.raises(CodecError, match="exceeds"):
+        decode_message(bytes.fromhex("80000000"))
 
 
 def test_decode_unknown_tag():
@@ -140,6 +199,13 @@ def test_decode_version_mismatch():
 def test_decode_shape_inconsistency():
     frame = bytearray(encode_message(ScoreReport(0, 0, matrix(2, 2))))
     frame[20] = 3  # claim 3 rows, payload holds 2x2 floats
+    with pytest.raises(CodecError):
+        decode_message(bytes(frame))
+
+
+def test_decode_body_longer_than_its_shape():
+    frame = bytearray(encode_message(ScoreReport(0, 0, matrix(2, 2))))
+    frame[20] = 1  # claim 1 row, payload holds 2x2 floats
     with pytest.raises(CodecError):
         decode_message(bytes(frame))
 
@@ -232,6 +298,20 @@ def test_channel_close_surfaces_channel_error(make_pair):
         b.close()
 
 
+@PAIRS
+def test_recv_rejects_an_oversize_declaration_without_waiting_for_its_payload(make_pair):
+    a, b = make_pair(10)
+    try:
+        a._sock.sendall(bytes.fromhex("80000000"))
+        t0 = time.monotonic()
+        with pytest.raises(CodecError, match="exceeds"):
+            b.recv()
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        a.close()
+        b.close()
+
+
 @pytest.mark.parametrize(
     "cut, message",
     [
@@ -296,3 +376,25 @@ def test_encode_rejects_oversized_declarations():
         encode_message(RoundComplete(2**32))
     with pytest.raises(CodecError):
         encode_message(SubsetAnnouncement(0, np.array([-1])))
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        ScoreReport(0, 0, np.zeros(3, np.float32)),
+        ScoreReport(0, 0, np.zeros((2, 3, 1), np.float32)),
+        ScoreReport(2**32, 0, matrix(1, 2)),
+        ScoreReport(0, 2**32, matrix(1, 2)),
+        SubsetAnnouncement(0, np.array([2**32])),
+        RoundComplete(1.5),
+    ],
+    ids=["1-d-scores", "3-d-scores", "round", "party", "index-2-to-the-32", "fractional-round"],
+)
+def test_encode_rejects_what_the_wire_cannot_carry(msg):
+    with pytest.raises(CodecError):
+        encode_message(msg)
+
+
+def test_encode_rejects_an_object_that_is_no_message():
+    with pytest.raises(CodecError, match="cannot encode"):
+        encode_message((1, 2))
