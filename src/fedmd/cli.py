@@ -138,7 +138,7 @@ def _cmd_serve(args) -> int:
     listener = transport.serve(_parse_addr(args.addr), backlog=m)
     print(f"serving {m} parties on {listener.address[0]}:{listener.address[1]}")
     try:
-        protocol.server_loop((listener.accept() for _ in range(m)), cfg.collab, task.public.n, task.num_classes)
+        protocol.server_loop((listener.accept() for _ in range(m)), cfg.collab, task.public.n, task.test.num_classes)
     finally:
         listener.close()
     print(f"completed {cfg.collab.rounds} rounds")
@@ -152,7 +152,7 @@ def _cmd_join(args) -> int:
         raise ConfigError(f"party id {k} outside 0..{cfg.collab.parties - 1}")
     task = experiments.build_task(cfg)
     party = protocol.make_party(
-        k, cfg.architectures[k], task.privates[k], task.public.dim, task.num_classes, cfg.collab
+        k, cfg.architectures[k], task.privates[k], task.public.dim, task.test.num_classes, cfg.collab
     )
     # connect first, so that a failing prologue closes the channel and releases the server at once
     chan = transport.connect(_parse_addr(args.addr))

@@ -145,8 +145,7 @@ class TaskData:
 
     public: Dataset
     privates: list[Dataset]
-    test: Dataset
-    num_classes: int
+    test: Dataset  # its class count is the task's
     assignment: "tuple[dict[int, int], ...] | None" = None  # noniid: superclass -> subclass
     test_subclasses: "np.ndarray | None" = None  # noniid: original subclass of test rows
 
@@ -160,12 +159,10 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
     """
     seed = cfg.seed
     spec = cfg.data
+    num_supers = _noniid_superclasses(cfg.subclass_map) if cfg.partition_mode == "noniid" else None
     if spec.kind == "blobs":
-        task_classes = (
-            _noniid_superclasses(cfg.subclass_map) if cfg.partition_mode == "noniid" else spec.classes
-        )
         public = synth_blobs(
-            task_classes,
+            num_supers or spec.classes,
             spec.public_per_class,
             spec.dim,
             spec.public_spread if spec.public_spread is not None else spec.spread,
@@ -197,15 +194,13 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
     m, partition_seed = cfg.collab.parties, derive_seed(seed, "partition")
     if cfg.partition_mode == "iid":
         split = partition_iid(pool, m, cfg.per_class, partition_seed)
-        return TaskData(public, list(split.parties), test_pool, pool.num_classes)
+        return TaskData(public, list(split.parties), test_pool)
     split = partition_noniid(pool, m, cfg.per_class, partition_seed, cfg.subclass_map)
-    num_supers = _noniid_superclasses(cfg.subclass_map)
     test = to_superclass(test_pool, cfg.subclass_map, num_supers)
     return TaskData(
         public,
         list(split.parties),
         test,
-        num_supers,
         assignment=split.assignment,
         test_subclasses=test_pool.labels,
     )
@@ -213,7 +208,7 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
 
 def build_parties(cfg: ExperimentConfig, task: TaskData) -> list[PartyState]:
     return [
-        make_party(k, cfg.architectures[k], task.privates[k], task.public.dim, task.num_classes, cfg.collab)
+        make_party(k, cfg.architectures[k], task.privates[k], task.public.dim, task.test.num_classes, cfg.collab)
         for k in range(cfg.collab.parties)
     ]
 
@@ -231,7 +226,7 @@ def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartySt
     pooled_private = Dataset(
         np.concatenate([d.features for d in task.privates]),
         np.concatenate([d.labels for d in task.privates]),
-        task.num_classes,
+        task.test.num_classes,
     )
     copies = []
     for party in sorted(parties, key=lambda p: p.id):

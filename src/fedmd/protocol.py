@@ -14,7 +14,8 @@ together the members that share a row count and dtype.
 The round loop runs over ``TcpChannel`` ends (in-process socketpairs or TCP),
 so simulation and networked runs share one code path: one call per side.
 ``server_loop`` reads every hello and drives the rounds, for the in-process
-run on one thread of its own and for ``fedmd serve`` on its main thread.
+run as the one job of an executor, on a ``fedmd-server_0`` thread, and for
+``fedmd serve`` on its main thread.
 Lockstep rounds leave no compute to overlap, so one ``party_loop`` on the
 caller's thread serves every in-process party. ``party_side`` runs the
 prologue, then that loop: ``run_fedmd`` calls it for every party, ``fedmd
@@ -23,20 +24,23 @@ returns or raises, so no side waits on a peer that gave up. The wire messages
 of ``transport`` are the round's data types: a subset is a
 ``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the consensus a
 ``ConsensusBroadcast``, from the moment they are made to the moment they are
-used. ``expect`` checks each one once, where it is received.
+used. ``expect`` checks each one once, where it is received. Each failure is
+named where it happens: ``expect`` names a frame that does not decode or
+breaks the protocol, and ``_failing`` a training, evaluation or scoring call.
 """
 
 import math
-import threading
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn, transport
 from .data import Dataset
-from .errors import ChannelError, ConfigError, DivergenceError, ProtocolError, ShapeError
+from .errors import ChannelError, CodecError, ConfigError, DivergenceError, ProtocolError, ShapeError
 from .metrics import BASELINE, MetricsLog, MetricsRow
 from .nn import AdamParams, Network, TrainReport
 from .transport import ConsensusBroadcast, RoundComplete, ScoreReport, SubsetAnnouncement
@@ -194,12 +198,23 @@ def transfer_learn(
     return list(zip(public_reports, private_reports))
 
 
-def _blame(parties: list[PartyState], exc: Exception) -> str:
-    """Who a failed training call names: the member that diverged, a lone party, else every party of the call."""
-    if isinstance(exc, DivergenceError):
-        return f"party {parties[exc.member].id}"
-    ids = ", ".join(str(p.id) for p in parties)
-    return f"party {ids}" if len(parties) == 1 else f"parties {ids}"
+@contextmanager
+def _failing(parties: list[PartyState], what: str):
+    """Turn a failure inside into ``ProtocolError`` ``{who} {what}: …``; a ``ProtocolError`` passes as is.
+
+    ``who`` is the member that diverged, a lone party, else every party of the call.
+    """
+    try:
+        yield
+    except ProtocolError:
+        raise
+    except Exception as exc:
+        if isinstance(exc, DivergenceError):
+            who = f"party {parties[exc.member].id}"
+        else:
+            ids = ", ".join(str(p.id) for p in parties)
+            who = f"party {ids}" if len(parties) == 1 else f"parties {ids}"
+        raise ProtocolError(f"{who} {what}: {exc}") from exc
 
 
 def fit_and_measure(parties: list[PartyState], fit, test: Dataset, kind, phase: str) -> list[MetricsRow]:
@@ -209,21 +224,15 @@ def fit_and_measure(parties: list[PartyState], fit, test: Dataset, kind, phase: 
     ``wall_ms`` is the whole call's time split evenly among the parties. A
     failure of ``fit`` other than a ``ProtocolError`` raises ``ProtocolError``
     ``party K failed during {phase}: …`` (or ``parties K, L, …``, see
-    ``_blame``); a failed evaluation names its party.
+    ``_failing``); a failed evaluation names its party.
     """
     t0 = time.perf_counter()
-    try:
+    with _failing(parties, f"failed during {phase}"):
         losses = fit(parties) or [(None, None)] * len(parties)
-    except ProtocolError:
-        raise
-    except Exception as exc:
-        raise ProtocolError(f"{_blame(parties, exc)} failed during {phase}: {exc}") from exc
     accs = []
     for p in parties:
-        try:
+        with _failing([p], f"failed during {phase}"):
             accs.append(nn.accuracy(p.net, test))
-        except Exception as exc:
-            raise ProtocolError(f"party {p.id} failed during {phase}: {exc}") from exc
     wall_ms = (time.perf_counter() - t0) * 1000.0 / len(parties)
     return [
         MetricsRow(kind, p.id, acc, digest_loss, revisit_loss, wall_ms)
@@ -308,21 +317,17 @@ def _digest_and_revisit(
         x = inputs if np.array_equal(x, first) else public.features[x]
         y = targets if np.array_equal(y.view(np.uint8), targets.view(np.uint8)) else y
         digest.append(nn.Member(p.net, x, y, rng_stream(cfg.seed, p.id, "digest", j)))
-    try:
+    with _failing(parties, f"round {j}: digest failed"):
         digest_losses = [
             nn.distill_loss(reports[p.id].scores, consensus[p.id].targets, cfg.distill)[0] for p in parties
         ]
         nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, cfg.opt, cfg.distill)
-    except Exception as exc:
-        raise ProtocolError(f"{_blame(parties, exc)} round {j}: digest failed: {exc}") from exc
     revisit = [
         nn.Member(p.net, p.private.features, p.private.labels, rng_stream(cfg.seed, p.id, "revisit", j))
         for p in parties
     ]
-    try:
+    with _failing(parties, f"round {j}: revisit failed"):
         revisits = nn.train_supervised(revisit, cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
-    except Exception as exc:
-        raise ProtocolError(f"{_blame(parties, exc)} round {j}: revisit failed: {exc}") from exc
     return [(d, r.epoch_losses[-1] if r.epoch_losses else None) for d, r in zip(digest_losses, revisits)]
 
 
@@ -343,10 +348,15 @@ def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int
     A score report must come from ``party``, whose channel carried it (None at
     the hello, before the sender is known). Subset indices must lie below
     ``below``; scores and consensus must be finite. A failure raises
-    ``ProtocolError`` starting ``party K round J:``.
+    ``ProtocolError`` starting ``party K round J:``, a frame that does not
+    decode ``party K round J: undecodable <frame>: …`` (``party ?`` at a hello).
     """
-    msg = channel.recv()
     what = "hello" if round == 0 else _FRAMES[kind]
+    try:
+        msg = channel.recv()
+    except CodecError as exc:
+        who = "?" if party is None else party
+        raise ProtocolError(f"party {who} round {round}: undecodable {what}: {exc}") from exc
     sender = party if party is not None else getattr(msg, "party", "?")
     where = f"party {sender} round {round}:"
     if not isinstance(msg, kind) or msg.round != round:
@@ -425,9 +435,7 @@ def party_loop(
     0) so the server can map its channel to it before round 1. A round's
     training and evaluations are one ``fit_and_measure`` call. Returns the
     round rows in round, then party order, and closes every channel given when
-    it returns or raises, which releases a server still waiting on a party. A
-    frame that fails to decode raises ``ProtocolError`` ``party K failed during
-    rounds: …`` for the party being served.
+    it returns or raises, which releases a server still waiting on a party.
     """
     # Ordering rule: a stream channel may buffer less than one frame, so a send
     # can block until the peer reads it. Serve the parties in ascending id, the
@@ -449,10 +457,8 @@ def party_loop(
                 chan = channels[party.id]
                 selections[party.id] = expect(chan, SubsetAnnouncement, j, party.id, (subset_size,), public.n)
             for party in parties:
-                try:
+                with _failing([party], f"round {j}: communicate failed"):
                     reports[party.id] = compute_scores(party, public, selections[party.id])
-                except Exception as exc:
-                    raise ProtocolError(f"party {party.id} round {j}: communicate failed: {exc}") from exc
                 channels[party.id].send(reports[party.id])
             for party in parties:
                 shape = reports[party.id].scores.shape
@@ -464,10 +470,6 @@ def party_loop(
             metrics.extend(fit_and_measure(parties, fit, test, j, "rounds"))
             for party in parties:
                 channels[party.id].send(RoundComplete(j))
-    except (ProtocolError, ChannelError):
-        raise
-    except Exception as exc:  # a frame that failed to decode; ``party`` is the one being served
-        raise ProtocolError(f"party {party.id} failed during rounds: {exc}") from exc
     finally:
         for chan in channels.values():
             chan.close()
@@ -501,8 +503,11 @@ def run_fedmd(
     socketpairs, "tcp": 127.0.0.1); results are independent of the choice.
     Every party's side (``party_side``) runs on the caller's thread. The
     channels open after the prologue, and the server (``server_loop``) then
-    starts on one ``fedmd-server`` thread, joined before this returns or
-    raises.
+    runs as the one job of an executor, on a ``fedmd-server_0`` thread that
+    is joined before this returns or raises. The server's failure is raised
+    when the party side returns, or fails only with a ``ChannelError``, the
+    teardown of that failure: a ``ProtocolError`` as is, anything else as
+    ``server failed: …``.
     """
     if len(parties) != cfg.parties:
         raise ConfigError(f"config names {cfg.parties} parties but {len(parties)} were given")
@@ -526,13 +531,7 @@ def run_fedmd(
         raise ShapeError(f"test feature dim {test.dim} does not match public dim {public.dim}")
     if transport_kind not in ("bus", "tcp"):
         raise ConfigError(f"unknown transport {transport_kind!r}")
-    server, server_errors = None, []
-
-    def serve_rounds(server_ends) -> None:
-        try:
-            server_loop(server_ends, cfg, public.n, test.num_classes)
-        except BaseException as exc:  # raised by run_fedmd after the join
-            server_errors.append(exc)
+    server = None  # the future of ``server_loop``, once the channels are open
 
     def connect() -> "dict[int, object]":
         nonlocal server
@@ -555,27 +554,20 @@ def run_fedmd(
                 raise
             finally:
                 listener.close()
-        server = threading.Thread(target=serve_rounds, args=(server_ends,), name="fedmd-server", daemon=True)
-        server.start()
+        server = pool.submit(server_loop, server_ends, cfg, public.n, test.num_classes)
         return party_channels
 
-    party_error: "BaseException | None" = None
-    try:
-        rows = party_side(parties, public, test, cfg, connect)
-    except BaseException as exc:
-        party_error = exc
-    finally:
-        if server is not None:
-            server.join()
-
-    # report the root cause: a party-side channel error is only the teardown of a failed server
-    if server_errors and (party_error is None or isinstance(party_error, ChannelError)):
-        (server_error,) = server_errors
-        if isinstance(server_error, ProtocolError):
-            raise server_error
-        raise ProtocolError(f"server failed: {server_error}") from server_error
-    if party_error is not None:
-        raise party_error
+    with ThreadPoolExecutor(1, "fedmd-server") as pool:
+        try:
+            rows = party_side(parties, public, test, cfg, connect)
+        except ChannelError:  # the teardown of a failed server, whose failure is the root cause
+            if server is None or server.exception() is None:
+                raise
+        failure = server.exception()
+        if isinstance(failure, ProtocolError):
+            raise failure
+        if failure is not None:
+            raise ProtocolError(f"server failed: {failure}") from failure
 
     log = MetricsLog(rows, seed=cfg.seed)
     log.validate()

@@ -6,6 +6,7 @@ lines and per-seed details.
 
 import math
 import os
+import struct
 import time
 
 import numpy as np
@@ -213,12 +214,17 @@ def test_criterion_7_wire_protocol():
     for i in range(100_000):
         n = int(rng.integers(0, 80))
         blob = rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+        blobs = [blob]
         if i % 3 == 0 and len(blob) < len(valid):  # grind mutated prefixes of a real frame too
             blob = valid[: len(blob)] + blob[: max(0, len(blob) - 4)]
-        try:
-            transport.decode_message(blob)
-        except CodecError:
-            pass
+            blobs = [blob]
+            if len(blob) >= 4:  # and the same bytes under a length prefix that matches them
+                blobs.append(struct.pack(">I", len(blob) - 4) + blob[4:])
+        for data in blobs:
+            try:
+                transport.decode_message(data)
+            except CodecError:
+                pass
 
     # cross-transport equality
     def world():

@@ -3,6 +3,7 @@
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -199,6 +200,38 @@ def free_port() -> int:
         return s.getsockname()[1]
 
 
+def child_env():
+    """The environment of a child ``python -m fedmd``, which finds fedmd in src/ whether or not it is installed."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def test_serve_names_the_party_and_round_of_an_undecodable_frame(tmp_path):
+    cfg_path = write_config(tmp_path, {"parties": 1, "architectures": [[8]]})
+    addr = ("127.0.0.1", free_port())
+    server = subprocess.Popen(
+        [sys.executable, "-m", "fedmd", "serve", "{}:{}".format(*addr), cfg_path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    try:
+        chan = transport.connect(addr, timeout=30.0)
+        try:
+            chan.send(transport.ScoreReport(0, 0, np.zeros((0, 3), dtype=np.float32)))
+            assert isinstance(chan.recv(), transport.SubsetAnnouncement)
+            chan._sock.sendall(struct.pack(">IBII", 9, 1, 7, 1))  # scores of protocol version 7
+            _, err = server.communicate(timeout=30)
+        finally:
+            chan.close()
+    finally:
+        server.kill()
+        server.communicate()
+    assert server.returncode == 1
+    lines = err.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("fedmd: error: protocol: party 0 round 1: undecodable scores: ")
+
+
 def test_serve_join_matches_in_process_run(tmp_path):
     """Two real join processes against a serve process reproduce the bus-run metrics."""
     cfg_path = write_config(tmp_path, {"out_dir": str(tmp_path / "net")})
@@ -208,9 +241,7 @@ def test_serve_join_matches_in_process_run(tmp_path):
     port = free_port()
     addr = f"127.0.0.1:{port}"
     env_cmd = [sys.executable, "-m", "fedmd"]
-    # the children find fedmd in src/ whether or not it is installed
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = child_env()
     server = subprocess.Popen(
         env_cmd + ["serve", addr, cfg_path], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env
     )
@@ -267,7 +298,7 @@ def test_join_whose_prologue_fails_releases_the_server_and_the_other_join(tmp_pa
         t0 = time.perf_counter()
         try:
             accepted = (listener.accept() for _ in range(2))
-            protocol.server_loop(accepted, cfg.collab, task.public.n, task.num_classes)
+            protocol.server_loop(accepted, cfg.collab, task.public.n, task.test.num_classes)
         except BaseException as exc:
             done["server"] = exc
         finally:

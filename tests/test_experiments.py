@@ -227,10 +227,10 @@ def test_pooled_rows_continue_from_prologue_snapshot(monkeypatch):
     pooled_private = Dataset(
         np.concatenate([d.features for d in task.privates]),
         np.concatenate([d.labels for d in task.privates]),
-        task.num_classes,
+        task.test.num_classes,
     )
     for k, arch in enumerate(cfg.architectures):
-        old = make_party(k, arch, pooled_private, task.public.dim, task.num_classes, cfg.collab)
+        old = make_party(k, arch, pooled_private, task.public.dim, task.test.num_classes, cfg.collab)
         transfer_learn([old], task.public, cfg.collab)
         new_params = fitted[k].parameters()
         assert len(new_params) == len(old.net.parameters()) == 2 * (len(arch) + 1)
@@ -279,7 +279,6 @@ def test_noniid_run_and_probe():
         name="noniid-tiny",
     )
     task = build_task(cfg)
-    assert task.num_classes == 2
     assert task.test.num_classes == 2
     assert task.assignment is not None
     probe = experiments.run_noniid_probe(cfg)

@@ -2,6 +2,7 @@
 
 import os
 import socket
+import struct
 import threading
 import time
 
@@ -163,7 +164,7 @@ def test_pooled_rows_in_one_group_match_each_party_alone():
 
     cfg, parties, public, test = small_world(3, archs=MIXED_ARCHS, max_epochs=30)
     protocol.prologue(parties, public, test, cfg)
-    task = TaskData(public, [p.private for p in parties], test, test.num_classes)
+    task = TaskData(public, [p.private for p in parties], test)
     exp = ExperimentConfig(cfg, architectures=MIXED_ARCHS[:3])
     grouped = baseline_pooled(exp, task, parties)
     alone = [row for p in parties for row in baseline_pooled(exp, task, [p])]
@@ -222,7 +223,7 @@ def test_pooled_fit_failure_names_the_member_or_every_party(monkeypatch, error, 
 
     cfg, parties, public, test = small_world(3, max_epochs=5)
     protocol.prologue(parties, public, test, cfg)
-    task = TaskData(public, [p.private for p in parties], test, test.num_classes)
+    task = TaskData(public, [p.private for p in parties], test)
 
     def fit_private(parties, cfg):
         raise error
@@ -641,6 +642,36 @@ def test_no_thread_outlives_a_run(monkeypatch, kind, fail, message):
             chan.recv()
 
 
+@pytest.mark.parametrize(
+    "where, error, message",
+    [
+        ("aggregate", ProtocolError("bad consensus"), r"^bad consensus$"),
+        ("aggregate", ValueError("boom"), r"^server failed: boom$"),
+        ("after-the-rounds", ValueError("late"), r"^server failed: late$"),
+    ],
+    ids=["protocol-error", "other-error", "after-the-rounds"],
+)
+@pytest.mark.parametrize("kind", ["bus", "tcp"])
+def test_a_failed_server_is_reported_in_place_of_the_party_side_teardown(monkeypatch, kind, where, error, message):
+    # the parties see only a closed channel, or nothing at all when the server fails after the last round
+    cfg, parties, public, test = small_world(2, rounds=1, max_epochs=2)
+    if where == "aggregate":
+        def aggregate(reports, weights):
+            raise error
+
+        monkeypatch.setattr(protocol, "aggregate", aggregate)
+    else:
+        inner = protocol.server_loop
+
+        def server_loop(*args):
+            inner(*args)
+            raise error
+
+        monkeypatch.setattr(protocol, "server_loop", server_loop)
+    with pytest.raises(ProtocolError, match=message):
+        run_fedmd(cfg, parties, public, test, transport_kind=kind)
+
+
 @pytest.mark.parametrize("failing", ["connect", "accept"])
 def test_failed_tcp_setup_closes_the_listener_and_every_end_before_it(monkeypatch, failing):
     cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
@@ -841,12 +872,25 @@ def hello(party, rnd=0):
     return transport.ScoreReport(rnd, party, np.zeros((0, 3), dtype=np.float32))
 
 
+def bad_version(tag, rnd=1):
+    """The raw bytes of a frame of kind ``tag`` for round ``rnd`` that declares protocol version 7."""
+    return struct.pack(">IBII", 9, tag, 7, rnd)
+
+
+def put(chan, frame):
+    """Send a message, or write raw bytes as they are."""
+    if isinstance(frame, bytes):
+        chan._sock.sendall(frame)
+    else:
+        chan.send(frame)
+
+
 def handshake(frames, m):
-    """server_loop for no rounds over one bus pair per frame, each party end having sent its frame."""
+    """server_loop for no rounds over one bus pair per frame, each party end having sent (or written) its frame."""
     pairs = [transport.bus_pair(timeout=5.0) for _ in frames]
     try:
         for (_, party_end), frame in zip(pairs, frames):
-            party_end.send(frame)
+            put(party_end, frame)
         server_loop([server_end for server_end, _ in pairs], small_cfg(m, rounds=0), 10, 3)
     finally:
         for _, party_end in pairs:
@@ -886,6 +930,7 @@ def test_accept_parties_keys_channels_by_hello():
             [hello(0), transport.ScoreReport(0, 1, np.zeros((0, 2), dtype=np.float32))],
             r"party 1 round 0: hello of shape \(0, 2\)",
         ),
+        ([bad_version(0x01, rnd=0), hello(1)], r"^party \? round 0: undecodable hello: protocol version 7"),
     ],
     ids=[
         "not-a-score-report",
@@ -895,6 +940,7 @@ def test_accept_parties_keys_channels_by_hello():
         "too-few",
         "non-empty-scores",
         "wrong-class-count",
+        "undecodable",
     ],
 )
 def test_accept_parties_rejects_bad_hellos(frames, message):
@@ -934,7 +980,8 @@ def drive_round(side, frames):
 
     Server side: ``frames[k]`` is what party k sends after its hello. Party
     side: ``frames`` is what the server sends to the one party of
-    ``small_world``, which has 120 public samples and subsets of 64.
+    ``small_world``, which has 120 public samples and subsets of 64. A frame
+    given as bytes is written raw.
     """
     if side == "server":
         cfg = small_cfg(len(frames), rounds=1, subset_size=4)
@@ -942,7 +989,7 @@ def drive_round(side, frames):
         try:
             for k, ((_, party_end), sent) in enumerate(zip(pairs, frames)):
                 for frame in [hello(k)] + sent + [transport.RoundComplete(1)]:
-                    party_end.send(frame)
+                    put(party_end, frame)
             server_loop([server_end for server_end, _ in pairs], cfg, 10, 3)
         finally:
             for _, party_end in pairs:
@@ -952,7 +999,7 @@ def drive_round(side, frames):
         server_end, party_end = transport.bus_pair(timeout=5.0)
         try:
             for frame in frames:
-                server_end.send(frame)
+                put(server_end, frame)
             party_loop(parties[:1], public, test, cfg, {0: party_end})
         finally:
             server_end.close()
@@ -978,6 +1025,8 @@ def drive_round(side, frames):
             "party 0 round 1: non-finite consensus",
         ),
         ("party", [transport.SubsetAnnouncement(1, np.arange(57, 121))], "party 0 round 1: subset index 120"),
+        ("server", [[scores_of(0, 4)], [bad_version(0x01)]], "^party 1 round 1: undecodable scores: "),
+        ("party", [bad_version(0x03)], "^party 0 round 1: undecodable subset: "),
     ],
     ids=[
         "non-finite-scores",
@@ -986,6 +1035,8 @@ def drive_round(side, frames):
         "narrow-scores-single-party",
         "non-finite-consensus",
         "subset-index-out-of-range",
+        "undecodable-scores",
+        "undecodable-subset",
     ],
 )
 def test_bad_frame_from_peer_names_party_and_round(side, frames, message):

@@ -1,5 +1,6 @@
 """Wire-format and channel tests: golden bytes, round-trips, fuzz, ordering."""
 
+import re
 import socket
 import struct
 import threading
@@ -224,6 +225,30 @@ def test_decoder_is_total(data):
         pass  # structured rejection is the only acceptable failure
 
 
+# each check of decode_message after the length prefix, as its message starts
+DECODE_CHECKS = {
+    "truncated header": r"^truncated header",
+    "version": r"^protocol version",
+    "unknown tag": r"^unknown tag",
+    "truncated kind header": r"^truncated [A-Z]\w+ header",
+    "body length": r"^\w+ of shape .* needs \d+ bytes",
+}
+
+
+def mutated_frame(frame: bytes, rng) -> bytes:
+    """``frame`` with bytes flipped, truncated or appended after its prefix, which is rewritten to match."""
+    payload = bytearray(frame[4:])
+    op = int(rng.integers(3))
+    if op == 0:
+        for _ in range(int(rng.integers(1, 4))):
+            payload[int(rng.integers(len(payload)))] = int(rng.integers(256))
+    elif op == 1:
+        del payload[int(rng.integers(len(payload))) :]
+    else:
+        payload += rng.integers(0, 256, size=int(rng.integers(1, 9)), dtype=np.uint8).tobytes()
+    return struct.pack(">I", len(payload)) + bytes(payload)
+
+
 def test_fuzz_decoder_never_crashes():
     rng = np.random.default_rng(99)
     survived = 0
@@ -236,6 +261,27 @@ def test_fuzz_decoder_never_crashes():
             pass
         survived += 1
     assert survived == 20_000
+
+    # random bytes almost never pass the length prefix; mutations of real frames reach every later check
+    frames = [
+        encode_message(msg)
+        for msg in (
+            ScoreReport(3, 1, matrix(2, 3)),
+            ConsensusBroadcast(4, matrix(2, 3, seed=1)),
+            SubsetAnnouncement(5, np.array([0, 7, 2**32 - 1])),
+            RoundComplete(5),
+        )
+    ]
+    rejected, decoded = dict.fromkeys(DECODE_CHECKS, 0), 0
+    for i in range(20_000):
+        try:
+            decode_message(mutated_frame(frames[i % 4], rng))
+            decoded += 1
+        except CodecError as exc:
+            for check, pattern in DECODE_CHECKS.items():
+                rejected[check] += bool(re.match(pattern, str(exc)))
+    assert all(rejected.values()), rejected
+    assert decoded > 0
 
 
 # --- channels ---------------------------------------------------------------------
