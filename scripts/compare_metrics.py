@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Compare every metrics.csv under two run trees, with the wall_ms column dropped.
+"""Compare every metrics.csv and probe.csv under two run trees, with the wall_ms column dropped.
 
     python3 scripts/compare_metrics.py runs/before runs/after
 
-The trees must hold metrics.csv files at the same relative paths, with the
-same rows apart from wall_ms. Exits 0 when they do, and 1 with the first
+The trees must hold these files at the same relative paths, with the same
+rows apart from wall_ms. Exits 0 when they do, and 1 with the first
 difference when they do not.
 """
 
@@ -15,13 +15,17 @@ import os
 import sys
 
 
+COMPARED = ("metrics.csv", "probe.csv")
+
+
 def metrics_files(root: str) -> dict[str, str]:
-    """Every metrics.csv under ``root``, keyed by its path relative to ``root``."""
+    """Every metrics.csv and probe.csv under ``root``, keyed by its path relative to ``root``."""
     found = {}
     for dirpath, _, files in os.walk(root):
-        if "metrics.csv" in files:
-            path = os.path.join(dirpath, "metrics.csv")
-            found[os.path.relpath(path, root)] = path
+        for name in COMPARED:
+            if name in files:
+                path = os.path.join(dirpath, name)
+                found[os.path.relpath(path, root)] = path
     return found
 
 
@@ -38,7 +42,7 @@ def compare(root_a: str, root_b: str) -> "str | None":
     """The first difference between the two trees, or None when they match."""
     a, b = metrics_files(root_a), metrics_files(root_b)
     if not a and not b:
-        return f"no metrics.csv under {root_a} or {root_b}"
+        return f"no metrics.csv or probe.csv under {root_a} or {root_b}"
     for rel in sorted(set(a) ^ set(b)):
         return f"{rel}: only under {root_a if rel in a else root_b}"
     for rel in sorted(a):
@@ -65,7 +69,10 @@ def main() -> int:
     if difference is not None:
         print(difference)
         return 1
-    print(f"{len(metrics_files(args.dir_a))} metrics.csv files match apart from wall_ms")
+    found = [os.path.basename(rel) for rel in metrics_files(args.dir_a)]
+    for name in COMPARED:
+        if name in found:
+            print(f"{found.count(name)} {name} files match apart from wall_ms")
     return 0
 
 

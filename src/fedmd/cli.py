@@ -26,8 +26,6 @@ from .errors import (
 )
 from .metrics import MetricsLog
 
-OUT_DIR_ENV = "FEDMD_OUT_DIR"
-
 
 def _set_override(raw: dict, dotted: str, value_text: str) -> None:
     try:
@@ -62,10 +60,7 @@ def parse_config(path: str, overrides: "list[str] | None" = None) -> experiments
 
 
 def _resolve_out_dir(cfg: experiments.ExperimentConfig) -> experiments.ExperimentConfig:
-    if cfg.out_dir:
-        return cfg
-    out = os.environ.get(OUT_DIR_ENV) or os.path.join("runs", cfg.name)
-    return replace(cfg, out_dir=out)
+    return cfg if cfg.out_dir else replace(cfg, out_dir=os.path.join("runs", cfg.name))
 
 
 def _print_summary(log: MetricsLog, summary: dict) -> None:
@@ -88,14 +83,6 @@ def _cmd_run(args) -> int:
     log, summary = experiments.run_experiment(cfg, transport_kind=args.transport)
     _print_summary(log, summary)
     print(f"wrote {cfg.out_dir}/metrics.csv")
-    return 0
-
-
-def _cmd_baseline(args) -> int:
-    cfg = _resolve_out_dir(parse_config(args.config, args.override))
-    cfg = replace(cfg, collab=replace(cfg.collab, rounds=0), pooled=args.kind == "pooled")
-    log, summary = experiments.run_experiment(cfg)
-    _print_summary(log, summary)
     return 0
 
 
@@ -151,9 +138,7 @@ def _cmd_join(args) -> int:
     if not 0 <= k < cfg.collab.parties:
         raise ConfigError(f"party id {k} outside 0..{cfg.collab.parties - 1}")
     task = experiments.build_task(cfg)
-    party = protocol.make_party(
-        k, cfg.architectures[k], task.privates[k], task.public.dim, task.test.num_classes, cfg.collab
-    )
+    party = experiments.build_party(cfg, task, k)
     # connect first, so that a failing prologue closes the channel and releases the server at once
     chan = transport.connect(_parse_addr(args.addr))
     try:
@@ -186,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--override", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--transport", choices=("bus", "tcp"), default="bus")
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("baseline", help="run only the transfer or pooled baselines")
-    p.add_argument("config")
-    p.add_argument("--kind", choices=("transfer", "pooled"), required=True)
-    p.add_argument("-o", "--override", action="append", default=[], metavar="KEY=VALUE")
-    p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the training gradients")
     p.add_argument("--nets", type=int, default=50)

@@ -35,20 +35,6 @@ from .protocol import (
 )
 from .protocol import transfer_learn  # noqa: F401  perfbench traces the prologue under this name too
 
-# ten heterogeneous hidden-layer layouts, one per party in the canonical run
-CANONICAL_WIDTHS: tuple[tuple[int, ...], ...] = (
-    (32,),
-    (64,),
-    (32, 32),
-    (64, 32),
-    (128,),
-    (48, 48),
-    (96,),
-    (64, 64),
-    (32, 64),
-    (96, 32),
-)
-
 
 @dataclass(frozen=True)
 class BlobsSpec:
@@ -95,8 +81,7 @@ class ExperimentConfig:
     """One run: collaboration, data, partition and party models, checked when built.
 
     An invalid value raises ``ConfigError``, in ``replace`` too. ``architectures``
-    (hidden widths, one tuple per party) is stored as int tuples, taken in turn
-    from ``CANONICAL_WIDTHS`` when empty.
+    (hidden widths, one tuple per party, required) is stored as int tuples.
     """
 
     collab: CollaborationConfig
@@ -111,8 +96,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         m = self.collab.parties
-        archs = self.architectures or [CANONICAL_WIDTHS[k % len(CANONICAL_WIDTHS)] for k in range(m)]
-        archs = tuple(tuple(int(w) for w in a) for a in archs)
+        archs = tuple(tuple(int(w) for w in a) for a in self.architectures)
         if len(archs) != m:
             raise ConfigError(f"{len(archs)} architectures for {m} parties")
         for a in archs:
@@ -206,11 +190,13 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
     )
 
 
+def build_party(cfg: ExperimentConfig, task: TaskData, k: int) -> PartyState:
+    """Party ``k`` of the run, with its architecture and private set, its network freshly drawn."""
+    return make_party(k, cfg.architectures[k], task.privates[k], task.public.dim, task.test.num_classes, cfg.collab)
+
+
 def build_parties(cfg: ExperimentConfig, task: TaskData) -> list[PartyState]:
-    return [
-        make_party(k, cfg.architectures[k], task.privates[k], task.public.dim, task.test.num_classes, cfg.collab)
-        for k in range(cfg.collab.parties)
-    ]
+    return [build_party(cfg, task, k) for k in range(cfg.collab.parties)]
 
 
 def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartyState]) -> list[MetricsRow]:
@@ -248,7 +234,11 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def run_experiment(cfg: ExperimentConfig, transport_kind: str = "bus") -> tuple[MetricsLog, dict]:
     """Full run: baselines, P rounds, optional pooled upper bound, file emission."""
     task = build_task(cfg)
-    parties = build_parties(cfg, task)
+    return _run(cfg, task, build_parties(cfg, task), transport_kind)
+
+
+def _run(cfg: ExperimentConfig, task: TaskData, parties: list[PartyState], transport_kind: str):
+    """``run_fedmd`` over the built parties, then the pooled rows if ``cfg.pooled``; writes ``cfg.out_dir`` if set."""
     log = run_fedmd(cfg.collab, parties, task.public, task.test, transport_kind)
     if cfg.pooled:
         log.rows.extend(baseline_pooled(cfg, task, parties))
@@ -402,18 +392,22 @@ def run_noniid_probe(cfg: ExperimentConfig, transport_kind: str = "bus") -> NonI
     """Run a noniid experiment and measure never-seen-subclass accuracy before and after.
 
     "Before" is each party's network as its prologue left it (``transferred``).
+    The run is ``run_experiment``'s, outputs included. A party that holds every
+    subclass has none to be measured on: that is a ``ConfigError``, raised
+    before any training.
     """
     if cfg.partition_mode != "noniid":
         raise ConfigError("the probe needs a noniid config")
     task = build_task(cfg)
     parties = build_parties(cfg, task)
-    m = cfg.collab.parties
     unseen_sets = []
-    for k in range(m):
-        seen = set(task.assignment[k].values())
-        mask = ~np.isin(task.test_subclasses, sorted(seen))
+    for k, assignment in enumerate(task.assignment):
+        mask = ~np.isin(task.test_subclasses, sorted(set(assignment.values())))
+        if not mask.any():
+            raise ConfigError(f"party {k} holds every subclass, so it has no never-seen subclass to be probed on")
         unseen_sets.append(task.test.take(np.flatnonzero(mask)))
-    log = run_fedmd(cfg.collab, parties, task.public, task.test, transport_kind)
+    log, _ = _run(cfg, task, parties, transport_kind)
+    m = cfg.collab.parties
     pre = [nn.accuracy(p.transferred, unseen_sets[p.id]) for p in parties]
     post = [nn.accuracy(p.net, unseen_sets[p.id]) for p in parties]
     return NonIidProbe(

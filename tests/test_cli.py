@@ -68,7 +68,7 @@ def test_unknown_command_exit_2():
 
 def test_parse_config_minimal_defaults(tmp_path):
     path = tmp_path / "minimal.json"
-    path.write_text(json.dumps({"parties": 2, "rounds": 1}))
+    path.write_text(json.dumps({"parties": 2, "rounds": 1, "architectures": [[8], [8]]}))
     cfg = cli.parse_config(str(path))
     assert cfg.collab.subset_size == 5000
     assert cfg.collab.weights == (0.5, 0.5)
@@ -88,8 +88,7 @@ def test_parse_config_missing_file_is_config_error(tmp_path):
         cli.parse_config(str(tmp_path / "nope.json"))
 
 
-def test_run_writes_outputs_and_prints_summary(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+def test_run_writes_outputs_and_prints_summary(tmp_path, capsys):
     path = write_config(tmp_path, {"out_dir": str(tmp_path / "out")})
     assert cli.main(["run", path]) == 0
     out = capsys.readouterr().out
@@ -102,11 +101,20 @@ def test_run_writes_outputs_and_prints_summary(tmp_path, capsys, monkeypatch):
         assert key in summary
 
 
-def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "envout"))
+def test_out_dir_defaults_to_runs_name_whatever_the_environment_holds(tmp_path, monkeypatch):
+    monkeypatch.setenv("FEDMD_OUT_DIR", str(tmp_path / "envout"))
+    monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path)
     assert cli.main(["run", path]) == 0
-    assert (tmp_path / "envout" / "metrics.csv").exists()
+    assert (tmp_path / "runs" / "cli-tiny" / "metrics.csv").exists()
+    assert not (tmp_path / "envout").exists()
+
+
+def test_baseline_subcommand_is_gone(tmp_path, capsys):
+    path = write_config(tmp_path, {"out_dir": str(tmp_path / "out")})
+    assert cli.main(["baseline", path, "--kind", "transfer"]) == 2
+    assert "invalid choice: 'baseline'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_error_exit_2(tmp_path, capsys):
@@ -128,10 +136,9 @@ def test_config_error_exit_2(tmp_path, capsys):
         "subset_size=1.5",
     ],
 )
-def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, monkeypatch, override):
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "out"))
+def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, override):
     path = write_config(tmp_path)
-    assert cli.main(["baseline", path, "--kind", "transfer", "-o", override]) == 2
+    assert cli.main(["run", path, "-o", f"out_dir={tmp_path / 'out'}", "-o", override]) == 2
     assert "fedmd: error: config:" in capsys.readouterr().err
 
 
@@ -141,25 +148,22 @@ def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, monkeypatch, ov
     "override",
     ["lr=NaN", "min_improvement=NaN", "min_improvement=-1", "weights=[NaN, 1]", "beta1=1.0", "beta2=NaN", "epsilon=0"],
 )
-def test_bad_optimizer_value_exit_2(tmp_path, capsys, monkeypatch, override):
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "out"))
+def test_bad_optimizer_value_exit_2(tmp_path, capsys, override):
     path = write_config(tmp_path)
-    assert cli.main(["baseline", path, "--kind", "transfer", "-o", override]) == 2
+    assert cli.main(["run", path, "-o", f"out_dir={tmp_path / 'out'}", "-o", override]) == 2
     assert "fedmd: error: config:" in capsys.readouterr().err
 
 
-def test_baseline_transfer_kind(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "base"))
+def test_baseline_transfer_kind(tmp_path):
     path = write_config(tmp_path)
-    assert cli.main(["baseline", path, "--kind", "transfer"]) == 0
+    assert cli.main(["run", path, "-o", f"out_dir={tmp_path / 'base'}", "-o", "rounds=0", "-o", "pooled=false"]) == 0
     log = metrics_from_csv((tmp_path / "base" / "metrics.csv").read_text())
     assert all(r.round == "baseline" for r in log.rows)
 
 
-def test_baseline_pooled_kind(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "pooled"))
+def test_baseline_pooled_kind(tmp_path):
     path = write_config(tmp_path)
-    assert cli.main(["baseline", path, "--kind", "pooled"]) == 0
+    assert cli.main(["run", path, "-o", f"out_dir={tmp_path / 'pooled'}", "-o", "rounds=0", "-o", "pooled=true"]) == 0
     log = metrics_from_csv((tmp_path / "pooled" / "metrics.csv").read_text())
     assert any(r.round == "pooled" for r in log.rows)
 

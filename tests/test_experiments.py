@@ -141,12 +141,20 @@ def test_config_dict_round_trip():
 
 
 def test_config_minimal_applies_defaults():
-    cfg = config_from_dict({"parties": 2, "rounds": 3})
+    cfg = config_from_dict({"parties": 2, "rounds": 3, "architectures": [[8], [16, 8]]})
     assert cfg.collab.subset_size == 5000
     assert cfg.collab.lr == 0.001
     assert cfg.collab.weights == (0.5, 0.5)
     assert len(cfg.architectures) == 2
     assert cfg.data == BlobsSpec()
+
+
+def test_config_without_architectures_is_a_config_error():
+    # every party brings its own model: no architecture is filled in
+    with pytest.raises(ConfigError, match="^0 architectures for 2 parties$"):
+        config_from_dict({"parties": 2, "rounds": 1})
+    with pytest.raises(ConfigError, match="^0 architectures for 3 parties$"):
+        ExperimentConfig(CollaborationConfig(parties=3, rounds=1))
 
 
 def test_config_rejects_unknown_keys():
@@ -168,7 +176,7 @@ def test_config_validation_errors_name_constraint():
     with pytest.raises(ConfigError, match="3 architectures for 10 parties"):
         replace(cfg, architectures=cfg.architectures[:3])
     with pytest.raises(ConfigError, match="noniid partition requires subclass_map"):
-        ExperimentConfig(cfg.collab, partition_mode="noniid", subclass_map=None)
+        ExperimentConfig(cfg.collab, partition_mode="noniid", subclass_map=None, architectures=cfg.architectures)
     # data values that only build_task used to reject
     with pytest.raises(ConfigError, match="data.dim must be >= 1"):
         BlobsSpec(dim=0)
@@ -177,7 +185,9 @@ def test_config_validation_errors_name_constraint():
     with pytest.raises(ConfigError, match="data.public_per_class must be >= 1"):
         config_from_dict({"parties": 2, "rounds": 1, "data": {"kind": "blobs", "public_per_class": 0}})
     with pytest.raises(ConfigError, match="superclass indices must be contiguous"):
-        ExperimentConfig(cfg.collab, partition_mode="noniid", subclass_map={0: 0, 1: 2})
+        ExperimentConfig(
+            cfg.collab, partition_mode="noniid", subclass_map={0: 0, 1: 2}, architectures=cfg.architectures
+        )
 
 
 # --- runs -----------------------------------------------------------------------------
@@ -262,8 +272,8 @@ def test_run_experiment_rerun_is_identical_modulo_wall_time():
     assert texts[0] == texts[1]
 
 
-def test_noniid_run_and_probe():
-    cfg = ExperimentConfig(
+def noniid_tiny():
+    return ExperimentConfig(
         collab=CollaborationConfig(
             parties=2, rounds=1, subset_size=32, digest_epochs=2, digest_batch_size=16,
             revisit_epochs=1, revisit_batch_size=8, patience=5, max_epochs=10,
@@ -278,11 +288,36 @@ def test_noniid_run_and_probe():
         pooled=False,
         name="noniid-tiny",
     )
+
+
+def test_noniid_run_and_probe(tmp_path):
+    cfg = replace(noniid_tiny(), out_dir=str(tmp_path / "out"))
     task = build_task(cfg)
     assert task.test.num_classes == 2
     assert task.assignment is not None
     probe = experiments.run_noniid_probe(cfg)
     assert len(probe.pre_unseen) == 2 and len(probe.post_unseen) == 2
+    # the probe's run writes run_experiment's outputs
+    log = metrics_from_csv((tmp_path / "out" / "metrics.csv").read_text())
+    assert [log.final_accuracy(k) for k in range(2)] == probe.final
+    assert (tmp_path / "out" / "summary.json").exists() and (tmp_path / "out" / "effective_config.json").exists()
+
+
+def test_probe_fails_before_training_when_a_party_holds_every_subclass(monkeypatch):
+    trained = []
+    monkeypatch.setattr(nn, "train_to_convergence", lambda *args, **kw: trained.append(args))
+    cfg = noniid_tiny()
+    cfg = replace(
+        cfg,
+        collab=replace(cfg.collab, parties=1, weights=None),
+        data=replace(cfg.data, classes=3),
+        per_class=3,
+        subclass_map={0: 0, 1: 1, 2: 2},
+        architectures=((8,),),
+    )
+    with pytest.raises(ConfigError, match="^party 0 holds every subclass"):
+        experiments.run_noniid_probe(cfg)
+    assert trained == []
 
 
 def test_idx_task_runs_end_to_end(tmp_path):

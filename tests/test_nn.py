@@ -15,6 +15,7 @@ from fedmd.data import synth_blobs
 from fedmd.errors import ConfigError, DivergenceError, ShapeError
 
 from net_util import share_no_parameter
+from reference_util import reference_cross_entropy, reference_forward, reference_group_run_epochs
 
 
 def mlp(*layer_specs, num_classes):
@@ -397,12 +398,7 @@ def test_gradients_match_finite_differences():
     assert {c.loss for c in report.cases} == {"xent", "mae"}
 
 
-# --- fused training step against the list-based reference --------------------------
-#
-# The reference is the loop the fused one replaced: fresh gradient arrays per
-# layer, the pure adam_step, and the new arrays rebound into the layers. It
-# uses its own forward and cross-entropy too, so every op of the fused path is
-# checked against the one it replaced.
+# --- fused training step against the list-based reference (reference_util) --------
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
@@ -414,89 +410,6 @@ def config_architectures():
             if arch not in archs:
                 archs.append(arch)
     return archs
-
-
-def reference_forward_cached(net, batch):
-    h, pre, post = batch, [], [batch]
-    last = len(net.layers) - 1
-    for i, lyr in enumerate(net.layers):
-        z = h @ lyr.weight + lyr.bias
-        pre.append(z)
-        h = z if i == last else np.maximum(z, 0)
-        post.append(h)
-    return h, (pre, post)
-
-
-def reference_backward(net, cache, dlogits):
-    pre, post = cache
-    grads = [None] * (2 * len(net.layers))
-    delta = dlogits
-    for i in range(len(net.layers) - 1, -1, -1):
-        lyr = net.layers[i]
-        if i < len(net.layers) - 1:
-            delta = delta * (pre[i] > 0)
-        grads[2 * i] = post[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
-        if i > 0:
-            delta = delta @ lyr.weight.T
-    return grads
-
-
-def reference_cross_entropy(logits, labels):
-    n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    denom = e.sum(axis=1, dtype=np.float64)
-    loss = float(np.mean(np.log(denom) - shifted[np.arange(n), labels].astype(np.float64)))
-    grad = (e / denom[:, None]).astype(logits.dtype)
-    grad[np.arange(n), labels] -= 1
-    grad /= n
-    return loss, grad
-
-
-def reference_distill_loss(logits, targets, kind):
-    d = logits - targets
-    d64 = logits.astype(np.float64) - targets.astype(np.float64)
-    if kind == "mae":
-        return float(np.mean(np.abs(d64))), np.sign(d) / d.size
-    return float(np.mean(np.square(d64))), (2.0 / d.size) * d
-
-
-def reference_run_epochs(net, inputs, targets, loss, epochs, batch_size, opt, rng, on_epoch=None):
-    n = inputs.shape[0]
-    state = nn.AdamState.fresh(net.parameters(), opt)
-    report = nn.TrainReport()
-    for epoch in range(epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            logits, cache = reference_forward_cached(net, inputs[idx])
-            if loss == "xent":
-                value, dlogits = reference_cross_entropy(logits, targets[idx])
-            else:
-                value, dlogits = reference_distill_loss(logits, targets[idx], loss)
-            grads = reference_backward(net, cache, dlogits)
-            new_params, state = nn.adam_step(net.parameters(), grads, state)
-            for lyr, w, b in zip(net.layers, new_params[::2], new_params[1::2]):
-                lyr.weight, lyr.bias = w, b
-            total += value * len(idx)
-        report.epoch_losses.append(total / n)
-        if on_epoch is not None and on_epoch(epoch, report.epoch_losses[-1]):
-            break
-    return report
-
-
-def reference_group_run_epochs(members, loss, epochs, batch_size, opt, on_epoch=None):
-    """The reference loop run on each member of a group alone."""
-    reports = []
-    for i, mem in enumerate(members):
-        rows = slice(None) if mem.rows is None else mem.rows
-        stop = None if on_epoch is None else (lambda epoch, value, i=i: on_epoch(i, epoch, value))
-        reports.append(reference_run_epochs(
-            mem.net, mem.inputs[rows], mem.targets[rows], loss, epochs, batch_size, opt, mem.rng, stop
-        ))
-    return reports
 
 
 TRAIN = synth_blobs(6, 15, 16, 1.5, seed=3)  # 90 rows: batches of 32 leave a ragged 26
@@ -531,7 +444,7 @@ def test_fused_training_matches_list_reference_bitwise(monkeypatch, arch, kind):
     report = train(net)
     with monkeypatch.context() as patched:
         patched.setattr(nn, "_run_epochs", reference_group_run_epochs)
-        patched.setattr(nn, "forward", lambda net, batch: reference_forward_cached(net, batch)[0])
+        patched.setattr(nn, "forward", reference_forward)
         ref_report = train(ref_net)
     assert report.epoch_losses == ref_report.epoch_losses
     assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), ref_net.parameters()))

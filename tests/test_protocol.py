@@ -537,7 +537,7 @@ def test_run_fedmd_party_failure_identifies_party_and_step(monkeypatch):
         run_fedmd(cfg, parties, public, test)
 
 
-def test_one_compute_thread_runs_every_party_computation(monkeypatch):
+def test_the_callers_thread_runs_every_party_computation(monkeypatch):
     threads = set()  # (ident, name) of each thread that trained or evaluated a network
     for name in ("train_to_convergence", "train_distill", "train_supervised", "accuracy"):
 
@@ -568,7 +568,7 @@ def diverging_member(poisoned, inner):
     return failing
 
 
-def test_failed_compute_job_leaves_the_compute_thread_usable(monkeypatch):
+def test_a_failed_run_leaves_the_callers_thread_usable(monkeypatch):
     def rows(log):
         return [(r.round, r.party, r.accuracy, r.digest_loss, r.revisit_loss) for r in log.rows]
 
@@ -816,6 +816,27 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch, distill):
         assert all(np.array_equal(a, b) for a, b in zip(p.net.parameters(), ref.net.parameters()))
 
 
+def test_digest_trains_each_party_on_the_frames_it_received():
+    # a server may send parties unequal subsets or consensus: no party's frames may reach another
+    cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2, subset_size=20)
+    alone = [protocol.PartyState(p.id, p.net.copy(), p.private) for p in parties]
+    streams = (1, 2, 1)  # parties 0 and 2 get one subset, party 1 another
+    selections = {k: select_subset(public.n, 20, rng_stream(cfg.seed, "subset", s), 1) for k, s in enumerate(streams)}
+    reports = {p.id: compute_scores(p, public, selections[p.id]) for p in parties}
+    targets = [reports[0].scores.copy(), reports[0].scores.copy(), reports[2].scores.copy()]
+    consensus = {k: transport.ConsensusBroadcast(1, y) for k, y in enumerate(targets)}
+    losses = protocol._digest_and_revisit(parties, public, cfg, selections, reports, consensus)
+    for ref, party in zip(alone, parties):
+        x = public.features[selections[ref.id].indices]
+        member = nn.Member(ref.net, x, targets[ref.id], rng_stream(cfg.seed, ref.id, "digest", 1))
+        nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.opt, cfg.distill)
+        rng = rng_stream(cfg.seed, ref.id, "revisit", 1)
+        member = nn.Member(ref.net, ref.private.features, ref.private.labels, rng)
+        (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
+        assert losses[ref.id][1] == revisit.epoch_losses[-1]
+        assert all(np.array_equal(a, b) for a, b in zip(party.net.parameters(), ref.net.parameters()))
+
+
 @pytest.mark.parametrize(
     "step, failure, message",
     [
@@ -897,7 +918,7 @@ def handshake(frames, m):
             party_end.close()
 
 
-def test_accept_parties_keys_channels_by_hello():
+def test_server_loop_keys_channels_by_hello():
     """``server_loop`` accepts the parties: each end is keyed to the party its hello names."""
     cfg = small_cfg(2, rounds=1, subset_size=4)
     pairs = [transport.bus_pair(timeout=5.0) for _ in range(2)]

@@ -55,3 +55,18 @@ def test_compare_metrics_reports_first_differing_row(tmp_path):
     assert proc.returncode == 0
     proc = run_compare(tmp_path / "a", tmp_path / "b")
     assert proc.returncode == 1 and "seed1" in proc.stdout
+
+
+def test_compare_metrics_compares_every_probe_csv(tmp_path):
+    for tree, post in (("a", "0.5"), ("b", "0.5"), ("c", "0.5000000000000001")):
+        write_metrics(tmp_path / tree, "seed0", ["baseline,0,0.5,,,1.0"])
+        (tmp_path / tree / "seed0" / "probe.csv").write_text(f"party,pre_unseen,post_unseen\n0,0.25,{post}\n")
+    proc = run_compare(tmp_path / "a", tmp_path / "b")
+    assert proc.returncode == 0, proc.stdout
+    assert "1 probe.csv files match" in proc.stdout
+    proc = run_compare(tmp_path / "a", tmp_path / "c")
+    assert proc.returncode == 1
+    assert "seed0/probe.csv: line 2 differs" in proc.stdout and "0,0.25,0.5000000000000001" in proc.stdout
+    (tmp_path / "c" / "seed0" / "probe.csv").unlink()
+    proc = run_compare(tmp_path / "a", tmp_path / "c")
+    assert proc.returncode == 1 and "seed0/probe.csv: only under" in proc.stdout
