@@ -111,18 +111,22 @@ def _cmd_inspect_data(args) -> int:
     return 0
 
 
-def _parse_addr(text: str) -> tuple[str, int]:
+def _parse_addr(text: str, lowest_port: int) -> tuple[str, int]:
+    """``host:port`` with a port in ``lowest_port``..65535; port 0 lets ``serve`` pick a free one."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not (port.isascii() and port.isdigit()):
         raise ConfigError(f"address must look like host:port, got {text!r}")
+    if not lowest_port <= int(port) <= 65535:
+        raise ConfigError(f"port must lie in {lowest_port}..65535, got {port}")
     return host, int(port)
 
 
 def _cmd_serve(args) -> int:
+    addr = _parse_addr(args.addr, 0)
     cfg = parse_config(args.config, args.override)
     task = experiments.build_task(cfg)
     m = cfg.collab.parties
-    listener = transport.serve(_parse_addr(args.addr), backlog=m)
+    listener = transport.serve(addr, backlog=m)
     print(f"serving {m} parties on {listener.address[0]}:{listener.address[1]}")
     try:
         protocol.server_loop((listener.accept() for _ in range(m)), cfg.collab, task.public.n, task.test.num_classes)
@@ -133,6 +137,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_join(args) -> int:
+    addr = _parse_addr(args.addr, 1)
     cfg = _resolve_out_dir(parse_config(args.config, args.override))
     k = args.party
     if not 0 <= k < cfg.collab.parties:
@@ -140,7 +145,7 @@ def _cmd_join(args) -> int:
     task = experiments.build_task(cfg)
     party = experiments.build_party(cfg, task, k)
     # connect first, so that a failing prologue closes the channel and releases the server at once
-    chan = transport.connect(_parse_addr(args.addr))
+    chan = transport.connect(addr)
     try:
         rows = protocol.party_side([party], task.public, task.test, cfg.collab, lambda: {k: chan})
     finally:

@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeError
 
-DISTILL_LOSSES = ("mae", "mse")
-
 
 @dataclass
 class Layer:
@@ -160,45 +158,26 @@ def _cross_entropy(logits, labels, out) -> tuple[np.ndarray, np.ndarray]:
     return losses, grad
 
 
-def distill_loss(
-    logits: np.ndarray, targets: np.ndarray, kind: str = "mae"
-) -> tuple[float, np.ndarray]:
-    """Score-matching loss against consensus targets, with its (sub)gradient.
-
-    ``mae`` (default) is mean absolute error over all entries; its subgradient
-    is sign/(B*C) with 0 at exact ties. ``mse`` is mean squared error.
-    """
+def distill_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean absolute error against consensus targets, and its subgradient: sign/(B*C), 0 at exact ties."""
     if logits.shape != targets.shape:
         raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
-    if kind not in DISTILL_LOSSES:
-        raise ConfigError(f"unknown distillation loss {kind!r}")
     out = np.empty(logits.shape, np.result_type(logits, targets))
-    losses, grad = _distill_loss(logits[None], targets[None], kind, out[None])
+    losses, grad = _distill_loss(logits[None], targets[None], out[None])
     return float(losses[0]), grad[0]
 
 
-def _distill_loss(logits, targets, kind: str, out) -> tuple[np.ndarray, np.ndarray]:
+def _distill_loss(logits, targets, out) -> tuple[np.ndarray, np.ndarray]:
     """``distill_loss`` of each of K stacked (K, B, C) logit blocks; the gradient is written into ``out``."""
     size = logits[0].size
-    # the loss value takes its difference in float64, where squaring cannot
-    # amplify float32 rounding; the gradient keeps the float32 difference
+    # the loss value takes its difference in float64; the gradient keeps the float32 difference
     d64 = logits.astype(np.float64) - targets.astype(np.float64)
     d = np.subtract(logits, targets, out=out)
-    # sum / size is np.mean's arithmetic; Python-scalar factors keep d's dtype
-    if kind == "mae":
-        losses = np.add.reduce(np.abs(d64, out=d64), axis=(1, 2)) / size
-        np.sign(d, out=d)
-        d /= size
-    else:
-        losses = np.add.reduce(np.square(d64, out=d64), axis=(1, 2)) / size
-        d *= 2.0 / size
+    # sum / size is np.mean's arithmetic; a Python-scalar divisor keeps d's dtype
+    losses = np.add.reduce(np.abs(d64, out=d64), axis=(1, 2)) / size
+    np.sign(d, out=d)
+    d /= size
     return losses, d
-
-
-def _batch_loss(kind: str, logits, targets, out) -> tuple[np.ndarray, np.ndarray]:
-    if kind == "xent":
-        return _cross_entropy(logits, targets, out)
-    return _distill_loss(logits, targets, kind, out)
 
 
 @dataclass(frozen=True)
@@ -407,8 +386,8 @@ class _Group:
             self.plans[b] = _Plan(self, b)
         return self.plans[b]
 
-    def gradients(self, plan: "_Plan", targets: np.ndarray, loss: str) -> np.ndarray:
-        """Forward ``plan.x``, the loss against ``targets`` and the backward pass; returns the K losses.
+    def gradients(self, plan: "_Plan", targets: np.ndarray, loss) -> np.ndarray:
+        """Forward ``plan.x``, the batch ``loss`` against ``targets`` and the backward pass; returns the K losses.
 
         Every gradient lands in ``grad``.
         """
@@ -418,7 +397,7 @@ class _Group:
             z += bias
             if act is not None:  # a hidden level
                 np.maximum(act, 0, out=act)
-        losses, _ = _batch_loss(loss, plan.logits, targets, plan.dlogits)
+        losses, _ = loss(plan.logits, targets, plan.dlogits)
         for act, delta, axis, gbias, matmuls in plan.backward:
             if act is not None:  # post-ReLU activations are positive where the pre-activations are
                 delta *= act > 0
@@ -469,18 +448,19 @@ class _Plan:
             self.backward.insert(0, (act, dz, axis, gbias, matmuls))
 
 
-def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_epoch=None) -> list[TrainReport]:
+def _run_epochs(members: list[Member], loss, epochs, batch_size, opt, on_epoch=None) -> list[TrainReport]:
     """Minibatch descent of any members: those of one row count and dtype step as a lockstep group.
 
     The groups train one after another, each with one persistent Adam state.
     All members need one input dim and class count and share ``batch_size``
-    and ``opt``. ``loss`` is "xent" (the targets are class labels) or a
-    distillation loss. Each member's shuffling, parameters and losses are bit
-    for bit those it would get trained alone. Gradients, moments and scratch
-    live only for this call; the members' layers stay views of their group's
-    ``flat``. ``on_epoch(i, epoch_index, mean_loss)`` may return True to stop
-    member ``members[i]``, and the others go on; a ``DivergenceError`` names
-    its member the same way.
+    and ``opt``. ``loss`` is the batch loss: ``_cross_entropy`` against class
+    labels or ``_distill_loss`` against score targets. Each member's
+    shuffling, parameters and losses are bit for bit those it would get
+    trained alone. Gradients, moments and scratch live only for this call;
+    the members' layers stay views of their group's ``flat``.
+    ``on_epoch(i, epoch_index, mean_loss)`` may return True to stop member
+    ``members[i]``, and the others go on; a ``DivergenceError`` names its
+    member the same way.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -503,7 +483,7 @@ def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_ep
             raise ShapeError(
                 f"batch feature dim {inputs.shape[1]} does not match network input dim {net.input_dim}"
             )
-        if loss == "xent":
+        if loss is _cross_entropy:
             _check_labels(targets, net.output_dim)
         elif targets.shape[1:] != (net.output_dim,):
             raise ShapeError(f"targets of shape {targets.shape[1:]} for {net.output_dim} classes")
@@ -542,14 +522,12 @@ def _run_epochs(members: list[Member], loss: str, epochs, batch_size, opt, on_ep
 
 def train_supervised(members: list[Member], epochs, batch_size, opt: AdamParams) -> list[TrainReport]:
     """Minibatch cross-entropy descent of any members toward their labels (``_run_epochs``), with a fresh Adam state."""
-    return _run_epochs(members, "xent", epochs, batch_size, opt)
+    return _run_epochs(members, _cross_entropy, epochs, batch_size, opt)
 
 
-def train_distill(members: list[Member], epochs, batch_size, opt: AdamParams, kind: str = "mae") -> list[TrainReport]:
-    """Minibatch descent of any members toward their consensus targets (``_run_epochs``), rows kept paired."""
-    if kind not in DISTILL_LOSSES:
-        raise ConfigError(f"unknown distillation loss {kind!r}")
-    return _run_epochs(members, kind, epochs, batch_size, opt)
+def train_distill(members: list[Member], epochs, batch_size, opt: AdamParams) -> list[TrainReport]:
+    """Minibatch MAE descent of any members toward their consensus targets (``_run_epochs``), rows kept paired."""
+    return _run_epochs(members, _distill_loss, epochs, batch_size, opt)
 
 
 def accuracy(net: Network, data) -> float:
@@ -561,12 +539,7 @@ def accuracy(net: Network, data) -> float:
 
 
 def train_to_convergence(
-    members: list[Member],
-    batch_size,
-    opt: AdamParams,
-    max_epochs: int = 100,
-    patience: int = 5,
-    min_improvement: float = 1e-3,
+    members: list[Member], batch_size, opt: AdamParams, max_epochs: int, patience: int, min_improvement: float
 ) -> list[TrainReport]:
     """Supervised training of any members (``_run_epochs``); each stops once its val accuracy stalls.
 
@@ -587,7 +560,7 @@ def train_to_convergence(
         stall[i] += 1
         return stall[i] >= patience
 
-    return _run_epochs(members, "xent", max_epochs, batch_size, opt, on_epoch=stalled)
+    return _run_epochs(members, _cross_entropy, max_epochs, batch_size, opt, on_epoch=stalled)
 
 
 # --- gradient checking -------------------------------------------------------
@@ -643,6 +616,10 @@ def gradient_check(
     Inputs are resampled whenever a pre-activation or a distillation residual
     sits within 10*h of a kink, where finite differences are invalid.
     """
+    if num_nets < 1:
+        raise ConfigError(f"gradient check needs at least one net, got {num_nets}")
+    if seed < 0:
+        raise ConfigError(f"gradient check seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     cases = []
     for trial in range(num_nets):
@@ -663,16 +640,16 @@ def gradient_check(
         logits = forward(net, batch)
         if loss_kind == "xent":
             targets = rng.integers(0, dims[-1], size=batch_n)
-            loss_fn = lambda lg: cross_entropy(lg, targets)[0]
+            loss_fn, batch_loss = lambda lg: cross_entropy(lg, targets)[0], _cross_entropy
         else:
             offsets = rng.uniform(0.05, 1.0, size=logits.shape) * rng.choice([-1.0, 1.0], logits.shape)
             targets = logits + offsets
-            loss_fn = lambda lg: distill_loss(lg, targets, "mae")[0]
+            loss_fn, batch_loss = lambda lg: distill_loss(lg, targets)[0], _distill_loss
         # the analytic gradients come from the training step itself, in a group of one
         group = _Group([net], batch_n)
         plan = group.plan(batch_n)
         plan.x[0] = batch
-        group.gradients(plan, targets[None], loss_kind)
+        group.gradients(plan, targets[None], batch_loss)
         analytic = [g.copy() for g in group.member_views(group.grad, 0)]
         numeric = _fd_gradients(net, batch, loss_fn, h)
         worst = 0.0

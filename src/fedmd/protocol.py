@@ -80,7 +80,6 @@ class CollaborationConfig:
     min_improvement: float = 0.001  # 0.1 percentage point
     transfer_batch_size: int = 32
     val_fraction: float = 0.1
-    distill: str = "mae"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -102,8 +101,6 @@ class CollaborationConfig:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not self.min_improvement >= 0:
             raise ConfigError(f"min_improvement must be >= 0, got {self.min_improvement}")
-        if self.distill not in nn.DISTILL_LOSSES:
-            raise ConfigError(f"distill must be one of {nn.DISTILL_LOSSES}, got {self.distill!r}")
         weights = (1.0,) * self.parties if self.weights is None else tuple(map(float, self.weights))
         if len(weights) != self.parties:
             raise ConfigError(f"{len(weights)} weights for {self.parties} parties")
@@ -318,10 +315,8 @@ def _digest_and_revisit(
         y = targets if np.array_equal(y.view(np.uint8), targets.view(np.uint8)) else y
         digest.append(nn.Member(p.net, x, y, rng_stream(cfg.seed, p.id, "digest", j)))
     with _failing(parties, f"round {j}: digest failed"):
-        digest_losses = [
-            nn.distill_loss(reports[p.id].scores, consensus[p.id].targets, cfg.distill)[0] for p in parties
-        ]
-        nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, cfg.opt, cfg.distill)
+        digest_losses = [nn.distill_loss(reports[p.id].scores, consensus[p.id].targets)[0] for p in parties]
+        nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, cfg.opt)
     revisit = [
         nn.Member(p.net, p.private.features, p.private.labels, rng_stream(cfg.seed, p.id, "revisit", j))
         for p in parties

@@ -15,7 +15,7 @@ from fedmd.data import Dataset
 from fedmd.experiments import build_task
 from fedmd.protocol import rng_stream
 
-from reference_util import reference_distill_loss, reference_forward, reference_run_epochs
+from reference_util import reference_cross_entropy, reference_distill_loss, reference_forward, reference_run_epochs
 
 
 def accuracy(net, data) -> float:
@@ -35,7 +35,9 @@ def converge(net, features, labels, val, rng, c) -> None:
         stall += 1
         return stall >= c.patience
 
-    reference_run_epochs(net, features, labels, "xent", c.max_epochs, c.transfer_batch_size, c.opt, rng, stalled)
+    reference_run_epochs(
+        net, features, labels, reference_cross_entropy, c.max_epochs, c.transfer_batch_size, c.opt, rng, stalled
+    )
 
 
 def oracle_rows(cfg) -> list[tuple]:
@@ -60,14 +62,14 @@ def oracle_rows(cfg) -> list[tuple]:
         scores = [reference_forward(net, x) for net in nets]
         consensus = sum(w * s.astype(np.float64) for w, s in zip(c.weights, scores)).astype(np.float32)
         for k, (net, private) in enumerate(zip(nets, task.privates)):
-            digest_loss = reference_distill_loss(scores[k], consensus, c.distill)[0]
+            digest_loss = reference_distill_loss(scores[k], consensus)[0]
             reference_run_epochs(
-                net, x, consensus, c.distill, c.digest_epochs, c.digest_batch_size, c.opt,
+                net, x, consensus, reference_distill_loss, c.digest_epochs, c.digest_batch_size, c.opt,
                 rng_stream(c.seed, k, "digest", j),
             )
             revisit = reference_run_epochs(
-                net, private.features, private.labels, "xent", c.revisit_epochs, c.revisit_batch_size, c.opt,
-                rng_stream(c.seed, k, "revisit", j),
+                net, private.features, private.labels, reference_cross_entropy, c.revisit_epochs,
+                c.revisit_batch_size, c.opt, rng_stream(c.seed, k, "revisit", j),
             )
             revisit_loss = revisit.epoch_losses[-1] if revisit.epoch_losses else None
             rows.append((j, k, accuracy(net, test), digest_loss, revisit_loss))

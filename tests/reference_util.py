@@ -54,15 +54,18 @@ def reference_cross_entropy(logits, labels):
     return loss, grad
 
 
-def reference_distill_loss(logits, targets, kind):
+def reference_distill_loss(logits, targets):
     d = logits - targets
     d64 = logits.astype(np.float64) - targets.astype(np.float64)
-    if kind == "mae":
-        return float(np.mean(np.abs(d64))), np.sign(d) / d.size
-    return float(np.mean(np.square(d64))), (2.0 / d.size) * d
+    return float(np.mean(np.abs(d64))), np.sign(d) / d.size
+
+
+# each batch loss of nn's trainer, and its reference
+REFERENCE_LOSSES = {nn._cross_entropy: reference_cross_entropy, nn._distill_loss: reference_distill_loss}
 
 
 def reference_run_epochs(net, inputs, targets, loss, epochs, batch_size, opt, rng, on_epoch=None):
+    """``epochs`` of minibatch Adam on ``loss``, ``reference_cross_entropy`` or ``reference_distill_loss``."""
     n = inputs.shape[0]
     state = nn.AdamState.fresh(net.parameters(), opt)
     report = nn.TrainReport()
@@ -72,10 +75,7 @@ def reference_run_epochs(net, inputs, targets, loss, epochs, batch_size, opt, rn
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
             logits, cache = reference_forward_cached(net, inputs[idx])
-            if loss == "xent":
-                value, dlogits = reference_cross_entropy(logits, targets[idx])
-            else:
-                value, dlogits = reference_distill_loss(logits, targets[idx], loss)
+            value, dlogits = loss(logits, targets[idx])
             grads = reference_backward(net, cache, dlogits)
             new_params, state = nn.adam_step(net.parameters(), grads, state)
             for lyr, w, b in zip(net.layers, new_params[::2], new_params[1::2]):
@@ -88,12 +88,12 @@ def reference_run_epochs(net, inputs, targets, loss, epochs, batch_size, opt, rn
 
 
 def reference_group_run_epochs(members, loss, epochs, batch_size, opt, on_epoch=None):
-    """The reference loop run on each member of a group alone."""
+    """The reference loop run on each member of a group alone, on the reference of nn's batch ``loss``."""
     reports = []
     for i, mem in enumerate(members):
         rows = slice(None) if mem.rows is None else mem.rows
         stop = None if on_epoch is None else (lambda epoch, value, i=i: on_epoch(i, epoch, value))
         reports.append(reference_run_epochs(
-            mem.net, mem.inputs[rows], mem.targets[rows], loss, epochs, batch_size, opt, mem.rng, stop
+            mem.net, mem.inputs[rows], mem.targets[rows], REFERENCE_LOSSES[loss], epochs, batch_size, opt, mem.rng, stop
         ))
     return reports

@@ -173,6 +173,34 @@ def test_gradcheck_exit_0(capsys):
     assert "max relative error" in capsys.readouterr().out
 
 
+# each is refused before any work: no net is checked and no socket opened.
+# serve takes port 0 for any free port; a party must name the server's
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gradcheck", "--nets", "0"],
+        ["gradcheck", "--nets", "-3"],
+        ["gradcheck", "--seed", "-1"],
+        ["join", "127.0.0.1:70000", "0"],
+        ["join", "127.0.0.1:0", "0"],
+        ["serve", "127.0.0.1:99999"],
+        ["serve", "127.0.0.1:65536"],
+    ],
+    ids=" ".join,
+)
+def test_bad_command_arguments_exit_2_before_any_work(tmp_path, capsys, monkeypatch, args):
+    def no_socket(*_args, **_kw):
+        raise AssertionError("opened a socket")
+
+    monkeypatch.setattr(transport, "serve", no_socket)
+    monkeypatch.setattr(transport, "connect", no_socket)
+    config = [] if args[0] == "gradcheck" else [write_config(tmp_path)]
+    assert cli.main([*args, *config]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fedmd: error: config: ")
+
+
 def test_inspect_data_labels_histogram(tmp_path, capsys):
     labels = np.array([0, 0, 1, 2, 2, 2], dtype=np.uint8)
     path = tmp_path / "labels.idx"

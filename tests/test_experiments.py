@@ -160,6 +160,8 @@ def test_config_without_architectures_is_a_config_error():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config key"):
         config_from_dict({"parties": 2, "rounds": 1, "bogus": 7})
+    with pytest.raises(ConfigError, match="unknown config key 'distill'"):  # the digest loss is always MAE
+        config_from_dict({"parties": 2, "rounds": 1, "distill": "mae"})
     with pytest.raises(ConfigError, match="unknown data key"):
         config_from_dict({"parties": 2, "rounds": 1, "data": {"kind": "blobs", "x": 1}})
 

@@ -157,17 +157,16 @@ def test_distill_matches_float64_bruteforce():
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
-@example(rows=1, cols=1, seed=3)  # float32 rounding of the difference, squared, once missed 1e-6
+@example(rows=1, cols=1, seed=3)  # the smallest block
 @settings(max_examples=60, deadline=None)
 def test_distill_oracle_property(rows, cols, seed):
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(rows, cols)).astype(np.float32)
     targets = rng.normal(size=(rows, cols)).astype(np.float32)
-    for kind, fn in (("mae", np.abs), ("mse", np.square)):
-        loss, grad = nn.distill_loss(logits, targets, kind)
-        expected = float(np.mean(fn(logits.astype(np.float64) - targets.astype(np.float64))))
-        assert loss == pytest.approx(expected, abs=1e-6)
-        assert grad.shape == logits.shape
+    loss, grad = nn.distill_loss(logits, targets)
+    expected = float(np.mean(np.abs(logits.astype(np.float64) - targets.astype(np.float64))))
+    assert loss == pytest.approx(expected, abs=1e-6)
+    assert grad.shape == logits.shape
 
 
 def test_distill_shape_mismatch():
@@ -421,10 +420,7 @@ TRAJECTORIES = {
         [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(5))], 4, 32, nn.AdamParams()
     )[0],
     "distill-mae": lambda net: nn.train_distill(
-        [nn.Member(net, TRAIN.features, TARGETS, np.random.default_rng(6))], 4, 32, nn.AdamParams(), "mae"
-    )[0],
-    "distill-mse": lambda net: nn.train_distill(
-        [nn.Member(net, TRAIN.features, TARGETS, np.random.default_rng(7))], 4, 32, nn.AdamParams(), "mse"
+        [nn.Member(net, TRAIN.features, TARGETS, np.random.default_rng(6))], 4, 32, nn.AdamParams()
     )[0],
     "convergence": lambda net: nn.train_to_convergence(
         [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(8), val=VAL)],
@@ -478,7 +474,7 @@ def canonical_nets():
     return [nn.build_network(16, arch, 6, np.random.default_rng(k)) for k, arch in enumerate(config_architectures())]
 
 
-@pytest.mark.parametrize("loss", ["xent", "mae", "mse"])
+@pytest.mark.parametrize("loss", ["xent", "mae"])
 def test_group_trains_exactly_like_its_members_alone(loss):
     assert TRAIN.n % 32 != 0 and len(config_architectures()) == 11
     nets = canonical_nets()
@@ -490,13 +486,14 @@ def test_group_trains_exactly_like_its_members_alone(loss):
         nn.Member(net, d.features, y, np.random.default_rng(100 + k))
         for k, (net, d, y) in enumerate(zip(nets, data, targets))
     ]
-    reports = nn._run_epochs(members, loss, 4, 32, nn.AdamParams())
+    if loss == "xent":
+        batch_loss, train = nn._cross_entropy, nn.train_supervised
+    else:
+        batch_loss, train = nn._distill_loss, nn.train_distill
+    reports = nn._run_epochs(members, batch_loss, 4, 32, nn.AdamParams())
     for k, net in enumerate(alone):
         member = nn.Member(net, data[k].features, targets[k], np.random.default_rng(100 + k))
-        if loss == "xent":
-            (ref,) = nn.train_supervised([member], 4, 32, nn.AdamParams())
-        else:
-            (ref,) = nn.train_distill([member], 4, 32, nn.AdamParams(), loss)
+        (ref,) = train([member], 4, 32, nn.AdamParams())
         assert reports[k].epoch_losses == ref.epoch_losses
         assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), net.parameters()))
     assert share_no_parameter(nets + alone)
@@ -533,7 +530,7 @@ def test_group_divergence_names_the_member_and_shares_no_parameter():
         for k, (net, x) in enumerate(zip(nets, (TRAIN.features, poisoned, TRAIN.features)))
     ]
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0") as err:
-        nn._run_epochs(members, "xent", 2, 32, nn.AdamParams())
+        nn._run_epochs(members, nn._cross_entropy, 2, 32, nn.AdamParams())
     assert err.value.member == 1
     assert share_no_parameter(nets)
 
@@ -549,7 +546,7 @@ def test_members_of_unequal_row_counts_train_in_one_call_each_as_alone():
 
     def train(nets, ks, seed):
         members = [member(net, k, seed) for net, k in zip(nets, ks)]
-        return nn.train_to_convergence(members, 32, opt, **kw), nn._run_epochs(members, "xent", 3, 32, opt)
+        return nn.train_to_convergence(members, 32, opt, **kw), nn._run_epochs(members, nn._cross_entropy, 3, 32, opt)
 
     nets = canonical_nets()[:5]
     alone = [net.copy() for net in nets]
@@ -566,7 +563,7 @@ def test_members_of_unequal_row_counts_train_in_one_call_each_as_alone():
     poisoned[20, 0] = np.inf  # a row of member 3 only, in the second group
     members = [member(net, k, 500, poisoned if k == 3 else TRAIN.features) for k, net in enumerate(nets)]
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0") as err:
-        nn._run_epochs(members, "xent", 2, 32, opt)
+        nn._run_epochs(members, nn._cross_entropy, 2, 32, opt)
     assert err.value.member == 3
     assert share_no_parameter(nets)
 
@@ -577,5 +574,5 @@ def test_forward_matches_the_training_forward():
         group = nn._Group([net], VAL.n)
         plan = group.plan(VAL.n)
         plan.x[0] = VAL.features
-        group.gradients(plan, VAL.labels[None], "xent")
+        group.gradients(plan, VAL.labels[None], nn._cross_entropy)
         assert np.array_equal(nn.forward(net, VAL.features), plan.logits[0])

@@ -30,13 +30,12 @@ IID = {
     "architectures": [[12], [10, 6], [8, 8], [12]],
     "pooled": True,
 }
-# the subclass task, with the squared-error digest
+# the subclass task
 NONIID = dict(
     IID,
     name="oracle-noniid",
     parties=2,
     weights=[0.25, 0.75],
-    distill="mse",
     data=dict(IID["data"], classes=6),
     partition={"mode": "noniid", "per_class": 5, "subclass_map": {"0": 0, "1": 0, "2": 1, "3": 1, "4": 2, "5": 2}},
     architectures=[[16], [8, 12]],

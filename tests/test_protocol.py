@@ -766,11 +766,10 @@ def rounds_over_bus(parties, public, test, cfg):
     return rows
 
 
-@pytest.mark.parametrize("distill", ["mae", "mse"])
-def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch, distill):
+def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch):
     archs = cli.parse_config(os.path.join(CONFIGS, "blobs10.json")).architectures
     assert len(archs) == 10
-    cfg = small_cfg(10, rounds=2, distill=distill, digest_epochs=2, revisit_epochs=2, revisit_batch_size=4)
+    cfg = small_cfg(10, rounds=2, digest_epochs=2, revisit_epochs=2, revisit_batch_size=4)
     public = synth_blobs(3, 40, 4, 1.0, seed=21)
     test = synth_blobs(3, 20, 4, 1.0, seed=22)
     pool = synth_blobs(3, 40, 4, 1.0, seed=23)
@@ -803,10 +802,10 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch, distill):
         reports = [compute_scores(p, public, selection) for p in alone]
         targets = aggregate(reports, cfg.weights).targets
         for p, report in zip(alone, reports):
-            digest_loss, _ = nn.distill_loss(report.scores, targets, distill)
+            digest_loss, _ = nn.distill_loss(report.scores, targets)
             rng = rng_stream(cfg.seed, p.id, "digest", j)
             member = nn.Member(p.net, public.features[selection.indices], targets, rng)
-            nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.opt, distill)
+            nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.opt)
             rng = rng_stream(cfg.seed, p.id, "revisit", j)
             member = nn.Member(p.net, p.private.features, p.private.labels, rng)
             (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
@@ -829,7 +828,7 @@ def test_digest_trains_each_party_on_the_frames_it_received():
     for ref, party in zip(alone, parties):
         x = public.features[selections[ref.id].indices]
         member = nn.Member(ref.net, x, targets[ref.id], rng_stream(cfg.seed, ref.id, "digest", 1))
-        nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.opt, cfg.distill)
+        nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.opt)
         rng = rng_stream(cfg.seed, ref.id, "revisit", 1)
         member = nn.Member(ref.net, ref.private.features, ref.private.labels, rng)
         (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
