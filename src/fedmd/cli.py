@@ -51,6 +51,8 @@ def parse_config(path: str, overrides: "list[str] | None" = None) -> experiments
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")

@@ -8,9 +8,11 @@ transfer prologue and communication, a scarce private task for evaluation.
 
 import hashlib
 import json
+import math
 import os
 import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,6 +40,8 @@ from .protocol import transfer_learn  # noqa: F401  perfbench traces the prologu
 
 @dataclass(frozen=True)
 class BlobsSpec:
+    kind: ClassVar[str] = "blobs"  # the config's ``data.kind``
+
     classes: int = 6  # task classes (iid) or subclass count (noniid)
     dim: int = 16
     spread: float = 1.0
@@ -45,7 +49,6 @@ class BlobsSpec:
     public_per_class: int = 500
     pool_per_class: int = 40
     test_per_class: int = 200
-    kind: str = "blobs"
 
     def __post_init__(self) -> None:
         for name in ("classes", "dim", "public_per_class", "pool_per_class", "test_per_class"):
@@ -53,12 +56,14 @@ class BlobsSpec:
                 raise ConfigError(f"data.{name} must be >= 1, got {getattr(self, name)}")
         for name in ("spread", "public_spread"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"data.{name} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"data.{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
 class IdxSpec:
+    kind: ClassVar[str] = "idx"  # the config's ``data.kind``
+
     classes: int
     public_images: str = ""
     public_labels: str = ""
@@ -66,7 +71,13 @@ class IdxSpec:
     pool_labels: str = ""
     test_images: str = ""
     test_labels: str = ""
-    kind: str = "idx"
+
+    def __post_init__(self) -> None:
+        if self.classes < 1:
+            raise ConfigError(f"data.classes must be >= 1, got {self.classes}")
+        for f in fields(self)[1:]:  # the six file paths
+            if not getattr(self, f.name):
+                raise ConfigError(f"data.{f.name} must name an IDX file")
 
 
 def _noniid_superclasses(mapping: dict[int, int]) -> int:
@@ -144,7 +155,7 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
     seed = cfg.seed
     spec = cfg.data
     num_supers = _noniid_superclasses(cfg.subclass_map) if cfg.partition_mode == "noniid" else None
-    if spec.kind == "blobs":
+    if isinstance(spec, BlobsSpec):
         public = synth_blobs(
             num_supers or spec.classes,
             spec.public_per_class,
@@ -168,12 +179,10 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
             derive_seed(seed, "private-task"),
             sample_stream=1,
         )
-    elif spec.kind == "idx":
+    else:
         public = load_idx_dataset(spec.public_images, spec.public_labels, spec.classes)
         pool = load_idx_dataset(spec.pool_images, spec.pool_labels, spec.classes)
         test_pool = load_idx_dataset(spec.test_images, spec.test_labels, spec.classes)
-    else:
-        raise ConfigError(f"unknown data kind {spec.kind!r}")
 
     m, partition_seed = cfg.collab.parties, derive_seed(seed, "partition")
     if cfg.partition_mode == "iid":
@@ -303,7 +312,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Flat JSON-ready dict of the effective config, every default included."""
     out = {k: getattr(cfg.collab, k) for k in _COLLAB_KEYS}
     out["weights"] = list(cfg.collab.weights)
-    out["data"] = asdict(cfg.data)
+    out["data"] = {**asdict(cfg.data), "kind": cfg.data.kind}
     out["partition"] = {
         "mode": cfg.partition_mode,
         "per_class": cfg.per_class,
@@ -322,8 +331,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON-shaped dict, rejecting unknown keys and values of the wrong JSON type."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
     known_top = set(_COLLAB_KEYS) | {"data", "partition", "architectures", "pooled", "out_dir", "name"}
     for key in raw:
         if key not in known_top:
@@ -337,11 +344,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     data_raw = dict(_json("data", raw.get("data"), dict, optional=True) or {})
     kind = _json("data.kind", data_raw.pop("kind", "blobs"), str)
-    spec = {"blobs": BlobsSpec, "idx": IdxSpec}.get(kind)
+    spec = {c.kind: c for c in (BlobsSpec, IdxSpec)}.get(kind)
     if spec is None:
         raise ConfigError(f"unknown data kind {kind!r}")
     for key in data_raw:
-        if key not in spec.__dataclass_fields__:
+        if key not in {f.name for f in fields(spec)}:
             raise ConfigError(f"unknown data key {key!r} for kind {kind!r}")
     if spec is IdxSpec and "classes" not in data_raw:
         raise ConfigError("idx data requires 'classes'")

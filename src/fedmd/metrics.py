@@ -25,8 +25,6 @@ class MetricsRow:
     wall_ms: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.round, str) and self.round not in (BASELINE, POOLED):
-            raise ConfigError(f"round must be an integer, 'baseline' or 'pooled': {self.round!r}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ConfigError(f"accuracy {self.accuracy} outside [0, 1]")
 
@@ -45,9 +43,6 @@ class MetricsLog:
             nb = sum(1 for r in self.rows if r.party == k and r.round == BASELINE)
             if nb != 1:
                 raise DataError(f"party {k} has {nb} baseline rows, expected exactly 1")
-            np_ = sum(1 for r in self.rows if r.party == k and r.round == POOLED)
-            if np_ > 1:
-                raise DataError(f"party {k} has {np_} pooled rows, expected at most 1")
 
     def parties(self) -> list[int]:
         return sorted({r.party for r in self.rows})

@@ -19,6 +19,7 @@ from idx_util import encode_idx
 from metrics_util import metrics_from_csv
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
 
 TINY = {
     "name": "cli-tiny",
@@ -142,11 +143,22 @@ def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, override):
     assert "fedmd: error: config:" in capsys.readouterr().err
 
 
-# NaN fails no ordered comparison, so each check must be written to fail it; the
-# Adam decays and epsilon are fixed, so setting one is an unknown key
+# NaN fails no ordered comparison, so each check must be written to fail it, and
+# an infinite spread must fail before it draws non-finite features; the Adam
+# decays and epsilon are fixed, so setting one is an unknown key
 @pytest.mark.parametrize(
     "override",
-    ["lr=NaN", "min_improvement=NaN", "min_improvement=-1", "weights=[NaN, 1]", "beta1=1.0", "beta2=NaN", "epsilon=0"],
+    [
+        "lr=NaN",
+        "min_improvement=NaN",
+        "min_improvement=-1",
+        "weights=[NaN, 1]",
+        "beta1=1.0",
+        "beta2=NaN",
+        "epsilon=0",
+        "data.spread=Infinity",
+        "data.public_spread=Infinity",
+    ],
 )
 def test_bad_optimizer_value_exit_2(tmp_path, capsys, override):
     path = write_config(tmp_path)
@@ -175,20 +187,21 @@ def test_gradcheck_exit_0(capsys):
 
 # each is refused before any work: no net is checked and no socket opened.
 # serve takes port 0 for any free port; a party must name the server's
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["gradcheck", "--nets", "0"],
-        ["gradcheck", "--nets", "-3"],
-        ["gradcheck", "--seed", "-1"],
-        ["join", "127.0.0.1:70000", "0"],
-        ["join", "127.0.0.1:0", "0"],
-        ["serve", "127.0.0.1:99999"],
-        ["serve", "127.0.0.1:65536"],
-    ],
-    ids=" ".join,
-)
-def test_bad_command_arguments_exit_2_before_any_work(tmp_path, capsys, monkeypatch, args):
+BAD_COMMANDS = [
+    (["gradcheck", "--nets", "0"], "gradient check needs at least one net, got 0"),
+    (["gradcheck", "--nets", "-3"], "gradient check needs at least one net, got -3"),
+    (["gradcheck", "--seed", "-1"], "gradient check seed must be >= 0, got -1"),
+    (["join", "127.0.0.1:70000", "0"], "port must lie in 1..65535, got 70000"),
+    (["join", "127.0.0.1:0", "0"], "port must lie in 1..65535, got 0"),
+    (["serve", "127.0.0.1:99999"], "port must lie in 0..65535, got 99999"),
+    (["serve", "127.0.0.1:65536"], "port must lie in 0..65535, got 65536"),
+    (["serve", "nohost"], "address must look like host:port, got 'nohost'"),
+    (["join", "127.0.0.1:5", "7"], "party id 7 outside 0..1"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_COMMANDS, ids=[" ".join(args) for args, _ in BAD_COMMANDS])
+def test_bad_command_arguments_exit_2_before_any_work(tmp_path, capsys, monkeypatch, args, message):
     def no_socket(*_args, **_kw):
         raise AssertionError("opened a socket")
 
@@ -198,7 +211,122 @@ def test_bad_command_arguments_exit_2_before_any_work(tmp_path, capsys, monkeypa
     assert cli.main([*args, *config]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("fedmd: error: config: ")
+    assert err == f"fedmd: error: config: {message}\n"
+
+
+with open(os.path.join(CONFIGS, "noniid.json")) as f:
+    NONIID = json.load(f)
+
+
+# a config is text, or an object written as JSON; every case ends before any training
+BAD_CONFIGS = [
+    (TINY, ["name.x=1"], "override 'name.x' descends into non-object key 'name'"),
+    (TINY, ["rounds"], "override 'rounds' is not of the form key=value"),
+    ("{", [], "is not valid JSON: Expecting property name enclosed in double quotes"),
+    ("[]", [], "config root must be an object, got list"),
+    ('{"parties": 2}', [], "config must set at least 'parties' and 'rounds'"),
+    (TINY, ["partition.mode=x"], "unknown partition mode 'x'"),
+    (TINY, ["partition.per_class=0"], "per_class must be >= 1, got 0"),
+    (TINY, ["partition.subclass_map.a=0"], "partition.subclass_map keys must be subclass numbers, got ['a']"),
+    (TINY, ["partition.bogus=1"], "unknown partition key 'bogus'"),
+    (TINY, ["data.kind=x"], "unknown data kind 'x'"),
+    (TINY, ['data={"kind": "idx"}'], "idx data requires 'classes'"),
+    (TINY, ['data={"kind": "idx", "classes": 0}'], "data.classes must be >= 1, got 0"),
+    (TINY, ['data={"kind": "idx", "classes": 3}'], "data.public_images must name an IDX file"),
+    (TINY, ["architectures=[[0], [8]]"], "hidden widths must be >= 1, got (0,)"),
+    (TINY, ["data.spread=0"], "data.spread must be finite and positive, got 0"),
+    (TINY, ["parties=0"], "parties must be >= 1, got 0"),
+    (TINY, ["rounds=-1"], "rounds must be >= 0, got -1"),
+    (TINY, ["digest_epochs=-1"], "digest_epochs must be >= 0, got -1"),
+    (TINY, ["digest_batch_size=0"], "digest_batch_size must be >= 1, got 0"),
+    (TINY, ["val_fraction=1"], "val_fraction must lie in [0, 1), got 1"),
+    (TINY, ["weights=[0, 0]"], "consensus weights must not all be zero"),
+    (NONIID, ["partition.per_class=1000"], "subclass 1 has 70 samples, need 1000"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, overrides, message",
+    BAD_CONFIGS,
+    ids=[
+        " ".join(o) if c is TINY else c if isinstance(c, str) else f"{c['name']} {' '.join(o)}"
+        for c, o, _ in BAD_CONFIGS
+    ],
+)
+def test_bad_config_exits_2_naming_the_fault(tmp_path, capsys, config, overrides, message):
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    args = [f"out_dir={tmp_path / 'out'}", *overrides]
+    assert cli.main(["run", str(path), *(x for o in args for x in ("-o", o))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fedmd: error: config: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def idx_files(tmp_path, **arrays):
+    """A ``data`` section over IDX files of 2x3 images, 10 per class of 3; ``arrays`` replaces files' contents."""
+    labels = np.repeat(np.arange(3), 10)
+    files = {f"{split}_{part}": arr for split in ("public", "pool", "test")
+             for part, arr in (("images", np.zeros((30, 2, 3))), ("labels", labels))}
+    files.update(arrays)
+    data = {"kind": "idx", "classes": 3}
+    for key, arr in files.items():
+        (tmp_path / f"{key}.idx").write_bytes(encode_idx(arr))
+        data[key] = str(tmp_path / f"{key}.idx")
+    return data
+
+
+def swapped(data, a, b):
+    return dict(data, **{a: data[b], b: data[a]})
+
+
+# each loads before any training
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            lambda t: {"data": swapped(idx_files(t), "public_images", "public_labels")},
+            "public_labels.idx holds a 1-d payload, expected images",
+        ),
+        (
+            lambda t: {"data": dict(idx_files(t), pool_labels=str(t / "pool_images.idx"))},
+            "pool_images.idx holds a 3-d payload, expected labels",
+        ),
+        (
+            lambda t: {"data": idx_files(t, test_images=np.zeros((5, 2, 3)), test_labels=np.zeros(4))},
+            "5 feature rows vs 4 labels",
+        ),
+        (
+            # the pool holds subclasses 0..3, which the map covers; the test set also holds 4
+            lambda t: {
+                "data": dict(
+                    idx_files(t, pool_images=np.zeros((12, 2, 3)), pool_labels=np.repeat(np.arange(4), 3),
+                              test_labels=np.repeat(np.arange(5), 6)),
+                    classes=5,
+                ),
+                "partition": {"mode": "noniid", "per_class": 2, "subclass_map": {"0": 0, "1": 0, "2": 1, "3": 1}},
+            },
+            "dataset contains subclasses absent from the mapping",
+        ),
+    ],
+    ids=["images-and-labels-swapped", "labels-are-images", "5-images-4-labels", "test-subclass-outside-the-map"],
+)
+def test_bad_idx_data_exits_2_naming_the_fault(tmp_path, capsys, config, message):
+    path = write_config(tmp_path, {"out_dir": str(tmp_path / "out"), **config(tmp_path)})
+    assert cli.main(["run", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fedmd: error: config: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_under_a_file_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out_dir = tmp_path / "file" / "out"
+    assert cli.main(["run", write_config(tmp_path), "-o", f"out_dir={out_dir}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fedmd: error: io: cannot write run outputs under {out_dir}: [Errno 20] Not a directory")
 
 
 def test_inspect_data_labels_histogram(tmp_path, capsys):
@@ -217,6 +345,22 @@ def test_inspect_data_images_shape(tmp_path, capsys):
     path.write_bytes(encode_idx(images))
     assert cli.main(["inspect-data", str(path)]) == 0
     assert "shape: 2x3x4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"\x00\x00\x08\x02\x00\x00\x00\x01", "truncated header (byte offset 8)"),
+        (b"\x01\x00\x08\x01\x00\x00\x00\x01\x05", "bad magic prefix 0x0100 (byte offset 0)"),
+        (b"\x00\x00\x08\x01\x00\x00\x00\x00", "dimension 0 is zero (byte offset 4)"),
+    ],
+    ids=["truncated-header", "bad-magic", "zero-dimension"],
+)
+def test_inspect_data_names_the_fault_and_its_offset(tmp_path, capsys, blob, message):
+    path = tmp_path / "bad.idx"
+    path.write_bytes(blob)
+    assert cli.main(["inspect-data", str(path)]) == 1
+    assert capsys.readouterr().err == f"fedmd: error: parse: {message}\n"
 
 
 def test_inspect_data_malformed_exit_1(tmp_path, capsys):

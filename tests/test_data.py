@@ -251,3 +251,20 @@ def test_to_superclass_relabels():
 def test_dataset_validates_labels():
     with pytest.raises(ConfigError):
         Dataset(np.zeros((2, 2), dtype=np.float32), np.array([0, 5]), 3)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: Dataset(np.zeros((2, 2, 1), np.float32), np.zeros(2, np.int64), 3),
+            r"^features must be 2-d, got shape \(2, 2, 1\)$",
+        ),
+        (lambda: Dataset(np.zeros((2, 2), np.float32), np.zeros(2, np.int64), 0), "^num_classes must be >= 1, got 0$"),
+        (lambda: synth_blobs(2, 0, 3, 1.0, seed=0), "^num_classes, per_class and dim must all be >= 1$"),
+    ],
+    ids=["3-d-features", "no-classes", "no-rows-per-class"],
+)
+def test_bad_dataset_arguments_are_config_errors(make, message):
+    with pytest.raises(ConfigError, match=message):
+        make()

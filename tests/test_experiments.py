@@ -1,6 +1,7 @@
 """Experiment-layer tests: configs, metrics log, summaries, baselines, file outputs."""
 
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from fedmd.errors import ConfigError, DataError
 from fedmd.experiments import (
     BlobsSpec,
     ExperimentConfig,
+    IdxSpec,
     baseline_pooled,
     build_parties,
     build_task,
@@ -124,6 +126,8 @@ def test_summarize_matches_independent_recomputation():
 def test_summarize_requires_baseline():
     with pytest.raises(DataError):
         summarize(MetricsLog(rows=[MetricsRow(1, 0, 0.5, 0.1, 0.1, 0.0)]))
+    with pytest.raises(DataError, match="^metrics log has no rows$"):
+        summarize(MetricsLog())
 
 
 # --- config serialization -------------------------------------------------------------
@@ -190,6 +194,23 @@ def test_config_validation_errors_name_constraint():
         ExperimentConfig(
             cfg.collab, partition_mode="noniid", subclass_map={0: 0, 1: 2}, architectures=cfg.architectures
         )
+    # an infinite spread draws non-finite features, so it is refused with the config
+    with pytest.raises(ConfigError, match="^data.spread must be finite and positive, got inf$"):
+        BlobsSpec(spread=math.inf)
+    with pytest.raises(ConfigError, match="^data.public_spread must be finite and positive, got inf$"):
+        replace(cfg.data, public_spread=math.inf)
+    with pytest.raises(ConfigError, match="^data.classes must be >= 1, got 0$"):
+        IdxSpec(0, *["f.idx"] * 6)
+    with pytest.raises(ConfigError, match="^data.test_labels must name an IDX file$"):
+        IdxSpec(3, *["f.idx"] * 5)
+    # the data kind is the spec's class, not a field
+    with pytest.raises(TypeError):
+        BlobsSpec(kind="idx")
+
+
+def test_config_hash_is_unchanged_for_the_committed_configs():
+    for name, digest in (("blobs10", "a63f7353f440"), ("noniid", "cc13a85598de")):
+        assert experiments.config_hash(cli.parse_config(os.path.join(CONFIGS, f"{name}.json"))) == digest
 
 
 # --- runs -----------------------------------------------------------------------------
@@ -320,6 +341,11 @@ def test_probe_fails_before_training_when_a_party_holds_every_subclass(monkeypat
     with pytest.raises(ConfigError, match="^party 0 holds every subclass"):
         experiments.run_noniid_probe(cfg)
     assert trained == []
+
+
+def test_probe_refuses_an_iid_config():
+    with pytest.raises(ConfigError, match="^the probe needs a noniid config$"):
+        experiments.run_noniid_probe(tiny_config())
 
 
 def test_idx_task_runs_end_to_end(tmp_path):

@@ -74,6 +74,14 @@ def test_network_rejects_non_composing_layers():
             ([[1.0], [1.0], [1.0]], [0.0]),
             num_classes=1,
         )
+    with pytest.raises(ConfigError, match="^network needs at least one layer$"):
+        mlp(num_classes=1)
+    with pytest.raises(ShapeError, match="^layer 0: weight must be 2-d and bias 1-d$"):
+        mlp(([1.0, 0.0], [0.0, 0.0]), num_classes=2)
+    with pytest.raises(ShapeError, match="^layer 0: weight out-dim 2 vs bias dim 1$"):
+        mlp(([[1.0, 0.0]], [0.0]), num_classes=2)
+    with pytest.raises(ShapeError, match="^final layer out-dim 2 vs declared class count 3$"):
+        mlp(([[1.0, 0.0]], [0.0, 0.0]), num_classes=3)
 
 
 # --- cross entropy ----------------------------------------------------------------
@@ -283,6 +291,50 @@ def test_train_supervised_divergence_names_epoch():
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch"):
         member = nn.Member(net, data.features, data.labels, np.random.default_rng(5))
         nn.train_supervised([member], 5, 4, nn.AdamParams(lr=1e30))
+
+
+def member(dims=(3, 4, 2), targets=None, **kw):
+    """A member over 10 rows of 3-feature, 2-class blobs, with labels or the given targets."""
+    data = synth_blobs(2, 5, 3, 0.5, seed=1)
+    net = rand_net(np.random.default_rng(0), dims)
+    return nn.Member(net, data.features, data.labels if targets is None else targets, np.random.default_rng(1), **kw)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: nn.forward(rand_net(np.random.default_rng(0), (3, 2)), np.zeros(3)), ShapeError,
+         r"^batch must be 2-d, got shape \(3,\)$"),
+        (lambda: nn.cross_entropy(np.zeros((2, 3)), np.array([0])), ShapeError, r"^logits \(2, 3\) vs labels \(1,\)$"),
+        (lambda: nn.adam_step([np.zeros(2)], [], nn.AdamState.fresh([np.zeros(2)], nn.AdamParams())), ShapeError,
+         "^param/grad/state length mismatch: 1/0/1$"),
+        (lambda: nn.train_supervised([member()], 1, 0, nn.AdamParams()), ConfigError,
+         "^batch_size must be >= 1, got 0$"),
+        (lambda: nn.train_supervised([member()], -1, 4, nn.AdamParams()), ConfigError, "^epochs must be >= 0, got -1$"),
+        (lambda: nn.train_supervised([member(), member((3, 4, 3))], 1, 4, nn.AdamParams()), ConfigError,
+         "^members of one call need one input dim and class count$"),
+        (lambda: nn.train_supervised([member(targets=np.zeros(9, np.int64))], 1, 4, nn.AdamParams()), ShapeError,
+         "^inputs rows 10 vs target rows 9$"),
+        (lambda: nn.train_supervised([member(rows=np.array([0, 10]))], 1, 4, nn.AdamParams()), IndexError,
+         r"^rows outside 0\.\.9$"),
+        (lambda: nn.train_distill([member(targets=np.zeros((10, 3), np.float32))], 1, 4, nn.AdamParams()), ShapeError,
+         r"^targets of shape \(3,\) for 2 classes$"),
+    ],
+    ids=[
+        "forward-1d-batch",
+        "cross-entropy-shapes",
+        "adam-lengths",
+        "batch-size-0",
+        "negative-epochs",
+        "class-counts",
+        "target-rows",
+        "rows-out-of-range",
+        "distill-target-width",
+    ],
+)
+def test_bad_arguments_are_refused_before_any_step(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -268,11 +268,6 @@ def test_select_subset_uniform_inclusion_frequency():
     assert abs(hits / 10_000 - 0.1) <= 0.01
 
 
-def test_select_subset_too_large():
-    with pytest.raises(ConfigError):
-        select_subset(5, 6, np.random.default_rng(0), 0)
-
-
 def test_select_subset_unique_and_in_range():
     for j in range(5):
         sel = select_subset(50, 20, rng_stream(0, "subset", j), j)
@@ -313,8 +308,8 @@ def test_compute_scores_batched_equals_rowwise():
 # --- aggregate -------------------------------------------------------------------------
 
 
-def score(party, arr, rnd=1):
-    return transport.ScoreReport(rnd, party, np.asarray(arr, dtype=np.float32))
+def score(party, arr):
+    return transport.ScoreReport(1, party, np.asarray(arr, dtype=np.float32))
 
 
 def test_aggregate_single_party_identity():
@@ -355,22 +350,6 @@ def test_aggregate_one_hot_weights_select_party():
     reports = [score(k, rng.normal(size=(5, 3)).astype(np.float32)) for k in range(3)]
     out = aggregate(reports, [0.0, 1.0, 0.0])
     assert np.array_equal(out.targets, reports[1].scores)
-
-
-def test_aggregate_missing_party_named():
-    reports = [score(0, [[1.0]]), score(2, [[2.0]])]
-    with pytest.raises(ProtocolError, match="party 1"):
-        aggregate(reports, [0.5, 0.5])
-
-
-def test_aggregate_shape_mismatch():
-    with pytest.raises(ProtocolError, match="shape"):
-        aggregate([score(0, [[1.0, 2.0]]), score(1, [[1.0]])], [0.5, 0.5])
-
-
-def test_aggregate_round_mismatch():
-    with pytest.raises(ProtocolError, match="round"):
-        aggregate([score(0, [[1.0]], rnd=1), score(1, [[1.0]], rnd=2)], [0.5, 0.5])
 
 
 # --- rounds and full runs ------------------------------------------------------------
@@ -524,6 +503,47 @@ def test_run_fedmd_class_count_mismatch_fails_before_training(monkeypatch):
     monkeypatch.setattr(protocol, "prologue", lambda *args: pytest.fail("trained before the shape check"))
     with pytest.raises(ShapeError, match=r"^party 1 output dim 4 does not match 3 test classes$"):
         run_fedmd(cfg, parties, public, test)
+
+
+def no_rows(data):
+    return data.take(np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "breach, error, message",
+    [
+        (
+            lambda w: setattr(w["parties"][1], "id", 2),
+            ConfigError,
+            r"^config names 2 parties, ids 0\.\.1, but got ids \[0, 2\]$",
+        ),
+        (
+            lambda w: setattr(w["parties"][1], "net", nn.build_network(5, (8,), 3, np.random.default_rng(0))),
+            ShapeError,
+            "^party 1 input dim 5 does not match public dim 4$",
+        ),
+        (
+            lambda w: setattr(w["parties"][1], "private", no_rows(w["parties"][1].private)),
+            ConfigError,
+            "^party 1 has an empty private dataset$",
+        ),
+        (lambda w: w.update(public=no_rows(w["public"])), ConfigError, "^public dataset is empty$"),
+        (
+            lambda w: w.update(test=synth_blobs(3, 5, 5, 1.0, seed=0)),
+            ShapeError,
+            "^test feature dim 5 does not match public dim 4$",
+        ),
+        (lambda w: w.update(kind="x"), ConfigError, "^unknown transport 'x'$"),
+    ],
+    ids=["ids", "input-dim", "empty-private", "empty-public", "test-dim", "transport"],
+)
+def test_run_fedmd_refuses_a_bad_world_before_training(monkeypatch, breach, error, message):
+    cfg, parties, public, test = small_world(2, rounds=1)
+    world = {"parties": parties, "public": public, "test": test, "kind": "bus"}
+    breach(world)
+    monkeypatch.setattr(protocol, "prologue", lambda *args: pytest.fail("trained before the check"))
+    with pytest.raises(error, match=message):
+        run_fedmd(cfg, world["parties"], world["public"], world["test"], world["kind"])
 
 
 def test_run_fedmd_party_failure_identifies_party_and_step(monkeypatch):
@@ -1047,6 +1067,11 @@ def drive_round(side, frames):
         ("party", [transport.SubsetAnnouncement(1, np.arange(57, 121))], "party 0 round 1: subset index 120"),
         ("server", [[scores_of(0, 4)], [bad_version(0x01)]], "^party 1 round 1: undecodable scores: "),
         ("party", [bad_version(0x03)], "^party 0 round 1: undecodable subset: "),
+        (
+            "server",
+            [[scores_of(0, 4)], [scores_of(0, 4)]],
+            "party 1 round 1: its channel delivered the scores of party 0",
+        ),
     ],
     ids=[
         "non-finite-scores",
@@ -1057,6 +1082,7 @@ def drive_round(side, frames):
         "subset-index-out-of-range",
         "undecodable-scores",
         "undecodable-subset",
+        "scores-of-another-party",
     ],
 )
 def test_bad_frame_from_peer_names_party_and_round(side, frames, message):

@@ -1,5 +1,6 @@
-"""The scripts under scripts/ import and parse their arguments."""
+"""The scripts under scripts/: each parses its arguments, and the logic of each is checked on small inputs."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -70,3 +71,53 @@ def test_compare_metrics_compares_every_probe_csv(tmp_path):
     (tmp_path / "c" / "seed0" / "probe.csv").unlink()
     proc = run_compare(tmp_path / "a", tmp_path / "c")
     assert proc.returncode == 1 and "seed0/probe.csv: only under" in proc.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RAISING = """\
+def f(x):
+    if x < 0:
+        raise ValueError("negative")
+    try:
+        return 1 / x
+    except ZeroDivisionError:
+        return None
+
+
+class C:
+    def g(self):
+        raise NotImplementedError
+"""
+
+
+def test_unreached_raises_lists_each_site_whose_line_never_ran():
+    script = load_script("unreached_raises")
+    assert [(s.line, s.probe, s.function, s.source) for s in script.sites(RAISING)] == [
+        (3, 3, "f", 'raise ValueError("negative")'),
+        (6, 7, "f", "except ZeroDivisionError:"),
+        (12, 12, "C.g", "raise NotImplementedError"),
+    ]
+    # f(1) runs lines 1, 2, 4 and 5
+    assert [s.line for s in script.unreached(RAISING, {1, 2, 4, 5})] == [3, 6, 12]
+    # an except is reached by its body, not by its clause, which also runs when it does not match
+    assert [s.line for s in script.unreached(RAISING, {1, 2, 3, 4, 5, 6})] == [6, 12]
+    assert [s.line for s in script.unreached(RAISING, {3, 7, 12})] == []
+
+
+def test_unreached_raises_out_of_scope_list_names_real_sites():
+    script = load_script("unreached_raises")
+    for name in {f for f, _, _ in script.OUT_OF_SCOPE}:
+        with open(os.path.join(script.PACKAGE, name)) as f:
+            every = script.sites(f.read())
+        counted, skipped = script.split_scope(name, every)
+        assert {(name, s.function, s.source) for s in skipped} == {e for e in script.OUT_OF_SCOPE if e[0] == name}
+        assert len(counted) + len(skipped) == len(every)
+    site = script.Site(1, 2, "connect", "except OSError as exc:")
+    assert script.split_scope("transport.py", [site]) == ([], [site])
+    assert script.split_scope("cli.py", [site]) == ([site], [])
