@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -223,7 +224,10 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        # fedmd names each numeric failure itself; the filter is process-wide, so it covers the server thread
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except Exception as exc:
         for etype, category, code in _CATEGORIES:
             if isinstance(exc, etype):

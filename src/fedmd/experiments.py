@@ -119,6 +119,8 @@ class ExperimentConfig:
             if not self.subclass_map:
                 raise ConfigError("noniid partition requires subclass_map")
             _noniid_superclasses(self.subclass_map)
+        elif self.subclass_map is not None:
+            raise ConfigError("subclass_map requires a noniid partition")
         if self.per_class < 1:
             raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
         object.__setattr__(self, "architectures", archs)
@@ -130,7 +132,7 @@ class ExperimentConfig:
 
 def derive_seed(seed: int, tag: str) -> int:
     """Deterministic child seed for one named purpose."""
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(tag.encode())])
+    ss = np.random.SeedSequence([seed, zlib.crc32(tag.encode())])
     return int(ss.generate_state(1)[0])
 
 

@@ -33,7 +33,6 @@ class Network:
     """
 
     layers: list[Layer]
-    output_dim: int
 
     def __post_init__(self):
         if not self.layers:
@@ -50,15 +49,14 @@ class Network:
                     f"layer {i - 1} out-dim {self.layers[i - 1].weight.shape[1]} does not "
                     f"compose with layer {i} in-dim {lyr.weight.shape[0]}"
                 )
-        last = self.layers[-1]
-        if last.weight.shape[1] != self.output_dim:
-            raise ShapeError(
-                f"final layer out-dim {last.weight.shape[1]} vs declared class count {self.output_dim}"
-            )
 
     @property
     def input_dim(self) -> int:
         return self.layers[0].weight.shape[0]
+
+    @property
+    def output_dim(self) -> int:
+        return self.layers[-1].weight.shape[1]
 
     def parameters(self) -> list[np.ndarray]:
         out = []
@@ -69,7 +67,7 @@ class Network:
 
     def copy(self) -> "Network":
         """An independent network over copies of each array."""
-        return Network([Layer(l.weight.copy(), l.bias.copy()) for l in self.layers], self.output_dim)
+        return Network([Layer(l.weight.copy(), l.bias.copy()) for l in self.layers])
 
     __copy__ = copy
 
@@ -98,7 +96,7 @@ def build_network(
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype)
         b = np.zeros(fan_out, dtype=dtype)
         layers.append(Layer(w, b))
-    return Network(layers, num_classes)
+    return Network(layers)
 
 
 def forward(net: Network, batch: np.ndarray) -> np.ndarray:
@@ -282,17 +280,22 @@ class Member:
     val: "object | None" = None
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """One shape, dtype and bytes: ``==`` would equate -0.0 with 0.0, and no NaN with itself."""
+    return a is b or ((a.shape, a.dtype) == (b.shape, b.dtype) and a.tobytes() == b.tobytes())
+
+
 def _shared_rows(members: list[Member]):
     """One inputs array and one targets array that hold every member's data, and each member's rows in them.
 
-    Members that train on the same arrays share them; otherwise the arrays are
-    stacked once. A member's rows are None when it trains on all of them.
+    Members whose inputs and targets hold the same bits share them; otherwise
+    the arrays are stacked once. A member's rows are None when it trains on all of them.
     """
     sources, rows = [], []
     for mem in members:
         if mem.inputs.shape[0] != mem.targets.shape[0]:
             raise ShapeError(f"inputs rows {mem.inputs.shape[0]} vs target rows {mem.targets.shape[0]}")
-        j = next((j for j, (x, y) in enumerate(sources) if x is mem.inputs and y is mem.targets), None)
+        j = next((j for j, src in enumerate(sources) if all(map(_same_bits, src, (mem.inputs, mem.targets)))), None)
         if j is None:
             j = len(sources)
             sources.append((mem.inputs, mem.targets))

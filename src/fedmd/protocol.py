@@ -52,7 +52,7 @@ def rng_stream(master_seed: int, *tags) -> np.random.Generator:
     String tags are folded through crc32 so stream names stay stable across
     platforms and runs.
     """
-    ints = [master_seed & 0xFFFFFFFF]
+    ints = [master_seed]
     for t in tags:
         ints.append(zlib.crc32(t.encode()) if isinstance(t, str) else int(t) & 0xFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(ints))
@@ -99,6 +99,8 @@ class CollaborationConfig:
             raise ConfigError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not 0 <= self.seed <= 0xFFFFFFFF:
+            raise ConfigError(f"seed must lie in 0..4294967295, got {self.seed}")
         if not self.min_improvement >= 0:
             raise ConfigError(f"min_improvement must be >= 0, got {self.min_improvement}")
         weights = (1.0,) * self.parties if self.weights is None else tuple(map(float, self.weights))
@@ -282,19 +284,14 @@ def _digest_and_revisit(
 ):
     """Digest each party's consensus, then revisit its private data; returns each party's (digest loss, revisit loss).
 
-    Members whose subset and consensus frames hold the first party's bits (an
-    honest server sends every party the same) share one inputs and one
-    targets array. A failure reads ``party K round J: digest failed: …`` (or
-    ``revisit failed``), naming the member that diverged or a lone party, else
+    A failure reads ``party K round J: digest failed: …`` (or ``revisit
+    failed``), naming the member that diverged or a lone party, else
     ``parties K, L, …``.
     """
-    head = parties[0].id
-    j, first, targets = selections[head].round, selections[head].indices, consensus[head].targets
-    inputs, digest = public.features[first], []
+    j = selections[parties[0].id].round
+    digest = []
     for p in parties:
-        x, y = selections[p.id].indices, consensus[p.id].targets
-        x = inputs if np.array_equal(x, first) else public.features[x]
-        y = targets if np.array_equal(y.view(np.uint8), targets.view(np.uint8)) else y
+        x, y = public.features[selections[p.id].indices], consensus[p.id].targets
         digest.append(nn.Member(p.net, x, y, rng_stream(cfg.seed, p.id, "digest", j)))
     with _failing(parties, f"round {j}: digest failed"):
         digest_losses = [nn.distill_loss(reports[p.id].scores, consensus[p.id].targets)[0] for p in parties]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,8 @@ def test_parse_config_override_validation(tmp_path):
     cfg = cli.parse_config(path, ["rounds=3", "data.spread=2.5"])
     assert cfg.collab.rounds == 3
     assert cfg.data.spread == 2.5
+    cfg = cli.parse_config(path, ["seed=4294967295"])  # the largest seed builds and draws its task
+    assert cfg.seed == 4294967295 and experiments.build_task(cfg).public.n == 90
 
 
 def test_parse_config_missing_file_is_config_error(tmp_path):
@@ -166,6 +169,17 @@ def test_bad_optimizer_value_exit_2(tmp_path, capsys, override):
     assert "fedmd: error: config:" in capsys.readouterr().err
 
 
+def test_a_diverging_run_prints_one_error_line_and_no_numpy_warning(tmp_path, capsys):
+    path = write_config(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", path, "-o", f"out_dir={tmp_path / 'out'}", "-o", "lr=1e300"]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "fedmd: error: protocol: party 0 failed during transfer: non-finite training loss in epoch 0\n"
+
+
 def test_baseline_transfer_kind(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["run", path, "-o", f"out_dir={tmp_path / 'base'}", "-o", "rounds=0", "-o", "pooled=false"]) == 0
@@ -241,6 +255,9 @@ BAD_CONFIGS = [
     (TINY, ["digest_batch_size=0"], "digest_batch_size must be >= 1, got 0"),
     (TINY, ["val_fraction=1"], "val_fraction must lie in [0, 1), got 1"),
     (TINY, ["weights=[0, 0]"], "consensus weights must not all be zero"),
+    (TINY, ["seed=-1"], "seed must lie in 0..4294967295, got -1"),
+    (TINY, ["seed=4294967296"], "seed must lie in 0..4294967295, got 4294967296"),
+    (TINY, ['partition.subclass_map={"0": 0}'], "subclass_map requires a noniid partition"),
     (NONIID, ["partition.per_class=1000"], "subclass 1 has 70 samples, need 1000"),
 ]
 

@@ -18,10 +18,10 @@ from net_util import share_no_parameter
 from reference_util import reference_cross_entropy, reference_forward, reference_group_run_epochs
 
 
-def mlp(*layer_specs, num_classes):
+def mlp(*layer_specs):
     layers = [nn.Layer(np.asarray(w, dtype=np.float32), np.asarray(b, dtype=np.float32))
               for w, b in layer_specs]
-    return nn.Network(layers, num_classes)
+    return nn.Network(layers)
 
 
 def rand_net(rng, dims):
@@ -32,13 +32,13 @@ def rand_net(rng, dims):
 
 
 def test_forward_zero_net_maps_to_zero():
-    net = mlp(([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]), num_classes=2)
+    net = mlp(([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]))
     batch = np.array([[3.0, -4.0], [1.0, 2.0]], dtype=np.float32)
     assert np.array_equal(nn.forward(net, batch), np.zeros((2, 2), dtype=np.float32))
 
 
 def test_forward_identity_layer():
-    net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), num_classes=2)
+    net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
     out = nn.forward(net, np.array([[1.0, 2.0]], dtype=np.float32))
     assert np.array_equal(out, np.array([[1.0, 2.0]], dtype=np.float32))
 
@@ -48,7 +48,6 @@ def test_forward_two_layer_hand_computed():
     net = mlp(
         ([[1.0, -1.0], [2.0, 0.5]], [0.5, -1.0]),
         ([[1.0, 2.0], [-1.0, 1.0]], [0.25, -0.25]),
-        num_classes=2,
     )
     out = nn.forward(net, np.array([[1.0, 0.0]], dtype=np.float32))
     assert np.allclose(out, [[1.75, 2.75]], atol=1e-6)
@@ -62,7 +61,7 @@ def test_forward_dim_mismatch_names_both_dims():
 
 def test_forward_never_applies_softmax():
     # the last layer emits raw logits: outputs are unconstrained affine values
-    net = mlp(([[2.0], [0.0]], [1.0]), num_classes=1)
+    net = mlp(([[2.0], [0.0]], [1.0]))
     out = nn.forward(net, np.array([[10.0, 0.0]], dtype=np.float32))
     assert np.allclose(out, [[21.0]])  # a softmax row would sum to 1
 
@@ -72,16 +71,13 @@ def test_network_rejects_non_composing_layers():
         mlp(
             ([[1.0, 0.0]], [0.0, 0.0]),
             ([[1.0], [1.0], [1.0]], [0.0]),
-            num_classes=1,
         )
     with pytest.raises(ConfigError, match="^network needs at least one layer$"):
-        mlp(num_classes=1)
+        mlp()
     with pytest.raises(ShapeError, match="^layer 0: weight must be 2-d and bias 1-d$"):
-        mlp(([1.0, 0.0], [0.0, 0.0]), num_classes=2)
+        mlp(([1.0, 0.0], [0.0, 0.0]))
     with pytest.raises(ShapeError, match="^layer 0: weight out-dim 2 vs bias dim 1$"):
-        mlp(([[1.0, 0.0]], [0.0]), num_classes=2)
-    with pytest.raises(ShapeError, match="^final layer out-dim 2 vs declared class count 3$"):
-        mlp(([[1.0, 0.0]], [0.0, 0.0]), num_classes=3)
+        mlp(([[1.0, 0.0]], [0.0]))
 
 
 # --- cross entropy ----------------------------------------------------------------
@@ -378,7 +374,7 @@ def test_train_distill_fixed_point_keeps_weights():
 
 
 def test_train_distill_loss_strictly_decreases():
-    net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]), num_classes=2)
+    net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
     inputs = np.array([[1.0, 1.0]], dtype=np.float32)
     targets = nn.forward(net, inputs) + 0.5
     (report,) = nn.train_distill([nn.Member(net, inputs, targets, np.random.default_rng(14))], 10, 1, nn.AdamParams())
@@ -387,7 +383,7 @@ def test_train_distill_loss_strictly_decreases():
 
 
 def test_train_distill_zero_epochs_is_noop():
-    net = mlp(([[1.0]], [0.0]), num_classes=1)
+    net = mlp(([[1.0]], [0.0]))
     ones = np.ones((2, 1), dtype=np.float32)
     (report,) = nn.train_distill([nn.Member(net, ones, ones, np.random.default_rng(0))], 0, 1, nn.AdamParams())
     assert report.epochs == 0
@@ -404,7 +400,7 @@ def test_accuracy_perfect_net():
 
 
 def test_accuracy_ties_break_to_lowest_class():
-    net = mlp(([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]), num_classes=2)
+    net = mlp(([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0]))
     from fedmd.data import Dataset
 
     data = Dataset(np.ones((4, 2), dtype=np.float32), np.zeros(4, dtype=np.int64), 2)
@@ -618,6 +614,27 @@ def test_members_of_unequal_row_counts_train_in_one_call_each_as_alone():
         nn._run_epochs(members, nn._cross_entropy, 2, 32, opt)
     assert err.value.member == 3
     assert share_no_parameter(nets)
+
+
+def test_members_share_one_source_when_their_arrays_hold_the_same_bits():
+    x, y = TRAIN.features.copy(), TARGETS.copy()
+    x[0, 0], y[0, 0], y[1, 1] = 0.0, 0.0, np.nan
+
+    def shared(*pairs):  # _shared_rows reads only a member's arrays and rows
+        return nn._shared_rows([nn.Member(None, a, b, None) for a, b in pairs])
+
+    # distinct arrays of equal bits, NaN included, which == never equates
+    inputs, targets, rows = shared((x, y), (x.copy(), y.copy()), (x.copy(), y.copy()))
+    assert inputs.shape[0] == targets.shape[0] == TRAIN.n and rows == [None] * 3
+    assert np.array_equal(inputs, x) and np.array_equal(targets, y, equal_nan=True)
+    # a zero's sign is a bit that == ignores: each member keeps its own
+    for flip in (0, 1):
+        neg = (x.copy(), y.copy())
+        neg[flip][0, 0] = -0.0
+        inputs, targets, rows = shared((x, y), neg)
+        assert inputs.shape[0] == targets.shape[0] == 2 * TRAIN.n
+        assert [r.tolist() for r in rows] == [list(range(TRAIN.n)), list(range(TRAIN.n, 2 * TRAIN.n))]
+        assert np.signbit((inputs, targets)[flip][TRAIN.n, 0]) and not np.signbit((inputs, targets)[flip][0, 0])
 
 
 def test_forward_matches_the_training_forward():

@@ -802,19 +802,24 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch):
     ]
     alone = [PartyState(p.id, p.net.copy(), p.private) for p in parties]
 
-    calls = []  # (members, distinct inputs arrays, distinct targets arrays) of each digest call
-    inner = nn.train_distill
+    sources = []  # (members, inputs rows, targets rows) of each group nn trains from one source
+    inner = nn._shared_rows
 
-    def recording(members, *args):
-        calls.append((len(members), len({id(m.inputs) for m in members}), len({id(m.targets) for m in members})))
-        return inner(members, *args)
+    def recording(members):
+        inputs, targets, rows = inner(members)
+        if targets.ndim == 2:  # score targets: a digest group
+            assert all(r is None for r in rows)  # every member trains on every row of the one source
+            sources.append((len(members), inputs.shape[0], targets.shape[0]))
+        return inputs, targets, rows
 
-    monkeypatch.setattr(nn, "train_distill", recording)
+    monkeypatch.setattr(nn, "_shared_rows", recording)
+    digests = phase_calls(monkeypatch, "train_distill")
     revisits = phase_calls(monkeypatch, "train_supervised")
     rows = rounds_over_bus(parties, public, test, cfg)
     monkeypatch.undo()
-    assert calls == [(10, 1, 1)] * 2  # one call a round, and an honest server's frames are shared
-    assert revisits == [10] * 2
+    assert digests == revisits == [10] * 2
+    # an honest server sends every party the same frames, so ten digests train from one subset's rows
+    assert sources == [(10, cfg.subset_size, cfg.subset_size)] * 2
 
     expected = []
     for j in (1, 2):
@@ -983,7 +988,7 @@ def test_server_loop_keys_channels_by_hello():
         "undecodable",
     ],
 )
-def test_accept_parties_rejects_bad_hellos(frames, message):
+def test_server_loop_rejects_bad_hellos(frames, message):
     """``server_loop`` accepts the parties only on exactly one good hello from each of 0..m-1."""
     with pytest.raises(ProtocolError, match=message):
         handshake(frames, 2)
