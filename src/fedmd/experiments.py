@@ -11,8 +11,8 @@ import json
 import math
 import os
 import zlib
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import ClassVar
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -88,6 +88,27 @@ def _noniid_superclasses(mapping: dict[int, int]) -> int:
 
 
 @dataclass(frozen=True)
+class Partition:
+    """The pool's split: ``per_class`` rows of each class per party; ``noniid`` classes are ``subclass_map``'s."""
+
+    mode: str = "iid"
+    per_class: int = 3
+    subclass_map: "dict[int, int] | None" = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("iid", "noniid"):
+            raise ConfigError(f"unknown partition mode {self.mode!r}")
+        if self.mode == "noniid":
+            if not self.subclass_map:
+                raise ConfigError("noniid partition requires subclass_map")
+            _noniid_superclasses(self.subclass_map)
+        elif self.subclass_map is not None:
+            raise ConfigError("subclass_map requires a noniid partition")
+        if self.per_class < 1:
+            raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One run: collaboration, data, partition and party models, checked when built.
 
@@ -97,9 +118,7 @@ class ExperimentConfig:
 
     collab: CollaborationConfig
     data: "BlobsSpec | IdxSpec" = field(default_factory=BlobsSpec)
-    partition_mode: str = "iid"
-    per_class: int = 3
-    subclass_map: "dict[int, int] | None" = None
+    partition: Partition = field(default_factory=Partition)
     architectures: tuple[tuple[int, ...], ...] = ()
     pooled: bool = True
     out_dir: "str | None" = None
@@ -113,16 +132,6 @@ class ExperimentConfig:
         for a in archs:
             if any(w < 1 for w in a):
                 raise ConfigError(f"hidden widths must be >= 1, got {a}")
-        if self.partition_mode not in ("iid", "noniid"):
-            raise ConfigError(f"unknown partition mode {self.partition_mode!r}")
-        if self.partition_mode == "noniid":
-            if not self.subclass_map:
-                raise ConfigError("noniid partition requires subclass_map")
-            _noniid_superclasses(self.subclass_map)
-        elif self.subclass_map is not None:
-            raise ConfigError("subclass_map requires a noniid partition")
-        if self.per_class < 1:
-            raise ConfigError(f"per_class must be >= 1, got {self.per_class}")
         object.__setattr__(self, "architectures", archs)
 
     @property
@@ -150,13 +159,12 @@ class TaskData:
 def build_task(cfg: ExperimentConfig) -> TaskData:
     """The run's public, private and test sets, drawn or loaded as ``cfg.data`` says.
 
-    The pool is split among the parties with the config's own partition
-    values; a noniid run relabels its test set with the superclasses of
-    ``cfg.subclass_map``.
+    The pool is split among the parties as ``cfg.partition`` says; a noniid
+    run relabels its test set with the superclasses of its ``subclass_map``.
     """
     seed = cfg.seed
-    spec = cfg.data
-    num_supers = _noniid_superclasses(cfg.subclass_map) if cfg.partition_mode == "noniid" else None
+    spec, part = cfg.data, cfg.partition
+    num_supers = _noniid_superclasses(part.subclass_map) if part.mode == "noniid" else None
     if isinstance(spec, BlobsSpec):
         public = synth_blobs(
             num_supers or spec.classes,
@@ -185,13 +193,16 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
         public = load_idx_dataset(spec.public_images, spec.public_labels, spec.classes)
         pool = load_idx_dataset(spec.pool_images, spec.pool_labels, spec.classes)
         test_pool = load_idx_dataset(spec.test_images, spec.test_labels, spec.classes)
+        for split, d in (("pool", pool), ("test", test_pool)):
+            if d.dim != public.dim:
+                raise ConfigError(f"data.{split}_images hold {d.dim} values per image, data.public_images {public.dim}")
 
     m, partition_seed = cfg.collab.parties, derive_seed(seed, "partition")
-    if cfg.partition_mode == "iid":
-        split = partition_iid(pool, m, cfg.per_class, partition_seed)
+    if part.mode == "iid":
+        split = partition_iid(pool, m, part.per_class, partition_seed)
         return TaskData(public, list(split.parties), test_pool)
-    split = partition_noniid(pool, m, cfg.per_class, partition_seed, cfg.subclass_map)
-    test = to_superclass(test_pool, cfg.subclass_map, num_supers)
+    split = partition_noniid(pool, m, part.per_class, partition_seed, part.subclass_map)
+    test = to_superclass(test_pool, part.subclass_map, num_supers)
     return TaskData(
         public,
         list(split.parties),
@@ -254,7 +265,6 @@ def _run(cfg: ExperimentConfig, task: TaskData, parties: list[PartyState], trans
     if cfg.pooled:
         log.rows.extend(baseline_pooled(cfg, task, parties))
     log.config_hash = config_hash(cfg)
-    log.validate()
     summary = summarize(log)
     summary["name"] = cfg.name
     summary["version"] = __version__
@@ -279,10 +289,7 @@ def write_outputs(out_dir: str, log: MetricsLog, summary: dict, cfg: ExperimentC
         raise OSError(f"cannot write run outputs under {out_dir}: {exc}") from exc
 
 
-# --- config (de)serialization ---------------------------------------------------
-
-_COLLAB_KEYS = tuple(f.name for f in fields(CollaborationConfig))
-
+# --- config (de)serialization: one JSON object per config class, one key per field ---
 
 # what a JSON value of each type is called in an error
 _KINDS = {
@@ -302,89 +309,77 @@ def _json(where: str, value, kind: type, optional: bool = False):
     return value
 
 
-def _json_fields(cls, raw: dict, where: str = "") -> dict:
-    """``raw``, with the value of each int, float, str or bool field of ``cls`` checked by ``_json``."""
-    for f in fields(cls):
-        if f.name in raw and f.type in _KINDS:
-            _json(where + f.name, raw[f.name], f.type)
-    return raw
+def _read(cls, raw: dict, where: str, **given):
+    """A ``cls`` from the JSON object ``raw`` at ``where`` (``""``, ``"data."``, ...), each value read by ``_value``.
+
+    ``given`` holds fields already built; every other field without a default must be set.
+    """
+    name = where[:-1] or "config"
+    hints = get_type_hints(cls)
+    own = [f for f in fields(cls) if f.name not in given]
+    for key in raw:
+        if key not in {f.name for f in own}:
+            kind = f" for kind {cls.kind!r}" if hasattr(cls, "kind") else ""
+            raise ConfigError(f"unknown {name} key {key!r}{kind}")
+    required = [f.name for f in own if f.default is MISSING and f.default_factory is MISSING]
+    if not raw.keys() >= set(required):
+        raise ConfigError(f"{name} must set {' and '.join(map(repr, required))}")
+    return cls(**given, **{key: _value(where + key, value, hints[key]) for key, value in raw.items()})
+
+
+def _value(where: str, value, hint):
+    """``value``, read from JSON at ``where``, checked against the field type ``hint`` and built as one.
+
+    A config class is read from an object or null (all defaults), a union of spec classes by
+    ``kind`` (the first by default), a tuple from a list, a subclass map from number keys.
+    """
+    args = get_args(hint)
+    if is_dataclass(hint) or args and all(map(is_dataclass, args)):
+        raw = dict(_json(where, value, dict, optional=True) or {})
+        if args:
+            kind = _json(f"{where}.kind", raw.pop("kind", args[0].kind), str)
+            hint = next((c for c in args if c.kind == kind), None)
+            if hint is None:
+                raise ConfigError(f"unknown {where} kind {kind!r}")
+        return _read(hint, raw, where + ".")
+    optional = type(None) in args
+    if optional:  # ``X | None``
+        hint, args = args[0], get_args(args[0])
+    kind = get_origin(hint) or hint
+    if _json(where, value, list if kind is tuple else kind, optional) is None:
+        return None
+    if kind is tuple:
+        return tuple(_value(f"{where}[{i}]", v, args[0]) for i, v in enumerate(value))
+    if kind is dict:
+        if not all(str(k).isdecimal() for k in value):
+            raise ConfigError(f"{where} keys must be subclass numbers, got {list(value)}")
+        return {int(k): _value(f"{where}[{k!r}]", v, args[1]) for k, v in value.items()}
+    return value
+
+
+def _to_json(value):
+    """``value`` as ``_value`` reads it: a config class as an object (a spec's ``kind`` included), a tuple as a list."""
+    if is_dataclass(value):
+        out = {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+        return {**out, "kind": value.kind} if hasattr(value, "kind") else out
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): v for k, v in sorted(value.items())}
+    return value
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Flat JSON-ready dict of the effective config, every default included."""
-    out = {k: getattr(cfg.collab, k) for k in _COLLAB_KEYS}
-    out["weights"] = list(cfg.collab.weights)
-    out["data"] = {**asdict(cfg.data), "kind": cfg.data.kind}
-    out["partition"] = {
-        "mode": cfg.partition_mode,
-        "per_class": cfg.per_class,
-        "subclass_map": (
-            None
-            if cfg.subclass_map is None
-            else {str(k): v for k, v in sorted(cfg.subclass_map.items())}
-        ),
-    }
-    out["architectures"] = [list(a) for a in cfg.architectures]
-    out["pooled"] = cfg.pooled
-    out["out_dir"] = cfg.out_dir
-    out["name"] = cfg.name
-    return out
+    """Flat JSON-ready dict of the effective config, every default included; ``config_from_dict`` reads it back."""
+    out = _to_json(cfg)
+    return {**out.pop("collab"), **out}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON-shaped dict, rejecting unknown keys and values of the wrong JSON type."""
-    known_top = set(_COLLAB_KEYS) | {"data", "partition", "architectures", "pooled", "out_dir", "name"}
-    for key in raw:
-        if key not in known_top:
-            raise ConfigError(f"unknown config key {key!r}")
-    collab_kwargs = {k: raw[k] for k in _COLLAB_KEYS if k in raw}
-    if "parties" not in collab_kwargs or "rounds" not in collab_kwargs:
-        raise ConfigError("config must set at least 'parties' and 'rounds'")
-    for i, w in enumerate(_json("weights", raw.get("weights"), list, optional=True) or ()):
-        _json(f"weights[{i}]", w, float)
-    collab = CollaborationConfig(**_json_fields(CollaborationConfig, collab_kwargs))
-
-    data_raw = dict(_json("data", raw.get("data"), dict, optional=True) or {})
-    kind = _json("data.kind", data_raw.pop("kind", "blobs"), str)
-    spec = {c.kind: c for c in (BlobsSpec, IdxSpec)}.get(kind)
-    if spec is None:
-        raise ConfigError(f"unknown data kind {kind!r}")
-    for key in data_raw:
-        if key not in {f.name for f in fields(spec)}:
-            raise ConfigError(f"unknown data key {key!r} for kind {kind!r}")
-    if spec is IdxSpec and "classes" not in data_raw:
-        raise ConfigError("idx data requires 'classes'")
-    _json("data.public_spread", data_raw.get("public_spread"), float, optional=True)
-    data = spec(**_json_fields(spec, data_raw, "data."))
-
-    part_raw = dict(_json("partition", raw.get("partition"), dict, optional=True) or {})
-    mode = part_raw.pop("mode", "iid")
-    per_class = _json("partition.per_class", part_raw.pop("per_class", 3), int)
-    sub_raw = _json("partition.subclass_map", part_raw.pop("subclass_map", None), dict, optional=True)
-    if part_raw:
-        raise ConfigError(f"unknown partition key {sorted(part_raw)[0]!r}")
-    subclass_map = None
-    if sub_raw is not None:
-        if not all(str(k).isdigit() for k in sub_raw):
-            raise ConfigError(f"partition.subclass_map keys must be subclass numbers, got {list(sub_raw)}")
-        subclass_map = {int(k): _json(f"partition.subclass_map[{k!r}]", v, int) for k, v in sub_raw.items()}
-    archs = _json("architectures", raw.get("architectures"), list, optional=True) or ()
-    for i, arch in enumerate(archs):
-        for j, width in enumerate(_json(f"architectures[{i}]", arch, list)):
-            _json(f"architectures[{i}][{j}]", width, int)
-    _json_fields(ExperimentConfig, raw)  # pooled, name
-
-    return ExperimentConfig(
-        collab=collab,
-        data=data,
-        partition_mode=mode,
-        per_class=per_class,
-        subclass_map=subclass_map,
-        architectures=archs,
-        pooled=raw.get("pooled", True),
-        out_dir=_json("out_dir", raw.get("out_dir"), str, optional=True),
-        name=raw.get("name", "experiment"),
-    )
+    """A config from a JSON-shaped dict (``collab``'s fields at its top level), refusing unknown keys and types."""
+    own = {f.name for f in fields(ExperimentConfig)} - {"collab"}
+    collab = _read(CollaborationConfig, {k: v for k, v in raw.items() if k not in own}, "")
+    return _read(ExperimentConfig, {k: v for k, v in raw.items() if k in own}, "", collab=collab)
 
 
 @dataclass
@@ -405,7 +400,7 @@ def run_noniid_probe(cfg: ExperimentConfig, transport_kind: str = "bus") -> NonI
     subclass has none to be measured on: that is a ``ConfigError``, raised
     before any training.
     """
-    if cfg.partition_mode != "noniid":
+    if cfg.partition.mode != "noniid":
         raise ConfigError("the probe needs a noniid config")
     task = build_task(cfg)
     parties = build_parties(cfg, task)

@@ -111,6 +111,8 @@ class CollaborationConfig:
         total = sum(weights)
         if total <= 0:
             raise ConfigError("consensus weights must not all be zero")
+        if total == math.inf:  # finite weights that overflow would all rescale to 0
+            raise ConfigError("consensus weights must have a finite sum")
         if abs(total - 1.0) > 1e-9:  # renormalize, but stay idempotent
             weights = tuple(w / total for w in weights)
         object.__setattr__(self, "weights", weights)

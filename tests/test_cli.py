@@ -228,8 +228,13 @@ def test_bad_command_arguments_exit_2_before_any_work(tmp_path, capsys, monkeypa
     assert err == f"fedmd: error: config: {message}\n"
 
 
-with open(os.path.join(CONFIGS, "noniid.json")) as f:
-    NONIID = json.load(f)
+def committed(name):
+    """The raw JSON of ``configs/<name>.json``."""
+    with open(os.path.join(CONFIGS, f"{name}.json")) as f:
+        return json.load(f)
+
+
+NONIID = committed("noniid")
 
 
 # a config is text, or an object written as JSON; every case ends before any training
@@ -238,13 +243,14 @@ BAD_CONFIGS = [
     (TINY, ["rounds"], "override 'rounds' is not of the form key=value"),
     ("{", [], "is not valid JSON: Expecting property name enclosed in double quotes"),
     ("[]", [], "config root must be an object, got list"),
-    ('{"parties": 2}', [], "config must set at least 'parties' and 'rounds'"),
+    ('{"parties": 2}', [], "config must set 'parties' and 'rounds'"),
     (TINY, ["partition.mode=x"], "unknown partition mode 'x'"),
     (TINY, ["partition.per_class=0"], "per_class must be >= 1, got 0"),
     (TINY, ["partition.subclass_map.a=0"], "partition.subclass_map keys must be subclass numbers, got ['a']"),
+    (TINY, ['partition.subclass_map={"²": 0}'], "partition.subclass_map keys must be subclass numbers, got ['²']"),
     (TINY, ["partition.bogus=1"], "unknown partition key 'bogus'"),
     (TINY, ["data.kind=x"], "unknown data kind 'x'"),
-    (TINY, ['data={"kind": "idx"}'], "idx data requires 'classes'"),
+    (TINY, ['data={"kind": "idx"}'], "data must set 'classes'"),
     (TINY, ['data={"kind": "idx", "classes": 0}'], "data.classes must be >= 1, got 0"),
     (TINY, ['data={"kind": "idx", "classes": 3}'], "data.public_images must name an IDX file"),
     (TINY, ["architectures=[[0], [8]]"], "hidden widths must be >= 1, got (0,)"),
@@ -255,6 +261,7 @@ BAD_CONFIGS = [
     (TINY, ["digest_batch_size=0"], "digest_batch_size must be >= 1, got 0"),
     (TINY, ["val_fraction=1"], "val_fraction must lie in [0, 1), got 1"),
     (TINY, ["weights=[0, 0]"], "consensus weights must not all be zero"),
+    (TINY, ["weights=[1e308, 1e308]"], "consensus weights must have a finite sum"),
     (TINY, ["seed=-1"], "seed must lie in 0..4294967295, got -1"),
     (TINY, ["seed=4294967296"], "seed must lie in 0..4294967295, got 4294967296"),
     (TINY, ['partition.subclass_map={"0": 0}'], "subclass_map requires a noniid partition"),
@@ -278,6 +285,37 @@ def test_bad_config_exits_2_naming_the_fault(tmp_path, capsys, config, overrides
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("fedmd: error: config: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def fields_of(raw, prefix=""):
+    """The dotted key and value of each field of a raw config, ``data``'s and ``partition``'s included."""
+    for key, value in raw.items():
+        if key in ("data", "partition"):
+            yield from fields_of(value, f"{key}.")
+        else:
+            yield prefix + key, value
+
+
+# every field of both committed configs, set to a value of another JSON type:
+# a number where the value is a string or null, else a string
+WRONG_TYPES = [
+    (name, key, 5 if value is None or isinstance(value, str) else "x")
+    for name in ("blobs10", "noniid")
+    for key, value in fields_of(committed(name))
+]
+
+
+@pytest.mark.parametrize(
+    "name, key, value", WRONG_TYPES, ids=[f"{n} {k}={json.dumps(v)}" for n, k, v in WRONG_TYPES]
+)
+def test_a_field_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsys, name, key, value):
+    path = os.path.join(CONFIGS, f"{name}.json")
+    args = [f"out_dir={tmp_path / 'out'}", f"{key}={json.dumps(value)}"]
+    assert cli.main(["run", path, *(x for o in args for x in ("-o", o))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"fedmd: error: config: {key} must be ")
     assert not (tmp_path / "out").exists()
 
 
@@ -326,8 +364,19 @@ def swapped(data, a, b):
             },
             "dataset contains subclasses absent from the mapping",
         ),
+        (
+            lambda t: {"data": idx_files(t, pool_images=np.zeros((30, 3, 3)))},
+            "data.pool_images hold 9 values per image, data.public_images 6",
+        ),
+        (
+            lambda t: {"data": idx_files(t, test_images=np.zeros((30, 1, 3)))},
+            "data.test_images hold 3 values per image, data.public_images 6",
+        ),
     ],
-    ids=["images-and-labels-swapped", "labels-are-images", "5-images-4-labels", "test-subclass-outside-the-map"],
+    ids=[
+        "images-and-labels-swapped", "labels-are-images", "5-images-4-labels", "test-subclass-outside-the-map",
+        "pool-images-of-another-size", "test-images-of-another-size",
+    ],
 )
 def test_bad_idx_data_exits_2_naming_the_fault(tmp_path, capsys, config, message):
     path = write_config(tmp_path, {"out_dir": str(tmp_path / "out"), **config(tmp_path)})

@@ -15,6 +15,7 @@ from fedmd.experiments import (
     BlobsSpec,
     ExperimentConfig,
     IdxSpec,
+    Partition,
     baseline_pooled,
     build_parties,
     build_task,
@@ -40,8 +41,7 @@ def tiny_config(seed=0, parties=2, rounds=1, pooled=False, **data_kw):
             patience=5, max_epochs=10, transfer_batch_size=16, seed=seed,
         ),
         data=BlobsSpec(**data),
-        partition_mode="iid",
-        per_class=3,
+        partition=Partition("iid", 3),
         architectures=((8,),) * parties,
         pooled=pooled,
         name="tiny",
@@ -182,7 +182,7 @@ def test_config_validation_errors_name_constraint():
     with pytest.raises(ConfigError, match="3 architectures for 10 parties"):
         replace(cfg, architectures=cfg.architectures[:3])
     with pytest.raises(ConfigError, match="noniid partition requires subclass_map"):
-        ExperimentConfig(cfg.collab, partition_mode="noniid", subclass_map=None, architectures=cfg.architectures)
+        replace(cfg, partition=Partition("noniid"))
     # data values that only build_task used to reject
     with pytest.raises(ConfigError, match="data.dim must be >= 1"):
         BlobsSpec(dim=0)
@@ -191,9 +191,7 @@ def test_config_validation_errors_name_constraint():
     with pytest.raises(ConfigError, match="data.public_per_class must be >= 1"):
         config_from_dict({"parties": 2, "rounds": 1, "data": {"kind": "blobs", "public_per_class": 0}})
     with pytest.raises(ConfigError, match="superclass indices must be contiguous"):
-        ExperimentConfig(
-            cfg.collab, partition_mode="noniid", subclass_map={0: 0, 1: 2}, architectures=cfg.architectures
-        )
+        Partition("noniid", subclass_map={0: 0, 1: 2})
     # an infinite spread draws non-finite features, so it is refused with the config
     with pytest.raises(ConfigError, match="^data.spread must be finite and positive, got inf$"):
         BlobsSpec(spread=math.inf)
@@ -304,9 +302,7 @@ def noniid_tiny():
         ),
         data=BlobsSpec(classes=4, dim=4, spread=1.0, public_per_class=30,
                        pool_per_class=16, test_per_class=20),
-        partition_mode="noniid",
-        per_class=4,
-        subclass_map={0: 0, 1: 0, 2: 1, 3: 1},
+        partition=Partition("noniid", 4, {0: 0, 1: 0, 2: 1, 3: 1}),
         architectures=((8,), (8,)),
         pooled=False,
         name="noniid-tiny",
@@ -334,8 +330,7 @@ def test_probe_fails_before_training_when_a_party_holds_every_subclass(monkeypat
         cfg,
         collab=replace(cfg.collab, parties=1, weights=None),
         data=replace(cfg.data, classes=3),
-        per_class=3,
-        subclass_map={0: 0, 1: 1, 2: 2},
+        partition=Partition("noniid", 3, {0: 0, 1: 1, 2: 2}),
         architectures=((8,),),
     )
     with pytest.raises(ConfigError, match="^party 0 holds every subclass"):

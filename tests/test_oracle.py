@@ -1,11 +1,13 @@
 """A whole run against FedMD written out plainly (``oracle_util``)."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmd.errors import ConfigError
-from fedmd.experiments import config_from_dict, run_experiment
+from fedmd.experiments import config_from_dict, config_to_dict, run_experiment
 
 from oracle_util import oracle_rows, run_rows
 
@@ -96,6 +98,24 @@ def small_configs(draw):
         "architectures": [draw(st.lists(st.integers(1, 8), max_size=3)) for _ in range(m)],
         "pooled": draw(st.booleans()),
     }
+
+
+def picked(out, raw):
+    """The keys of ``out`` that ``raw`` sets, in nested objects too."""
+    return {k: picked(out[k], v) if isinstance(v, dict) else out[k] for k, v in raw.items()}
+
+
+@given(small_configs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_drawn_config_reads_back_equal_from_its_json(raw):
+    try:
+        cfg = config_from_dict(raw)
+    except ConfigError:  # every weight 0
+        return
+    out = json.loads(json.dumps(config_to_dict(cfg)))
+    assert config_from_dict(out) == cfg
+    total = sum(raw["weights"])
+    assert picked(out, raw) == dict(raw, weights=[w / total for w in raw["weights"]])
 
 
 def outcome(rows):
