@@ -1,4 +1,4 @@
-"""Datasets: IDX ingestion, synthetic blob tasks, and the private-set partitioners."""
+"""Datasets: IDX ingestion, synthetic blob tasks, the partitioners that pick each party's rows, and the superclass relabel."""
 
 from dataclasses import dataclass
 
@@ -88,7 +88,7 @@ def parse_idx(data: bytes) -> np.ndarray:
 
 
 def load_idx_dataset(images_path: str, labels_path: str, num_classes: int) -> Dataset:
-    """Read an IDX image/label file pair and flatten images to feature rows."""
+    """Read an IDX image/label file pair and flatten images to feature rows; labels must lie in [0, num_classes)."""
     with open(images_path, "rb") as f:
         images = parse_idx(f.read())
     with open(labels_path, "rb") as f:
@@ -97,8 +97,10 @@ def load_idx_dataset(images_path: str, labels_path: str, num_classes: int) -> Da
         raise ConfigError(f"{images_path} holds a 1-d payload, expected images")
     if labels.ndim != 1:
         raise ConfigError(f"{labels_path} holds a {labels.ndim}-d payload, expected labels")
-    flat = images.reshape(images.shape[0], -1)
-    return Dataset(flat, labels.astype(np.int64), num_classes)
+    labels = labels.astype(np.int64)
+    if labels.max() >= num_classes:
+        raise ConfigError(f"{labels_path} holds label {labels.max()}; labels must lie in [0, {num_classes})")
+    return Dataset(images.reshape(images.shape[0], -1), labels, num_classes)
 
 
 def synth_blobs(
@@ -134,15 +136,8 @@ def synth_blobs(
     return Dataset(feats, labels, num_classes)
 
 
-@dataclass(frozen=True)
-class IidSplit:
-    parties: tuple[Dataset, ...]
-    party_indices: tuple[np.ndarray, ...]  # source-row provenance per party
-    remainder_indices: np.ndarray  # the pool rows no party drew
-
-
-def partition_iid(source: Dataset, parties: int, per_class: int, seed: int) -> IidSplit:
-    """Disjoint label-balanced private sets: exactly ``per_class`` samples per class per party.
+def partition_iid(source: Dataset, parties: int, per_class: int, seed: int) -> list[np.ndarray]:
+    """Disjoint label-balanced picks: each party's rows of ``source``, exactly ``per_class`` of each class.
 
     ``parties`` and ``per_class`` come from a checked config (both >= 1);
     only the source is checked here.
@@ -150,7 +145,6 @@ def partition_iid(source: Dataset, parties: int, per_class: int, seed: int) -> I
     m, n = parties, per_class
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     per_party: list[list[np.ndarray]] = [[] for _ in range(m)]
-    leftover: list[np.ndarray] = []
     for c in range(source.num_classes):
         rows = np.flatnonzero(source.labels == c)
         if len(rows) < m * n:
@@ -160,36 +154,23 @@ def partition_iid(source: Dataset, parties: int, per_class: int, seed: int) -> I
         rows = rows[rng.permutation(len(rows))]
         for k in range(m):
             per_party[k].append(rows[k * n : (k + 1) * n])
-        leftover.append(rows[m * n :])
-    party_indices = tuple(np.concatenate(chunks) for chunks in per_party)
-    remainder_indices = np.concatenate(leftover) if leftover else np.empty(0, dtype=np.int64)
-    datasets = tuple(source.take(idx) for idx in party_indices)
-    return IidSplit(datasets, party_indices, remainder_indices)
-
-
-@dataclass(frozen=True)
-class NonIidSplit:
-    parties: tuple[Dataset, ...]  # labels are superclass indices
-    assignment: tuple[dict[int, int], ...]  # per party: superclass -> assigned subclass
-    party_indices: tuple[np.ndarray, ...]
+    return [np.concatenate(chunks) for chunks in per_party]
 
 
 def partition_noniid(
     source: Dataset, parties: int, per_class: int, seed: int, mapping: dict[int, int]
-) -> NonIidSplit:
-    """Give each party one distinct subclass per superclass, relabeled to superclasses.
+) -> tuple[list[np.ndarray], tuple[dict[int, int], ...]]:
+    """Give each party one distinct subclass per superclass: its rows of ``source`` and its ``assignment``.
 
-    ``mapping`` sends each subclass to its superclass. Assignment is seeded
+    ``mapping`` sends each subclass to its superclass, and ``assignment[k]``
+    sends each superclass to party ``k``'s subclass of it. Assignment is seeded
     round-robin: within superclass ``s`` whose sorted subclasses are ``subs``,
     party ``k`` receives ``subs[(k + offset_s) % len(subs)]`` with a seeded
-    per-superclass offset. Test-time evaluation should use ``to_superclass``
-    so all subclasses carry superclass labels. ``parties`` and ``per_class``
-    come from a checked config (both >= 1); the source is checked here.
+    per-superclass offset, then ``per_class`` rows of that subclass. The rows
+    carry subclass labels; ``to_superclass`` relabels them and checks that
+    ``mapping`` covers them. ``parties`` and ``per_class`` come from a checked
+    config (both >= 1); the source is checked here.
     """
-    present = np.unique(source.labels)
-    missing = [int(c) for c in present if int(c) not in mapping]
-    if missing:
-        raise ConfigError(f"subclass_map does not cover subclasses {missing}")
     supers = sorted(set(mapping.values()))  # 0..S-1, checked with the config
     m, n = parties, per_class
     groups = {s: sorted(sub for sub, sp in mapping.items() if sp == s) for s in supers}
@@ -201,7 +182,6 @@ def partition_noniid(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     assignment: list[dict[int, int]] = [{} for _ in range(m)]
     chosen_rows: list[list[np.ndarray]] = [[] for _ in range(m)]
-    chosen_labels: list[list[np.ndarray]] = [[] for _ in range(m)]
     for s in supers:
         subs = groups[s]
         offset = int(rng.integers(len(subs)))
@@ -214,23 +194,18 @@ def partition_noniid(
             rows = np.flatnonzero(source.labels == sub)
             if len(rows) < n:
                 raise ConfigError(f"subclass {sub} has {len(rows)} samples, need {n}")
-            rows = rows[rng.permutation(len(rows))[:n]]
-            chosen_rows[k].append(rows)
-            chosen_labels[k].append(np.full(n, s, dtype=np.int64))
-    party_indices = tuple(np.concatenate(r) for r in chosen_rows)
-    datasets = tuple(
-        Dataset(source.features[party_indices[k]], np.concatenate(chosen_labels[k]), len(supers))
-        for k in range(m)
-    )
-    return NonIidSplit(datasets, tuple(assignment), party_indices)
+            chosen_rows[k].append(rows[rng.permutation(len(rows))[:n]])
+    return [np.concatenate(r) for r in chosen_rows], tuple(assignment)
 
 
 def to_superclass(ds: Dataset, mapping: dict[int, int], num_superclasses: int) -> Dataset:
-    """Relabel a subclass-labeled dataset with its superclass indices."""
+    """Relabel a subclass-labeled dataset with its superclass indices; ``mapping`` must cover its subclasses."""
     lut = np.full(ds.num_classes, -1, dtype=np.int64)
     for sub, sup in mapping.items():
         if 0 <= sub < ds.num_classes:
             lut[sub] = sup
-    if ds.n and lut[ds.labels].min() < 0:
-        raise ConfigError("dataset contains subclasses absent from the mapping")
-    return Dataset(ds.features, lut[ds.labels], num_superclasses)
+    labels = lut[ds.labels]
+    missing = np.unique(ds.labels[labels < 0])
+    if missing.size:
+        raise ConfigError(f"subclass_map does not cover subclasses {missing.tolist()}")
+    return Dataset(ds.features, labels, num_superclasses)

@@ -159,8 +159,10 @@ class TaskData:
 def build_task(cfg: ExperimentConfig) -> TaskData:
     """The run's public, private and test sets, drawn or loaded as ``cfg.data`` says.
 
-    The pool is split among the parties as ``cfg.partition`` says; a noniid
-    run relabels its test set with the superclasses of its ``subclass_map``.
+    The partitioner picks each party's rows of the pool as ``cfg.partition``
+    says. A noniid run relabels the pool and the test set with the
+    superclasses of its ``subclass_map`` (the pool first, so an uncovered
+    subclass is the first refusal) and scores on superclasses.
     """
     seed = cfg.seed
     spec, part = cfg.data, cfg.partition
@@ -190,7 +192,7 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
             sample_stream=1,
         )
     else:
-        public = load_idx_dataset(spec.public_images, spec.public_labels, spec.classes)
+        public = load_idx_dataset(spec.public_images, spec.public_labels, num_supers or spec.classes)
         pool = load_idx_dataset(spec.pool_images, spec.pool_labels, spec.classes)
         test_pool = load_idx_dataset(spec.test_images, spec.test_labels, spec.classes)
         for split, d in (("pool", pool), ("test", test_pool)):
@@ -199,15 +201,15 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
 
     m, partition_seed = cfg.collab.parties, derive_seed(seed, "partition")
     if part.mode == "iid":
-        split = partition_iid(pool, m, part.per_class, partition_seed)
-        return TaskData(public, list(split.parties), test_pool)
-    split = partition_noniid(pool, m, part.per_class, partition_seed, part.subclass_map)
-    test = to_superclass(test_pool, part.subclass_map, num_supers)
+        rows = partition_iid(pool, m, part.per_class, partition_seed)
+        return TaskData(public, [pool.take(r) for r in rows], test_pool)
+    relabeled = to_superclass(pool, part.subclass_map, num_supers)
+    rows, assignment = partition_noniid(pool, m, part.per_class, partition_seed, part.subclass_map)
     return TaskData(
         public,
-        list(split.parties),
-        test,
-        assignment=split.assignment,
+        [relabeled.take(r) for r in rows],
+        to_superclass(test_pool, part.subclass_map, num_supers),
+        assignment=assignment,
         test_subclasses=test_pool.labels,
     )
 
@@ -353,6 +355,10 @@ def _value(where: str, value, hint):
     if kind is dict:
         if not all(str(k).isdecimal() for k in value):
             raise ConfigError(f"{where} keys must be subclass numbers, got {list(value)}")
+        keys = {}
+        for k in value:
+            if keys.setdefault(int(k), k) != k:
+                raise ConfigError(f"{where} keys {keys[int(k)]!r} and {k!r} both name subclass {int(k)}")
         return {int(k): _value(f"{where}[{k!r}]", v, args[1]) for k, v in value.items()}
     return value
 

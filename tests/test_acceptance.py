@@ -238,8 +238,8 @@ def test_criterion_7_wire_protocol():
         public = synth_blobs(3, 40, 6, 1.0, seed=200)
         pool = synth_blobs(3, 12, 6, 1.0, seed=201)
         test = synth_blobs(3, 50, 6, 1.0, seed=201, sample_stream=1)
-        split = partition_iid(pool, 2, 3, seed=17)
-        parties = [make_party(k, (8,), split.parties[k], 6, 3, cfg) for k in range(2)]
+        rows = partition_iid(pool, 2, 3, seed=17)
+        parties = [make_party(k, (8,), pool.take(rows[k]), 6, 3, cfg) for k in range(2)]
         return cfg, parties, public, test
 
     cfg, parties, public, test = world()

@@ -266,6 +266,7 @@ BAD_CONFIGS = [
     (TINY, ["seed=4294967296"], "seed must lie in 0..4294967295, got 4294967296"),
     (TINY, ['partition.subclass_map={"0": 0}'], "subclass_map requires a noniid partition"),
     (NONIID, ["partition.per_class=1000"], "subclass 1 has 70 samples, need 1000"),
+    (NONIID, ["partition.subclass_map.00=1"], "partition.subclass_map keys '0' and '00' both name subclass 0"),
 ]
 
 
@@ -356,13 +357,29 @@ def swapped(data, a, b):
             # the pool holds subclasses 0..3, which the map covers; the test set also holds 4
             lambda t: {
                 "data": dict(
-                    idx_files(t, pool_images=np.zeros((12, 2, 3)), pool_labels=np.repeat(np.arange(4), 3),
-                              test_labels=np.repeat(np.arange(5), 6)),
+                    idx_files(t, public_labels=np.repeat(np.arange(2), 15), pool_images=np.zeros((12, 2, 3)),
+                              pool_labels=np.repeat(np.arange(4), 3), test_labels=np.repeat(np.arange(5), 6)),
                     classes=5,
                 ),
                 "partition": {"mode": "noniid", "per_class": 2, "subclass_map": {"0": 0, "1": 0, "2": 1, "3": 1}},
             },
-            "dataset contains subclasses absent from the mapping",
+            "subclass_map does not cover subclasses [4]",
+        ),
+        (
+            # 4 subclasses in 2 superclasses, so the public set's labels must be superclasses 0 and 1
+            lambda t: {
+                "data": dict(
+                    idx_files(t, pool_images=np.zeros((20, 2, 3)), pool_labels=np.repeat(np.arange(4), 5),
+                              test_images=np.zeros((20, 2, 3)), test_labels=np.repeat(np.arange(4), 5)),
+                    classes=4,
+                ),
+                "partition": {"mode": "noniid", "per_class": 2, "subclass_map": {"0": 0, "1": 0, "2": 1, "3": 1}},
+            },
+            "public_labels.idx holds label 2; labels must lie in [0, 2)",
+        ),
+        (
+            lambda t: {"data": idx_files(t, pool_labels=np.repeat([0, 1, 3], 10))},
+            "pool_labels.idx holds label 3; labels must lie in [0, 3)",
         ),
         (
             lambda t: {"data": idx_files(t, pool_images=np.zeros((30, 3, 3)))},
@@ -375,6 +392,7 @@ def swapped(data, a, b):
     ],
     ids=[
         "images-and-labels-swapped", "labels-are-images", "5-images-4-labels", "test-subclass-outside-the-map",
+        "noniid-public-label-past-the-superclasses", "label-past-the-classes",
         "pool-images-of-another-size", "test-images-of-another-size",
     ],
 )

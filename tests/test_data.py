@@ -1,4 +1,4 @@
-"""Dataset tests: IDX parsing, blob generation, and both partitioners."""
+"""Dataset tests: IDX parsing, blob generation, both partitioners and the superclass relabel."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,8 @@ from fedmd.data import (
     to_superclass,
 )
 from fedmd.errors import ConfigError, IdxParseError
+from fedmd.experiments import BlobsSpec, ExperimentConfig, Partition, build_task
+from fedmd.protocol import CollaborationConfig
 
 from idx_util import encode_idx, quantize_back
 
@@ -129,42 +131,33 @@ def test_synth_blobs_rejects_bad_spread():
 # --- iid partitioner ----------------------------------------------------------------
 
 
+def assert_disjoint(rows):
+    picked = np.concatenate(rows)
+    assert len(np.unique(picked)) == len(picked)
+
+
 def test_partition_iid_single_party_takes_everything():
     source = synth_blobs(3, 5, 4, 1.0, seed=1)
-    split = partition_iid(source, 1, 5, seed=2)
-    assert split.parties[0].n == source.n
-    assert split.remainder_indices.size == 0
-    joined = np.sort(split.party_indices[0])
-    assert np.array_equal(joined, np.arange(source.n))
+    rows = partition_iid(source, 1, 5, seed=2)
+    assert len(rows) == 1
+    assert np.array_equal(np.sort(rows[0]), np.arange(source.n))
 
 
 def test_partition_iid_table_regime():
     # 10 parties x 3 per class x 6 classes -> 18 samples each
     source = synth_blobs(6, 40, 4, 1.0, seed=3)
-    split = partition_iid(source, 10, 3, seed=4)
-    assert len(split.parties) == 10
-    for party in split.parties:
-        assert party.n == 18
-        values, counts = np.unique(party.labels, return_counts=True)
+    rows = partition_iid(source, 10, 3, seed=4)
+    assert len(rows) == 10
+    for picked in rows:
+        assert len(picked) == 18
+        values, counts = np.unique(source.labels[picked], return_counts=True)
         assert values.tolist() == [0, 1, 2, 3, 4, 5]
         assert counts.tolist() == [3] * 6
 
 
-def test_partition_iid_union_is_source():
-    source = synth_blobs(4, 9, 3, 1.0, seed=5)
-    split = partition_iid(source, 2, 3, seed=6)
-    all_idx = np.concatenate([*split.party_indices, split.remainder_indices])
-    assert np.array_equal(np.sort(all_idx), np.arange(source.n))
-
-
 def test_partition_iid_sets_are_disjoint():
     source = synth_blobs(3, 20, 3, 1.0, seed=7)
-    split = partition_iid(source, 4, 4, seed=8)
-    seen = set()
-    for idx in split.party_indices:
-        as_set = set(idx.tolist())
-        assert not (seen & as_set)
-        seen |= as_set
+    assert_disjoint(partition_iid(source, 4, 4, seed=8))
 
 
 def test_partition_iid_insufficient_class_names_it():
@@ -177,7 +170,26 @@ def test_partition_iid_deterministic():
     source = synth_blobs(3, 12, 3, 1.0, seed=11)
     a = partition_iid(source, 2, 3, seed=12)
     b = partition_iid(source, 2, 3, seed=12)
-    assert all(np.array_equal(x, y) for x, y in zip(a.party_indices, b.party_indices))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@given(
+    parties=st.integers(1, 4),
+    per_class=st.integers(1, 4),
+    classes=st.integers(1, 5),
+    spare=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_partition_iid_picks_per_class_disjoint_rows_per_party(parties, per_class, classes, spare, seed):
+    source = synth_blobs(classes, parties * per_class + spare, 2, 1.0, seed=0)
+    rows = partition_iid(source, parties, per_class, seed)
+    assert len(rows) == parties
+    assert_disjoint(rows)
+    for picked in rows:
+        assert np.bincount(source.labels[picked], minlength=classes).tolist() == [per_class] * classes
+    again = partition_iid(source, parties, per_class, seed)
+    assert all(np.array_equal(x, y) for x, y in zip(rows, again))
 
 
 # --- noniid partitioner ---------------------------------------------------------------
@@ -189,41 +201,39 @@ def _subclass_source(num_sub, per_sub, seed):
 
 def test_partition_noniid_smallest_instance():
     source = _subclass_source(2, 10, seed=20)
-    split = partition_noniid(source, 2, 5, seed=21, mapping={0: 0, 1: 0})
-    subs0 = {int(source.labels[i]) for i in split.party_indices[0]}
-    subs1 = {int(source.labels[i]) for i in split.party_indices[1]}
+    rows, _ = partition_noniid(source, 2, 5, seed=21, mapping={0: 0, 1: 0})
+    subs0, subs1 = (set(source.labels[r].tolist()) for r in rows)
     assert subs0 in ({0}, {1}) and subs1 in ({0}, {1}) and subs0 != subs1
-    assert set(split.parties[0].labels.tolist()) == {0}
-    assert set(split.parties[1].labels.tolist()) == {0}
+    assert all(len(r) == 5 for r in rows)
 
 
 def test_partition_noniid_every_party_covers_all_superclasses():
     source = _subclass_source(6, 30, seed=22)
     mapping = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
-    split = partition_noniid(source, 2, 5, seed=23, mapping=mapping)
-    for party in split.parties:
-        assert sorted(set(party.labels.tolist())) == [0, 1, 2]
+    rows, _ = partition_noniid(source, 2, 5, seed=23, mapping=mapping)
+    supers = to_superclass(source, mapping, 3)
+    for picked in rows:
+        assert sorted(set(supers.labels[picked].tolist())) == [0, 1, 2]
 
 
 def test_partition_noniid_one_subclass_per_superclass_provenance_audit():
     source = _subclass_source(6, 30, seed=24)
     mapping = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
-    split = partition_noniid(source, 2, 6, seed=25, mapping=mapping)
-    for k, idx in enumerate(split.party_indices):
+    rows, assignment = partition_noniid(source, 2, 6, seed=25, mapping=mapping)
+    for k, idx in enumerate(rows):
         per_super = {}
         for i in idx.tolist():  # brute-force scan of sample provenance
             sub = int(source.labels[i])
             per_super.setdefault(mapping[sub], set()).add(sub)
         assert all(len(subs) == 1 for subs in per_super.values())
-        assert {s: next(iter(v)) for s, v in per_super.items()} == split.assignment[k]
+        assert {s: next(iter(v)) for s, v in per_super.items()} == assignment[k]
 
 
 def test_partition_noniid_disjoint_across_parties():
     source = _subclass_source(4, 25, seed=26)
     mapping = {0: 0, 1: 0, 2: 1, 3: 1}
-    split = partition_noniid(source, 2, 10, seed=27, mapping=mapping)
-    a, b = (set(idx.tolist()) for idx in split.party_indices)
-    assert not (a & b)
+    rows, _ = partition_noniid(source, 2, 10, seed=27, mapping=mapping)
+    assert_disjoint(rows)
 
 
 def test_partition_noniid_too_many_parties():
@@ -234,9 +244,46 @@ def test_partition_noniid_too_many_parties():
 
 
 def test_partition_noniid_incomplete_map():
-    source = _subclass_source(3, 10, seed=30)
-    with pytest.raises(ConfigError, match="cover"):
-        partition_noniid(source, 1, 2, seed=31, mapping={0: 0, 1: 0})
+    # the pool is relabeled before it is split, so the uncovered subclass is refused
+    # before the partitioner finds too few rows of subclass 0
+    partition = Partition("noniid", per_class=50, subclass_map={0: 0, 1: 0})
+    cfg = ExperimentConfig(CollaborationConfig(parties=1, rounds=0), BlobsSpec(classes=3), partition, ((4,),))
+    with pytest.raises(ConfigError, match=r"^subclass_map does not cover subclasses \[2\]$"):
+        build_task(cfg)
+
+
+@st.composite
+def subclass_tasks(draw):
+    """Superclass sizes, a shuffled subclass map over them, and a party count each superclass can cover."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    subs = draw(st.permutations(range(sum(sizes))))
+    supers = [s for s, size in enumerate(sizes) for _ in range(size)]
+    return dict(zip(subs, supers)), draw(st.integers(1, min(sizes)))
+
+
+@given(
+    task=subclass_tasks(),
+    per_class=st.integers(1, 4),
+    spare=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_partition_noniid_picks_one_assigned_subclass_per_superclass(task, per_class, spare, seed):
+    mapping, parties = task
+    source = synth_blobs(len(mapping), per_class + spare, 2, 1.0, seed=0)
+    rows, assignment = partition_noniid(source, parties, per_class, seed, mapping)
+    assert len(rows) == len(assignment) == parties
+    assert_disjoint(rows)
+    num_supers = len(set(mapping.values()))
+    for picked, assigned in zip(rows, assignment):
+        subs, counts = np.unique(source.labels[picked], return_counts=True)
+        assert counts.tolist() == [per_class] * num_supers
+        assert {mapping[int(sub)]: int(sub) for sub in subs} == assigned
+    for s in range(num_supers):  # no two parties share a subclass
+        assert len({assigned[s] for assigned in assignment}) == parties
+    again, again_assignment = partition_noniid(source, parties, per_class, seed, mapping)
+    assert again_assignment == assignment
+    assert all(np.array_equal(x, y) for x, y in zip(rows, again))
 
 
 def test_to_superclass_relabels():

@@ -1,5 +1,6 @@
 """Experiment-layer tests: configs, metrics log, summaries, baselines, file outputs."""
 
+import hashlib
 import json
 import math
 import os
@@ -209,6 +210,33 @@ def test_config_validation_errors_name_constraint():
 def test_config_hash_is_unchanged_for_the_committed_configs():
     for name, digest in (("blobs10", "a63f7353f440"), ("noniid", "cc13a85598de")):
         assert experiments.config_hash(cli.parse_config(os.path.join(CONFIGS, f"{name}.json"))) == digest
+
+
+def task_digest(task) -> str:
+    """sha256 over every set's features, labels and class count, then ``assignment`` and ``test_subclasses``."""
+    h = hashlib.sha256()
+    for d in (task.public, *task.privates, task.test):
+        for a in (d.features, d.labels):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        h.update(str(d.num_classes).encode())
+    h.update(json.dumps([sorted(a.items()) for a in task.assignment or ()]).encode())
+    if task.test_subclasses is not None:
+        h.update(task.test_subclasses.tobytes())
+    return h.hexdigest()
+
+
+TASK_DIGESTS = {
+    "blobs10": "e42a135fa54d7e67bd627254137297ad146486021d6f78f52d141b729a66688f",
+    "noniid": "98f236aaac5bced502d7c9fdc25234813736fdc840c9bd5bd7cf0593e8b37196",
+}
+
+
+@pytest.mark.parametrize("name", TASK_DIGESTS)
+def test_the_committed_configs_build_the_same_task_bytes(name):
+    # every draw of the data layer at seed 0: the sets, the partition and the noniid relabel
+    cfg = cli.parse_config(os.path.join(CONFIGS, f"{name}.json"), ["seed=0"])
+    assert task_digest(build_task(cfg)) == TASK_DIGESTS[name]
 
 
 # --- runs -----------------------------------------------------------------------------

@@ -55,9 +55,9 @@ def small_world(m, seed=0, classes=3, dim=4, per_class=3, public_spread=1.0, arc
     public = synth_blobs(classes, 40, dim, public_spread, seed=seed * 31 + 1)
     pool = synth_blobs(classes, m * per_class + 5, dim, 1.0, seed=seed * 31 + 2)
     test = synth_blobs(classes, 50, dim, 1.0, seed=seed * 31 + 2, sample_stream=1)
-    split = partition_iid(pool, m, per_class, seed=seed)
+    rows = partition_iid(pool, m, per_class, seed=seed)
     parties = [
-        make_party(k, archs[k] if archs else (8,), split.parties[k], dim, classes, cfg)
+        make_party(k, archs[k] if archs else (8,), pool.take(rows[k]), dim, classes, cfg)
         for k in range(m)
     ]
     return cfg, parties, public, test
