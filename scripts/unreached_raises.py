@@ -26,14 +26,12 @@ DESELECT = (
 )
 
 # (file, function, source) of the sites left to bounded frames and deadlines
-# and to the fault-injection harness: a channel's send failure, recv timeout
-# and OSError, a failed accept or connect, and a frame over 2 GiB
+# and to the fault-injection harness: a channel's send failure and recv
+# OSError, a failed accept or connect, and a frame over 2 GiB
 OUT_OF_SCOPE = frozenset({
     ("transport.py", "encode_message", 'raise CodecError(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")'),
     ("transport.py", "TcpChannel.send", "except OSError as exc:"),
     ("transport.py", "TcpChannel.send", 'raise ChannelError(f"send failed: {exc}") from exc'),
-    ("transport.py", "TcpChannel._read_exact", "except socket.timeout:"),
-    ("transport.py", "TcpChannel._read_exact", 'raise ChannelError(f"recv timed out after {self._timeout}s") from None'),
     ("transport.py", "TcpChannel._read_exact", "except OSError as exc:"),
     ("transport.py", "TcpChannel._read_exact", 'raise ChannelError(f"recv failed: {exc}") from exc'),
     ("transport.py", "TcpListener.accept", "except socket.timeout:"),

@@ -19,7 +19,6 @@ from .errors import (
     ChannelError,
     CodecError,
     ConfigError,
-    DataError,
     DivergenceError,
     IdxParseError,
     ProtocolError,
@@ -90,14 +89,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    report = nn.gradient_check(num_nets=args.nets, seed=args.seed)
+    cases = nn.gradient_check(num_nets=args.nets, seed=args.seed)
     for kind in ("xent", "mae"):
-        worst = max((c.max_rel_err for c in report.cases if c.loss == kind), default=0.0)
+        worst = max((c.max_rel_err for c in cases if c.loss == kind), default=0.0)
         print(f"{kind}: max relative error {worst:.3e} over "
-              f"{sum(1 for c in report.cases if c.loss == kind)} nets")
-    print(f"overall max relative error {report.max_rel_err:.3e} "
-          f"(tolerance {nn.GRADCHECK_TOLERANCE:.0e})")
-    return 0 if report.passed else 1
+              f"{sum(1 for c in cases if c.loss == kind)} nets")
+    worst = max(c.max_rel_err for c in cases)
+    print(f"overall max relative error {worst:.3e} (tolerance {nn.GRADCHECK_TOLERANCE:.0e})")
+    return 0 if worst < nn.GRADCHECK_TOLERANCE else 1
 
 
 def _cmd_inspect_data(args) -> int:
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _CATEGORIES = (
     (ConfigError, "config", 2),
-    (DataError, "data", 1),
     (IdxParseError, "parse", 1),
     (CodecError, "codec", 1),
     (ChannelError, "channel", 1),

@@ -8,7 +8,7 @@ Loss cells are empty for rows where the phase did not run.
 import io
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 CSV_HEADER = "round,party,accuracy,digest_loss,revisit_loss,wall_ms"
 BASELINE = "baseline"
@@ -24,10 +24,6 @@ class MetricsRow:
     revisit_loss: "float | None" = None
     wall_ms: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ConfigError(f"accuracy {self.accuracy} outside [0, 1]")
-
 
 @dataclass
 class MetricsLog:
@@ -36,13 +32,6 @@ class MetricsLog:
     rows: list[MetricsRow] = field(default_factory=list)
     config_hash: str = ""
     seed: int = 0
-
-    def validate(self) -> None:
-        parties = {r.party for r in self.rows}
-        for k in parties:
-            nb = sum(1 for r in self.rows if r.party == k and r.round == BASELINE)
-            if nb != 1:
-                raise DataError(f"party {k} has {nb} baseline rows, expected exactly 1")
 
     def parties(self) -> list[int]:
         return sorted({r.party for r in self.rows})

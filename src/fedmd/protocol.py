@@ -543,6 +543,4 @@ def run_fedmd(
         if failure is not None:
             raise ProtocolError(f"server failed: {failure}") from failure
 
-    log = MetricsLog(rows, seed=cfg.seed)
-    log.validate()
-    return log
+    return MetricsLog(rows, seed=cfg.seed)

@@ -40,6 +40,7 @@ from .errors import ChannelError, CodecError
 PROTOCOL_VERSION = 1
 MAX_PAYLOAD = 2**31 - 1
 DEFAULT_TIMEOUT = 300.0
+RECV_CHUNK = 64 * 1024  # the most one ``recv`` asks for: a read allocates what arrives, not what is declared
 
 
 class _Message:
@@ -195,7 +196,7 @@ class TcpChannel:
         while remaining:
             at_start = between_frames and remaining == count
             try:
-                chunk = self._sock.recv(remaining)
+                chunk = self._sock.recv(min(remaining, RECV_CHUNK))
             except socket.timeout:
                 raise ChannelError(f"recv timed out after {self._timeout}s") from None
             except ConnectionResetError as exc:

@@ -99,7 +99,7 @@ def test_run_writes_outputs_and_prints_summary(tmp_path, capsys):
     assert "mean gain" in out
     csv_text = (tmp_path / "out" / "metrics.csv").read_text()
     log = metrics_from_csv(csv_text)
-    log.validate()
+    assert sorted(r.party for r in log.rows if r.round == "baseline") == log.parties()
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     for key in ("mean_gain", "per_party_gain", "mean_gap_to_pooled", "config_hash", "seed"):
         assert key in summary

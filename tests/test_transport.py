@@ -5,6 +5,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,23 @@ def test_recv_rejects_an_oversize_declaration_without_waiting_for_its_payload(ma
         with pytest.raises(CodecError, match="exceeds"):
             b.recv()
         assert time.monotonic() - t0 < 1.0
+    finally:
+        a.close()
+        b.close()
+
+
+def test_recv_of_a_large_declaration_allocates_only_what_arrives():
+    a, b = bus_pair(timeout=0.2)
+    try:
+        a._sock.sendall(struct.pack(">I", 2**30) + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ChannelError, match=r"^recv timed out after 0\.2s$"):
+                b.recv()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
     finally:
         a.close()
         b.close()
