@@ -3,9 +3,8 @@
 Runs the test suite in this process under a ``sys.settrace`` line collector,
 with acceptance criteria 4 and 5 (the two long runs) deselected, and prints
 each unreached site as ``file:line: function: source``. A ``raise`` is reached
-when its line runs, an ``except`` when the first line of its body runs. The
-sites in ``OUT_OF_SCOPE`` are listed apart and do not count. Exits 1 if any
-other site is unreached, else 0. Code that runs only in child processes is
+when its line runs, an ``except`` when the first line of its body runs. Exits
+1 if any site is unreached, else 0. Code that runs only in child processes is
 not seen.
 
     python scripts/unreached_raises.py [PYTEST_ARGS ...]
@@ -24,23 +23,6 @@ DESELECT = (
     "tests/test_acceptance.py::test_criterion_4_desk_scale_gain",
     "tests/test_acceptance.py::test_criterion_5_noniid_knowledge_transfer",
 )
-
-# (file, function, source) of the sites left to bounded frames and deadlines
-# and to the fault-injection harness: a channel's send failure and recv
-# OSError, a failed accept or connect, and a frame over 2 GiB
-OUT_OF_SCOPE = frozenset({
-    ("transport.py", "encode_message", 'raise CodecError(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")'),
-    ("transport.py", "TcpChannel.send", "except OSError as exc:"),
-    ("transport.py", "TcpChannel.send", 'raise ChannelError(f"send failed: {exc}") from exc'),
-    ("transport.py", "TcpChannel._read_exact", "except OSError as exc:"),
-    ("transport.py", "TcpChannel._read_exact", 'raise ChannelError(f"recv failed: {exc}") from exc'),
-    ("transport.py", "TcpListener.accept", "except socket.timeout:"),
-    ("transport.py", "TcpListener.accept", 'raise ChannelError("accept timed out") from None'),
-    ("transport.py", "TcpListener.accept", "except OSError as exc:"),
-    ("transport.py", "TcpListener.accept", 'raise ChannelError(f"accept failed: {exc}") from exc'),
-    ("transport.py", "connect", "except OSError as exc:"),
-    ("transport.py", "connect", 'raise ChannelError(f"connect to {addr} failed: {exc}") from exc'),
-})
 
 
 @dataclass(frozen=True)
@@ -75,14 +57,6 @@ def sites(source: str) -> list[Site]:
 def unreached(source: str, hits: "set[int]") -> list[Site]:
     """The sites of ``source`` whose probe line is not among the executed line numbers ``hits``."""
     return [s for s in sites(source) if s.probe not in hits]
-
-
-def split_scope(filename: str, missed: list[Site]) -> tuple[list[Site], list[Site]]:
-    """``missed`` split into (counted, out of scope) by ``OUT_OF_SCOPE``."""
-    counted, skipped = [], []
-    for s in missed:
-        (skipped if (filename, s.function, s.source) in OUT_OF_SCOPE else counted).append(s)
-    return counted, skipped
 
 
 class LineCollector:
@@ -137,12 +111,11 @@ def main(argv=None) -> int:
         path = os.path.join(PACKAGE, name)
         with open(path) as f:
             source = f.read()
-        counted, skipped = split_scope(name, unreached(source, collector.hits.get(path, set())))
-        for tag, group in (("", counted), ("out of scope: ", skipped)):
-            for s in group:
-                print(f"{tag}src/fedmd/{name}:{s.line}: {s.function}: {s.source}")
-        left += len(counted)
-    print(f"{left} unreached raise/except sites outside the out-of-scope list")
+        missed = unreached(source, collector.hits.get(path, set()))
+        for s in missed:
+            print(f"src/fedmd/{name}:{s.line}: {s.function}: {s.source}")
+        left += len(missed)
+    print(f"{left} unreached raise/except sites")
     return 1 if left or status != 0 else 0
 
 

@@ -15,15 +15,7 @@ import numpy as np
 
 from . import experiments, nn, protocol, transport
 from .data import parse_idx
-from .errors import (
-    ChannelError,
-    CodecError,
-    ConfigError,
-    DivergenceError,
-    IdxParseError,
-    ProtocolError,
-    ShapeError,
-)
+from .errors import ChannelError, ConfigError, IdxParseError, ProtocolError
 from .metrics import MetricsLog
 
 
@@ -206,11 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 _CATEGORIES = (
     (ConfigError, "config", 2),
     (IdxParseError, "parse", 1),
-    (CodecError, "codec", 1),
     (ChannelError, "channel", 1),
     (ProtocolError, "protocol", 1),
-    (DivergenceError, "numeric", 1),
-    (ShapeError, "shape", 1),
     (OSError, "io", 1),
 )
 
@@ -227,12 +216,11 @@ def main(argv: "list[str] | None" = None) -> int:
             warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
     except Exception as exc:
+        message = " ".join(str(exc).split())
         for etype, category, code in _CATEGORIES:
             if isinstance(exc, etype):
-                message = " ".join(str(exc).split())
                 print(f"fedmd: error: {category}: {message}", file=sys.stderr)
                 return code
-        message = " ".join(str(exc).split())
         print(f"fedmd: error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 

@@ -242,7 +242,8 @@ def _adam_in_place(p, g, m, v, tmp, hp: AdamParams, t: int) -> None:
 
     The ops and their order are ``adam_step``'s own, so the bits are too. The
     scalars stay Python floats, which keeps every op in the vectors' dtype.
-    ``g`` is spent: it holds the update afterwards.
+    ``g`` is spent: it holds the update afterwards. Acceptance criterion 3
+    (``test_criterion_3_adam_conformance``) holds it to a scalar Adam oracle.
     """
     bc1 = 1.0 - hp.beta1**t
     bc2 = 1.0 - hp.beta2**t

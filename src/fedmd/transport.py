@@ -102,12 +102,15 @@ _HEAD = struct.Struct(">IBII")  # length prefix, tag, version, round
 
 
 def encode_message(msg) -> bytes:
-    """Serialize one message into a complete frame, length prefix included."""
+    """Serialize one message into a complete frame, length prefix included.
+
+    A payload over ``MAX_PAYLOAD`` is refused from its computed length, before its bytes are built.
+    """
     layout = LAYOUT.get(type(msg))
     if layout is None:
         raise CodecError(f"cannot encode {type(msg).__name__}")
     ints = [getattr(msg, name) for name in layout.header]
-    values = b""
+    arr = None
     if layout.array is not None:
         arr = np.asarray(getattr(msg, layout.array), layout.dtype)
         if arr.ndim != layout.dims:
@@ -115,15 +118,14 @@ def encode_message(msg) -> bytes:
         if layout.wire.kind == "u" and arr.size and (arr.min() < 0 or arr.max() >= 2**32):
             raise CodecError(f"{layout.array} must fit in u32")
         ints += arr.shape
-        values = arr.astype(layout.wire, copy=False).tobytes()
-    length = _HEAD.size - 4 + 4 * len(ints) + len(values)
+    length = _HEAD.size - 4 + 4 * len(ints) + (0 if arr is None else arr.size * layout.wire.itemsize)
     if length > MAX_PAYLOAD:
         raise CodecError(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
     try:
         head = _HEAD.pack(length, layout.tag, PROTOCOL_VERSION, msg.round) + struct.pack(f">{len(ints)}I", *ints)
     except struct.error:
         raise CodecError(f"round {msg.round} or {type(msg).__name__} fields {ints} do not fit in u32") from None
-    return head + values
+    return head if arr is None else head + arr.astype(layout.wire, copy=False).tobytes()
 
 
 def decode_message(data: bytes):

@@ -108,15 +108,15 @@ def test_criterion_3_adam_conformance():
         else:
             a, c = float(rng.uniform(0.5, 3.0)), float(rng.normal())
             grads = None  # quadratic objective a*(p-c)^2, gradient evaluated on the fly
-        params = [np.array([p0], dtype=np.float64)]
-        state = nn.AdamState.fresh(params, nn.AdamParams())
+        # the optimizer that training runs, on flat float64 vectors of one parameter
+        p, m, v, tmp = (np.array([x], dtype=np.float64) for x in (p0, 0.0, 0.0, 0.0))
         trajectory = []
         oracle_grads = []
         for step in range(100):
-            g = grads[step] if grads is not None else 2.0 * a * (float(params[0][0]) - c)
+            g = grads[step] if grads is not None else 2.0 * a * (float(p[0]) - c)
             oracle_grads.append(g)
-            params, state = nn.adam_step(params, [np.array([g], dtype=np.float64)], state)
-            trajectory.append(float(params[0][0]))
+            nn._adam_in_place(p, np.array([g], dtype=np.float64), m, v, tmp, nn.AdamParams(), step + 1)
+            trajectory.append(float(p[0]))
         expected = adam_scalar_oracle(p0, oracle_grads)
         worst = max(worst, max(abs(a_ - b_) for a_, b_ in zip(trajectory, expected)))
     report(3, "Adam 100-step trajectory conformance", worst < 1e-6, f"max per-step err={worst:.2e}")

@@ -108,16 +108,3 @@ def test_unreached_raises_lists_each_site_whose_line_never_ran():
     # an except is reached by its body, not by its clause, which also runs when it does not match
     assert [s.line for s in script.unreached(RAISING, {1, 2, 3, 4, 5, 6})] == [6, 12]
     assert [s.line for s in script.unreached(RAISING, {3, 7, 12})] == []
-
-
-def test_unreached_raises_out_of_scope_list_names_real_sites():
-    script = load_script("unreached_raises")
-    for name in {f for f, _, _ in script.OUT_OF_SCOPE}:
-        with open(os.path.join(script.PACKAGE, name)) as f:
-            every = script.sites(f.read())
-        counted, skipped = script.split_scope(name, every)
-        assert {(name, s.function, s.source) for s in skipped} == {e for e in script.OUT_OF_SCOPE if e[0] == name}
-        assert len(counted) + len(skipped) == len(every)
-    site = script.Site(1, 2, "connect", "except OSError as exc:")
-    assert script.split_scope("transport.py", [site]) == ([], [site])
-    assert script.split_scope("cli.py", [site]) == ([site], [])

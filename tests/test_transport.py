@@ -376,6 +376,28 @@ def test_recv_of_a_large_declaration_allocates_only_what_arrives():
         b.close()
 
 
+def test_send_to_a_closed_peer_fails_as_a_channel_error():
+    a, b = bus_pair(timeout=0.2)
+    b.close()
+    try:
+        with pytest.raises(ChannelError, match=r"^send failed: \[Errno 32\] Broken pipe$"):
+            for _ in range(100):
+                a.send(ScoreReport(1, 0, matrix(100, 10)))
+    finally:
+        a.close()
+
+
+def test_recv_on_an_end_whose_socket_is_closed_fails_as_a_channel_error():
+    a, b = bus_pair(timeout=0.2)
+    b._sock.close()
+    try:
+        with pytest.raises(ChannelError, match=r"^recv failed: \[Errno 9\] Bad file descriptor$"):
+            b.recv()
+    finally:
+        a.close()
+        b.close()
+
+
 @pytest.mark.parametrize(
     "cut, message",
     [
@@ -433,6 +455,41 @@ def test_tcp_connect_gives_up_at_its_timeout():
     with pytest.raises(ChannelError, match="refused"):
         connect(("127.0.0.1", unused_port()), timeout=0.3)
     assert time.monotonic() - t0 < 5.0
+
+
+def test_accept_with_no_client_times_out():
+    listener = serve(("127.0.0.1", 0), timeout=0.1)
+    try:
+        with pytest.raises(ChannelError, match="^accept timed out$"):
+            listener.accept()
+    finally:
+        listener.close()
+
+
+def test_accept_on_a_closed_listener_fails_as_a_channel_error():
+    listener = serve(("127.0.0.1", 0), timeout=0.1)
+    listener.close()
+    with pytest.raises(ChannelError, match=r"^accept failed: \[Errno 9\] Bad file descriptor$"):
+        listener.accept()
+
+
+def test_connect_fails_without_retrying_on_an_error_other_than_a_refusal():
+    # the kernel refuses a link-local address without a scope id before sending anything
+    with pytest.raises(ChannelError, match=r"^connect to \('fe80::1', 1\) failed: \[Errno 22\] Invalid argument$"):
+        connect(("fe80::1", 1), timeout=0.2)
+
+
+def test_encode_refuses_an_oversized_payload_before_building_it():
+    scores = np.broadcast_to(np.float32(0), (1 << 16, 1 << 14))  # 4 GiB on the wire, one float in memory
+    length = 9 + 4 * 3 + scores.size * 4  # tag, version and round, then party, rows and cols, then the values
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodecError, match=rf"^payload of {length} bytes exceeds {transport.MAX_PAYLOAD} "):
+            encode_message(ScoreReport(1, 0, scores))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_encode_rejects_oversized_declarations():
