@@ -141,10 +141,11 @@ def _cmd_join(args) -> int:
     # connect first, so that a failing prologue closes the channel and releases the server at once
     chan = transport.connect(addr)
     try:
-        rows = protocol.party_side([party], task.public, task.test, cfg.collab, lambda: {k: chan})
+        rows = protocol.prologue([party], task.public, task.test, cfg.collab)
+        rows += protocol.party_loop([party], task.public, task.test, cfg.collab, {k: chan})
     finally:
         chan.close()
-    log = MetricsLog(rows, seed=cfg.seed, config_hash=experiments.config_hash(cfg))
+    log = MetricsLog(rows)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, f"party_{k}.csv")
     with open(out_path, "w") as f:

@@ -17,10 +17,10 @@ so simulation and networked runs share one code path: one call per side.
 run as the one job of an executor, on a ``fedmd-server_0`` thread, and for
 ``fedmd serve`` on its main thread.
 Lockstep rounds leave no compute to overlap, so one ``party_loop`` on the
-caller's thread serves every in-process party. ``party_side`` runs the
-prologue, then that loop: ``run_fedmd`` calls it for every party, ``fedmd
-join`` for its one. Each loop closes every channel it was given when it
-returns or raises, so no side waits on a peer that gave up. The wire messages
+caller's thread serves every in-process party. ``run_fedmd`` runs the
+prologue for every party, then that loop; ``fedmd join`` does the same for
+its one. Each loop closes every channel it was given when it returns or
+raises, so no side waits on a peer that gave up. The wire messages
 of ``transport`` are the round's data types: a subset is a
 ``SubsetAnnouncement``, a party's scores a ``ScoreReport`` and the consensus a
 ``ConsensusBroadcast``, from the moment they are made to the moment they are
@@ -452,20 +452,6 @@ def party_loop(
     return metrics
 
 
-def party_side(
-    parties: list[PartyState], public: Dataset, test: Dataset, cfg: CollaborationConfig, connect
-) -> list[MetricsRow]:
-    """A party's whole run: ``prologue``, then ``party_loop`` over the channels ``connect()`` returns.
-
-    ``connect`` is called only once the prologue has returned and gives the
-    channels keyed by party id. Returns the baseline rows in party order, then
-    the round rows.
-    """
-    baselines = prologue(parties, public, test, cfg)
-    rounds = party_loop(parties, public, test, cfg, connect())
-    return sorted(baselines, key=lambda m: m.party) + rounds
-
-
 def run_fedmd(
     cfg: CollaborationConfig,
     parties: list[PartyState],
@@ -477,13 +463,14 @@ def run_fedmd(
 
     ``transport_kind`` selects what the channels run over ("bus": in-process
     socketpairs, "tcp": 127.0.0.1); results are independent of the choice.
-    Every party's side (``party_side``) runs on the caller's thread. The
-    channels open after the prologue, and the server (``server_loop``) then
-    runs as the one job of an executor, on a ``fedmd-server_0`` thread that
-    is joined before this returns or raises. The server's failure is raised
-    when the party side returns, or fails only with a ``ChannelError``, the
-    teardown of that failure: a ``ProtocolError`` as is, anything else as
-    ``server failed: …``.
+    In order: the checks, the ``prologue`` of every party, the channels, then
+    the server (``server_loop``) as the one job of an executor, on a
+    ``fedmd-server_0`` thread that is joined before this returns or raises,
+    and ``party_loop`` for every party on the caller's thread. The server's
+    failure is raised when the party loop returns, or fails only with a
+    ``ChannelError``, the teardown of that failure: a ``ProtocolError`` as
+    is, anything else as ``server failed: …``. Returns the baseline rows in
+    party order, then the round rows.
     """
     ids = sorted(p.id for p in parties)
     if ids != list(range(cfg.parties)):
@@ -505,37 +492,32 @@ def run_fedmd(
         raise ShapeError(f"test feature dim {test.dim} does not match public dim {public.dim}")
     if transport_kind not in ("bus", "tcp"):
         raise ConfigError(f"unknown transport {transport_kind!r}")
-    server = None  # the future of ``server_loop``, once the channels are open
-
-    def connect() -> "dict[int, object]":
-        nonlocal server
-        if transport_kind == "bus":
-            pairs = [transport.bus_pair() for _ in parties]
-            server_ends = [server_end for server_end, _ in pairs]
-            party_channels = {p.id: party_end for p, (_, party_end) in zip(parties, pairs)}
-        else:
-            # every party connects before the first accept, so the backlog must hold them all
-            listener = transport.serve(("127.0.0.1", 0), backlog=cfg.parties)
-            party_channels, server_ends = {}, []
-            try:
-                for p in parties:
-                    party_channels[p.id] = transport.connect(listener.address)
-                for _ in parties:
-                    server_ends.append(listener.accept())
-            except BaseException:
-                for chan in [*party_channels.values(), *server_ends]:
-                    chan.close()
-                raise
-            finally:
-                listener.close()
-        server = pool.submit(server_loop, server_ends, cfg, public.n, test.num_classes)
-        return party_channels
-
-    with ThreadPoolExecutor(1, "fedmd-server") as pool:
+    baselines = prologue(parties, public, test, cfg)
+    if transport_kind == "bus":
+        pairs = [transport.bus_pair() for _ in parties]
+        server_ends = [server_end for server_end, _ in pairs]
+        party_channels = {p.id: party_end for p, (_, party_end) in zip(parties, pairs)}
+    else:
+        # every party connects before the first accept, so the backlog must hold them all
+        listener = transport.serve(("127.0.0.1", 0), backlog=cfg.parties)
+        party_channels, server_ends = {}, []
         try:
-            rows = party_side(parties, public, test, cfg, connect)
+            for p in parties:
+                party_channels[p.id] = transport.connect(listener.address)
+            for _ in parties:
+                server_ends.append(listener.accept())
+        except BaseException:
+            for chan in [*party_channels.values(), *server_ends]:
+                chan.close()
+            raise
+        finally:
+            listener.close()
+    with ThreadPoolExecutor(1, "fedmd-server") as pool:
+        server = pool.submit(server_loop, server_ends, cfg, public.n, test.num_classes)
+        try:
+            rounds = party_loop(parties, public, test, cfg, party_channels)
         except ChannelError:  # the teardown of a failed server, whose failure is the root cause
-            if server is None or server.exception() is None:
+            if server.exception() is None:
                 raise
         failure = server.exception()
         if isinstance(failure, ProtocolError):
@@ -543,4 +525,4 @@ def run_fedmd(
         if failure is not None:
             raise ProtocolError(f"server failed: {failure}") from failure
 
-    return MetricsLog(rows, seed=cfg.seed)
+    return MetricsLog(sorted(baselines, key=lambda m: m.party) + rounds, seed=cfg.seed)

@@ -112,15 +112,15 @@ def encode_message(msg) -> bytes:
     ints = [getattr(msg, name) for name in layout.header]
     arr = None
     if layout.array is not None:
-        arr = np.asarray(getattr(msg, layout.array), layout.dtype)
+        arr = np.asarray(getattr(msg, layout.array))  # as given: a conversion could allocate the whole array
         if arr.ndim != layout.dims:
             raise CodecError(f"{layout.array} must be {layout.dims}-d, got shape {arr.shape}")
-        if layout.wire.kind == "u" and arr.size and (arr.min() < 0 or arr.max() >= 2**32):
-            raise CodecError(f"{layout.array} must fit in u32")
         ints += arr.shape
     length = _HEAD.size - 4 + 4 * len(ints) + (0 if arr is None else arr.size * layout.wire.itemsize)
     if length > MAX_PAYLOAD:
         raise CodecError(f"payload of {length} bytes exceeds {MAX_PAYLOAD}")
+    if arr is not None and layout.wire.kind == "u" and arr.size and (arr.min() < 0 or arr.max() >= 2**32):
+        raise CodecError(f"{layout.array} must fit in u32")
     try:
         head = _HEAD.pack(length, layout.tag, PROTOCOL_VERSION, msg.round) + struct.pack(f">{len(ints)}I", *ints)
     except struct.error:

@@ -692,6 +692,47 @@ def test_a_failed_server_is_reported_in_place_of_the_party_side_teardown(monkeyp
         run_fedmd(cfg, parties, public, test, transport_kind=kind)
 
 
+@pytest.mark.parametrize("kind", ["bus", "tcp"])
+def test_a_server_that_ends_before_the_rounds_fails_the_run_with_a_closed_channel(monkeypatch, kind):
+    cfg, parties, public, test = small_world(2, rounds=1, max_epochs=2)
+
+    def server_loop(channels, *args):  # reads every hello, then returns cleanly with its ends closed
+        for chan in channels:
+            chan.recv()
+            chan.close()
+
+    monkeypatch.setattr(protocol, "server_loop", server_loop)
+    with pytest.raises(ChannelError, match="^peer closed the channel$"):
+        run_fedmd(cfg, parties, public, test, transport_kind=kind)
+    assert [t.name for t in threading.enumerate() if t.name.startswith("fedmd-")] == []
+
+
+@pytest.mark.parametrize("kind", ["bus", "tcp"])
+def test_channels_and_the_server_start_only_after_the_prologue(monkeypatch, kind):
+    cfg, parties, public, test = small_world(2, rounds=1, max_epochs=2)
+    made, seen = [], []  # every channel made, and what existed whenever the prologue's training ran
+    inner_init, inner_transfer = transport.TcpChannel.__init__, protocol.transfer_learn
+
+    def recording_init(self, *args):
+        made.append(self)
+        inner_init(self, *args)
+
+    def existing():
+        return len(made), [t.name for t in threading.enumerate() if t.name.startswith("fedmd-server")]
+
+    def transfer_learn(*args):
+        seen.append(existing())
+        reports = inner_transfer(*args)
+        seen.append(existing())
+        return reports
+
+    monkeypatch.setattr(transport.TcpChannel, "__init__", recording_init)
+    monkeypatch.setattr(protocol, "transfer_learn", transfer_learn)
+    run_fedmd(cfg, parties, public, test, transport_kind=kind)
+    assert seen == [(0, []), (0, [])]  # at its start and at its end
+    assert len(made) == 4  # then every party end and every server end
+
+
 @pytest.mark.parametrize("failing", ["connect", "accept"])
 def test_failed_tcp_setup_closes_the_listener_and_every_end_before_it(monkeypatch, failing):
     cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)

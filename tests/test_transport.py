@@ -119,6 +119,14 @@ def test_encode_decode_round_trip(msg):
     assert decode_message(encode_message(msg)) == msg
 
 
+def test_arrays_of_another_dtype_encode_as_their_memory_dtype_twins():
+    indices, scores = np.array([0, 7, 65536]), matrix(3, 4)
+    int32_subset = SubsetAnnouncement(2, indices.astype(np.int32))
+    assert encode_message(int32_subset) == encode_message(SubsetAnnouncement(2, indices.astype(np.int64)))
+    float64_scores = ScoreReport(2, 1, scores.astype(np.float64))
+    assert encode_message(float64_scores) == encode_message(ScoreReport(2, 1, scores))
+
+
 def test_empty_score_matrix_round_trips():
     msg = ScoreReport(0, 4, np.zeros((0, 6), dtype=np.float32))
     back = decode_message(encode_message(msg))
@@ -480,16 +488,22 @@ def test_connect_fails_without_retrying_on_an_error_other_than_a_refusal():
 
 
 def test_encode_refuses_an_oversized_payload_before_building_it():
-    scores = np.broadcast_to(np.float32(0), (1 << 16, 1 << 14))  # 4 GiB on the wire, one float in memory
-    length = 9 + 4 * 3 + scores.size * 4  # tag, version and round, then party, rows and cols, then the values
-    tracemalloc.start()
-    try:
-        with pytest.raises(CodecError, match=rf"^payload of {length} bytes exceeds {transport.MAX_PAYLOAD} "):
-            encode_message(ScoreReport(1, 0, scores))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    # zero-stride arrays: gigabytes on the wire, one value in memory, in the memory dtype or in another
+    shape = (1 << 16, 1 << 14)
+    cases = [
+        (ScoreReport(1, 0, np.broadcast_to(np.float32(0), shape)), 9 + 4 * 3 + (1 << 30) * 4),
+        (ScoreReport(1, 0, np.broadcast_to(np.float64(0), shape)), 9 + 4 * 3 + (1 << 30) * 4),
+        (SubsetAnnouncement(1, np.broadcast_to(np.int32(0), (1 << 30,))), 9 + 4 + (1 << 30) * 4),
+    ]  # tag, version and round, then the header and shape fields, then the values
+    for msg, length in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodecError, match=rf"^payload of {length} bytes exceeds {transport.MAX_PAYLOAD} "):
+                encode_message(msg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_encode_rejects_oversized_declarations():
