@@ -35,9 +35,10 @@ def main() -> int:
             os.path.join(ROOT, "configs", "blobs10.json"), [f"seed={seed}", f"out_dir={out_dir}"]
         )
         log, summary = run_experiment(cfg, args.transport)
-        base = np.mean([log.baseline_accuracy(k) for k in range(10)])
-        final = np.mean([log.final_accuracy(k) for k in range(10)])
-        pooled = np.mean([log.pooled_accuracy(k) for k in range(10)])
+        parties = log.parties()
+        base = np.mean([log.baseline_accuracy(k) for k in parties])
+        final = np.mean([log.final_accuracy(k) for k in parties])
+        pooled = np.mean([log.pooled_accuracy(k) for k in parties])
         gains.append(final - base)
         gaps.append(pooled - final)
         print(

@@ -29,12 +29,13 @@ def main() -> int:
     ap.add_argument("--transport", choices=("bus", "tcp"), default="bus")
     args = ap.parse_args()
 
-    chance = 1.0 / 3.0
+    config = os.path.join(ROOT, "configs", "noniid.json")
+    chance = 1.0 / len(set(parse_config(config).partition.subclass_map.values()))  # one over the superclasses
     print("seed  party  baseline  final   unseen-pre  unseen-post")
     for seed in args.seeds:
         out_dir = os.path.join(args.out, f"seed{seed}") if args.out else None
         overrides = [f"seed={seed}"] + ([f"out_dir={out_dir}"] if out_dir else [])
-        probe = run_noniid_probe(parse_config(os.path.join(ROOT, "configs", "noniid.json"), overrides), args.transport)
+        probe = run_noniid_probe(parse_config(config, overrides), args.transport)
         if out_dir:
             with open(os.path.join(out_dir, "probe.csv"), "w") as f:
                 f.write("party,pre_unseen,post_unseen\n")

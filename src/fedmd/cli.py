@@ -137,7 +137,7 @@ def _cmd_join(args) -> int:
     if not 0 <= k < cfg.collab.parties:
         raise ConfigError(f"party id {k} outside 0..{cfg.collab.parties - 1}")
     task = experiments.build_task(cfg)
-    party = experiments.build_party(cfg, task, k)
+    party = protocol.make_party(k, cfg.architectures[k], task.privates[k], cfg.collab)
     # connect first, so that a failing prologue closes the channel and releases the server at once
     chan = transport.connect(addr)
     try:

@@ -214,13 +214,8 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
     )
 
 
-def build_party(cfg: ExperimentConfig, task: TaskData, k: int) -> PartyState:
-    """Party ``k`` of the run, with its architecture and private set, its network freshly drawn."""
-    return make_party(k, cfg.architectures[k], task.privates[k], task.public.dim, task.test.num_classes, cfg.collab)
-
-
 def build_parties(cfg: ExperimentConfig, task: TaskData) -> list[PartyState]:
-    return [build_party(cfg, task, k) for k in range(cfg.collab.parties)]
+    return [make_party(k, cfg.architectures[k], task.privates[k], cfg.collab) for k in range(cfg.collab.parties)]
 
 
 def baseline_pooled(cfg: ExperimentConfig, task: TaskData, parties: list[PartyState]) -> list[MetricsRow]:

@@ -139,17 +139,10 @@ class PartyState:
     transferred: "Network | None" = None  # copy of ``net`` after the whole prologue
 
 
-def make_party(
-    party_id: int,
-    hidden: tuple[int, ...],
-    private: Dataset,
-    input_dim: int,
-    num_classes: int,
-    cfg: CollaborationConfig,
-) -> PartyState:
-    """Party with a freshly initialized network drawn from its own seed stream."""
+def make_party(party_id: int, hidden: tuple[int, ...], private: Dataset, cfg: CollaborationConfig) -> PartyState:
+    """Party with a fresh network sized by its private set, drawn from its own seed stream."""
     rng = rng_stream(cfg.seed, party_id, "init")
-    net = nn.build_network(input_dim, hidden, num_classes, rng)
+    net = nn.build_network(private.dim, hidden, private.num_classes, rng)
     return PartyState(party_id, net, private)
 
 
@@ -286,17 +279,18 @@ def _digest_and_revisit(
 ):
     """Digest each party's consensus, then revisit its private data; returns each party's (digest loss, revisit loss).
 
-    A failure reads ``party K round J: digest failed: …`` (or ``revisit
-    failed``), naming the member that diverged or a lone party, else
-    ``parties K, L, …``.
+    ``selections``, ``reports`` and ``consensus`` hold each party's frames of
+    the round, as lists in the order of ``parties``. A failure reads ``party
+    K round J: digest failed: …`` (or ``revisit failed``), naming the member
+    that diverged or a lone party, else ``parties K, L, …``.
     """
-    j = selections[parties[0].id].round
-    digest = []
-    for p in parties:
-        x, y = public.features[selections[p.id].indices], consensus[p.id].targets
-        digest.append(nn.Member(p.net, x, y, rng_stream(cfg.seed, p.id, "digest", j)))
+    j = selections[0].round
+    digest = [
+        nn.Member(p.net, public.features[s.indices], c.targets, rng_stream(cfg.seed, p.id, "digest", j))
+        for p, s, c in zip(parties, selections, consensus)
+    ]
     with _failing(parties, f"round {j}: digest failed"):
-        digest_losses = [nn.distill_loss(reports[p.id].scores, consensus[p.id].targets)[0] for p in parties]
+        digest_losses = [nn.distill_loss(r.scores, c.targets)[0] for r, c in zip(reports, consensus)]
         nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, cfg.opt)
     revisit = [
         nn.Member(p.net, p.private.features, p.private.labels, rng_stream(cfg.seed, p.id, "revisit", j))
@@ -409,9 +403,10 @@ def party_loop(
 
     Each party starts with a hello frame (an empty 0xC score report for round
     0) so the server can map its channel to it before round 1. A round's
-    training and evaluations are one ``fit_and_measure`` call. Returns the
-    round rows in round, then party order, and closes every channel given when
-    it returns or raises, which releases a server still waiting on a party.
+    frames are lists in party order, and its training and evaluations are one
+    ``fit_and_measure`` call. Returns the round rows in round, then party
+    order, and closes every channel given when it returns or raises, which
+    releases a server still waiting on a party.
     """
     # Ordering rule: a stream channel may buffer less than one frame, so a send
     # can block until the peer reads it. Serve the parties in ascending id, the
@@ -424,28 +419,28 @@ def party_loop(
     subset_size = min(cfg.subset_size, public.n)
     metrics = []
     try:
-        for party in parties:
-            hello = ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32))
-            channels[party.id].send(hello)
+        chans = [channels[p.id] for p in parties]
+        for party, chan in zip(parties, chans):
+            chan.send(ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32)))
         for j in range(1, cfg.rounds + 1):
-            selections, reports, consensus = {}, {}, {}
-            for party in parties:
-                chan = channels[party.id]
-                selections[party.id] = expect(chan, SubsetAnnouncement, j, party.id, (subset_size,), public.n)
-            for party in parties:
+            selections = [
+                expect(chan, SubsetAnnouncement, j, p.id, (subset_size,), public.n) for p, chan in zip(parties, chans)
+            ]
+            reports = []
+            for party, chan, selection in zip(parties, chans, selections):
                 with _failing([party], f"round {j}: communicate failed"):
-                    reports[party.id] = compute_scores(party, public, selections[party.id])
-                channels[party.id].send(reports[party.id])
-            for party in parties:
-                shape = reports[party.id].scores.shape
-                consensus[party.id] = expect(channels[party.id], ConsensusBroadcast, j, party.id, shape)
+                    reports.append(compute_scores(party, public, selection))
+                chan.send(reports[-1])
+            consensus = [
+                expect(chan, ConsensusBroadcast, j, p.id, r.scores.shape) for p, chan, r in zip(parties, chans, reports)
+            ]
 
             def fit(parties):
                 return _digest_and_revisit(parties, public, cfg, selections, reports, consensus)
 
             metrics.extend(fit_and_measure(parties, fit, test, j, "rounds"))
-            for party in parties:
-                channels[party.id].send(RoundComplete(j))
+            for chan in chans:
+                chan.send(RoundComplete(j))
     finally:
         for chan in channels.values():
             chan.close()
@@ -463,10 +458,12 @@ def run_fedmd(
 
     ``transport_kind`` selects what the channels run over ("bus": in-process
     socketpairs, "tcp": 127.0.0.1); results are independent of the choice.
-    In order: the checks, the ``prologue`` of every party, the channels, then
-    the server (``server_loop``) as the one job of an executor, on a
-    ``fedmd-server_0`` thread that is joined before this returns or raises,
-    and ``party_loop`` for every party on the caller's thread. The server's
+    In order: the checks, the ``prologue`` of every party, the channels,
+    one party's pair at a time, then the server (``server_loop``) as the one
+    job of an executor, on a ``fedmd-server_0`` thread that is joined before
+    this returns or raises, and ``party_loop`` for every party on the
+    caller's thread. A failed set-up closes every end made so far and starts
+    no thread. The server's
     failure is raised when the party loop returns, or fails only with a
     ``ChannelError``, the teardown of that failure: a ``ProtocolError`` as
     is, anything else as ``server failed: …``. Returns the baseline rows in
@@ -493,24 +490,24 @@ def run_fedmd(
     if transport_kind not in ("bus", "tcp"):
         raise ConfigError(f"unknown transport {transport_kind!r}")
     baselines = prologue(parties, public, test, cfg)
-    if transport_kind == "bus":
-        pairs = [transport.bus_pair() for _ in parties]
-        server_ends = [server_end for server_end, _ in pairs]
-        party_channels = {p.id: party_end for p, (_, party_end) in zip(parties, pairs)}
-    else:
-        # every party connects before the first accept, so the backlog must hold them all
-        listener = transport.serve(("127.0.0.1", 0), backlog=cfg.parties)
-        party_channels, server_ends = {}, []
-        try:
-            for p in parties:
+    # one pair per party in turn, a socketpair or a connect and its accept (so
+    # a backlog of one holds them); a failure closes every end made so far
+    listener = transport.serve(("127.0.0.1", 0), backlog=1) if transport_kind == "tcp" else None
+    party_channels, server_ends = {}, []
+    try:
+        for p in parties:
+            if listener is None:
+                server_end, party_channels[p.id] = transport.bus_pair()
+            else:
                 party_channels[p.id] = transport.connect(listener.address)
-            for _ in parties:
-                server_ends.append(listener.accept())
-        except BaseException:
-            for chan in [*party_channels.values(), *server_ends]:
-                chan.close()
-            raise
-        finally:
+                server_end = listener.accept()
+            server_ends.append(server_end)
+    except BaseException:
+        for chan in [*party_channels.values(), *server_ends]:
+            chan.close()
+        raise
+    finally:
+        if listener is not None:
             listener.close()
     with ThreadPoolExecutor(1, "fedmd-server") as pool:
         server = pool.submit(server_loop, server_ends, cfg, public.n, test.num_classes)

@@ -173,7 +173,7 @@ def test_criterion_6_self_consensus_fixed_point():
     public = synth_blobs(3, 60, 8, 1.0, seed=100)
     pool = synth_blobs(3, 10, 8, 1.0, seed=101)
     test = synth_blobs(3, 80, 8, 1.0, seed=101, sample_stream=1)
-    party = make_party(0, (16,), pool.take(np.arange(9)), 8, 3, cfg)
+    party = make_party(0, (16,), pool.take(np.arange(9)), cfg)
     # class-balance the private set: 3 per class
     idx = np.concatenate([np.flatnonzero(pool.labels == c)[:3] for c in range(3)])
     party.private = pool.take(idx)
@@ -240,7 +240,7 @@ def test_criterion_7_wire_protocol():
         pool = synth_blobs(3, 12, 6, 1.0, seed=201)
         test = synth_blobs(3, 50, 6, 1.0, seed=201, sample_stream=1)
         rows = partition_iid(pool, 2, 3, seed=17)
-        parties = [make_party(k, (8,), pool.take(rows[k]), 6, 3, cfg) for k in range(2)]
+        parties = [make_party(k, (8,), pool.take(rows[k]), cfg) for k in range(2)]
         return cfg, parties, public, test
 
     cfg, parties, public, test = world()

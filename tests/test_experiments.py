@@ -281,7 +281,7 @@ def test_pooled_rows_continue_from_prologue_snapshot(monkeypatch):
         task.test.num_classes,
     )
     for k, arch in enumerate(cfg.architectures):
-        old = make_party(k, arch, pooled_private, task.public.dim, task.test.num_classes, cfg.collab)
+        old = make_party(k, arch, pooled_private, cfg.collab)
         transfer_learn([old], task.public, cfg.collab)
         new_params = fitted[k].parameters()
         assert len(new_params) == len(old.net.parameters()) == 2 * (len(arch) + 1)

@@ -57,7 +57,7 @@ def small_world(m, seed=0, classes=3, dim=4, per_class=3, public_spread=1.0, arc
     test = synth_blobs(classes, 50, dim, 1.0, seed=seed * 31 + 2, sample_stream=1)
     rows = partition_iid(pool, m, per_class, seed=seed)
     parties = [
-        make_party(k, archs[k] if archs else (8,), pool.take(rows[k]), dim, classes, cfg)
+        make_party(k, archs[k] if archs else (8,), pool.take(rows[k]), cfg)
         for k in range(m)
     ]
     return cfg, parties, public, test
@@ -733,10 +733,12 @@ def test_channels_and_the_server_start_only_after_the_prologue(monkeypatch, kind
     assert len(made) == 4  # then every party end and every server end
 
 
-@pytest.mark.parametrize("failing", ["connect", "accept"])
+@pytest.mark.parametrize("failing", ["bus", "connect", "accept"])
 def test_failed_tcp_setup_closes_the_listener_and_every_end_before_it(monkeypatch, failing):
+    # each party's pair is made in turn, a socketpair or a connect and then its accept; party 2's step fails
     cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2)
-    made, closed = [], []
+    error = OSError if failing == "bus" else ChannelError
+    made, closed, served = [], [], []
 
     def record(owner, name, fails_on_call):
         inner, calls = getattr(owner, name), []
@@ -744,9 +746,10 @@ def test_failed_tcp_setup_closes_the_listener_and_every_end_before_it(monkeypatc
         def call(*args):
             calls.append(args)
             if len(calls) == fails_on_call:
-                raise ChannelError("refused")
-            made.append(inner(*args))
-            return made[-1]
+                raise error("refused")
+            ends = inner(*args)
+            made.extend(ends if isinstance(ends, tuple) else [ends])
+            return ends
 
         monkeypatch.setattr(owner, name, call)
 
@@ -759,15 +762,21 @@ def test_failed_tcp_setup_closes_the_listener_and_every_end_before_it(monkeypatc
 
         monkeypatch.setattr(cls, "close", close)
 
-    record(transport, "connect", 2 if failing == "connect" else None)
-    record(transport.TcpListener, "accept", 2 if failing == "accept" else None)
+    record(transport, "bus_pair", 3 if failing == "bus" else None)
+    record(transport, "connect", 3 if failing == "connect" else None)
+    record(transport.TcpListener, "accept", 3 if failing == "accept" else None)
     spy_close(transport.TcpChannel)
     spy_close(transport.TcpListener)
-    with pytest.raises(ChannelError, match="^refused$"):
-        run_fedmd(cfg, parties, public, test, transport_kind="tcp")
-    assert len(made) == (1 if failing == "connect" else 4)  # the party ends first, then the accepted ones
-    assert closed[:-1] == made
-    assert isinstance(closed[-1], transport.TcpListener)
+    monkeypatch.setattr(protocol, "server_loop", lambda *args: served.append(args))
+    with pytest.raises(error, match="^refused$"):
+        run_fedmd(cfg, parties, public, test, transport_kind="bus" if failing == "bus" else "tcp")
+    # bus: two pairs; connect: two connected and two accepted ends; accept: three connected, two accepted
+    assert len(made) == {"bus": 4, "connect": 4, "accept": 5}[failing]
+    channels = [c for c in closed if isinstance(c, transport.TcpChannel)]
+    assert len(channels) == len(made) and {id(c) for c in channels} == {id(c) for c in made}
+    listeners = [c for c in closed if isinstance(c, transport.TcpListener)]
+    assert len(listeners) == (failing != "bus")
+    assert served == []  # no server thread was started
 
 
 def test_party_loop_order_survives_frames_larger_than_socket_buffers():
@@ -776,7 +785,7 @@ def test_party_loop_order_survives_frames_larger_than_socket_buffers():
     public = synth_blobs(3, 1000, 4, 1.0, seed=11)  # 3000 rows: 12 KB subsets, 36 KB scores
     test = synth_blobs(3, 10, 4, 1.0, seed=12)
     private = synth_blobs(3, 2, 4, 1.0, seed=13)
-    parties = [make_party(k, (8,), private, 4, 3, cfg) for k in (2, 1, 0)]  # not in server order
+    parties = [make_party(k, (8,), private, cfg) for k in (2, 1, 0)]  # not in server order
     server_ends, party_ends = {}, {}
     for k in range(3):
         a, b = socket.socketpair()
@@ -838,7 +847,7 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch):
     sizes = [9] * 5 + [6] * 4 + [12]
     starts = np.cumsum([0] + sizes)
     parties = [
-        make_party(k, arch, pool.take(np.arange(starts[k], starts[k + 1])), 4, 3, cfg)
+        make_party(k, arch, pool.take(np.arange(starts[k], starts[k + 1])), cfg)
         for k, arch in enumerate(archs)
     ]
     alone = [PartyState(p.id, p.net.copy(), p.private) for p in parties]
@@ -886,10 +895,10 @@ def test_digest_trains_each_party_on_the_frames_it_received():
     cfg, parties, public, test = small_world(3, rounds=1, max_epochs=2, subset_size=20)
     alone = [protocol.PartyState(p.id, p.net.copy(), p.private) for p in parties]
     streams = (1, 2, 1)  # parties 0 and 2 get one subset, party 1 another
-    selections = {k: select_subset(public.n, 20, rng_stream(cfg.seed, "subset", s), 1) for k, s in enumerate(streams)}
-    reports = {p.id: compute_scores(p, public, selections[p.id]) for p in parties}
+    selections = [select_subset(public.n, 20, rng_stream(cfg.seed, "subset", s), 1) for s in streams]
+    reports = [compute_scores(p, public, s) for p, s in zip(parties, selections)]
     targets = [reports[0].scores.copy(), reports[0].scores.copy(), reports[2].scores.copy()]
-    consensus = {k: transport.ConsensusBroadcast(1, y) for k, y in enumerate(targets)}
+    consensus = [transport.ConsensusBroadcast(1, y) for y in targets]
     losses = protocol._digest_and_revisit(parties, public, cfg, selections, reports, consensus)
     for ref, party in zip(alone, parties):
         x = public.features[selections[ref.id].indices]
