@@ -3,12 +3,11 @@
 __version__ = "0.1.0"
 
 from .data import Dataset, partition_iid, partition_noniid, synth_blobs
-from .nn import AdamParams, Network, TrainReport, accuracy, build_network, forward
+from .nn import Network, TrainReport, accuracy, build_network, forward
 from .protocol import CollaborationConfig, PartyState, run_fedmd
 from .experiments import ExperimentConfig, run_experiment, summarize
 
 __all__ = [
-    "AdamParams",
     "CollaborationConfig",
     "Dataset",
     "ExperimentConfig",

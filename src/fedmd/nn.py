@@ -178,26 +178,24 @@ def _distill_loss(logits, targets, out) -> tuple[np.ndarray, np.ndarray]:
     return losses, d
 
 
-@dataclass(frozen=True)
-class AdamParams:
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+# Adam's decays and epsilon are fixed; a training call takes only its learning rate
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
 class AdamState:
-    """Moment estimates for one parameter list; ``t`` counts completed steps."""
+    """Moment estimates for one parameter list, stepped at learning rate ``lr``; ``t`` counts completed steps."""
 
-    params: AdamParams
+    lr: float
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
 
     @staticmethod
-    def fresh(params: list[np.ndarray], opt: AdamParams) -> "AdamState":
-        return AdamState(opt, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+    def fresh(params: list[np.ndarray], lr: float) -> "AdamState":
+        return AdamState(lr, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
 def adam_step(
@@ -211,19 +209,18 @@ def adam_step(
     for p, g, m in zip(params, grads, state.m):
         if p.shape != g.shape or p.shape != m.shape:
             raise ShapeError(f"param shape {p.shape} vs grad {g.shape} vs moment {m.shape}")
-    hp = state.params
     t = state.t + 1
-    bc1 = 1.0 - hp.beta1**t
-    bc2 = 1.0 - hp.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m2 = hp.beta1 * m + (1.0 - hp.beta1) * g
-        v2 = hp.beta2 * v + (1.0 - hp.beta2) * (g * g)
-        update = (m2 / bc1) / (np.sqrt(v2 / bc2) + hp.epsilon)
-        new_params.append(p - hp.lr * update)
+        m2 = BETA1 * m + (1.0 - BETA1) * g
+        v2 = BETA2 * v + (1.0 - BETA2) * (g * g)
+        update = (m2 / bc1) / (np.sqrt(v2 / bc2) + EPSILON)
+        new_params.append(p - state.lr * update)
         new_m.append(m2)
         new_v.append(v2)
-    return new_params, AdamState(hp, new_m, new_v, t)
+    return new_params, AdamState(state.lr, new_m, new_v, t)
 
 
 @dataclass
@@ -237,7 +234,7 @@ class TrainReport:
         return len(self.epoch_losses)
 
 
-def _adam_in_place(p, g, m, v, tmp, hp: AdamParams, t: int) -> None:
+def _adam_in_place(p, g, m, v, tmp, lr: float, t: int) -> None:
     """Step ``t`` of ``adam_step`` on flat vectors, written into ``p``, ``m`` and ``v``.
 
     The ops and their order are ``adam_step``'s own, so the bits are too. The
@@ -245,21 +242,21 @@ def _adam_in_place(p, g, m, v, tmp, hp: AdamParams, t: int) -> None:
     ``g`` is spent: it holds the update afterwards. Acceptance criterion 3
     (``test_criterion_3_adam_conformance``) holds it to a scalar Adam oracle.
     """
-    bc1 = 1.0 - hp.beta1**t
-    bc2 = 1.0 - hp.beta2**t
-    m *= hp.beta1
-    np.multiply(g, 1.0 - hp.beta1, out=tmp)
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=tmp)
     m += tmp
-    v *= hp.beta2
+    v *= BETA2
     np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - hp.beta2
+    tmp *= 1.0 - BETA2
     v += tmp
     np.divide(v, bc2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += hp.epsilon
+    tmp += EPSILON
     np.divide(m, bc1, out=g)
     g /= tmp
-    g *= hp.lr
+    g *= lr
     p -= g
 
 
@@ -452,17 +449,17 @@ class _Plan:
             self.backward.insert(0, (act, dz, axis, gbias, matmuls))
 
 
-def _run_epochs(members: list[Member], loss, epochs, batch_size, opt, on_epoch=None) -> list[TrainReport]:
+def _run_epochs(members: list[Member], loss, epochs, batch_size, lr: float, on_epoch=None) -> list[TrainReport]:
     """Minibatch descent of any members: those of one row count and dtype step as a lockstep group.
 
     The groups train one after another, each with one persistent Adam state.
     All members need one input dim and class count and share ``batch_size``
-    and ``opt``. ``loss`` is the batch loss: ``_cross_entropy`` against class
+    and the learning rate ``lr``. ``loss`` is the batch loss: ``_cross_entropy`` against class
     labels or ``_distill_loss`` against score targets. Each member's
     shuffling, parameters and losses are bit for bit those it would get
     trained alone. Gradients, moments and scratch live only for this call;
     the members' layers stay views of their group's ``flat``.
-    ``on_epoch(i, epoch_index, mean_loss)`` may return True to stop member
+    After each epoch, ``on_epoch(i)`` may return True to stop member
     ``members[i]``, and the others go on; a ``DivergenceError`` names its
     member the same way.
     """
@@ -510,11 +507,11 @@ def _run_epochs(members: list[Member], loss, epochs, batch_size, opt, on_epoch=N
                         raise DivergenceError(f"non-finite training loss in epoch {epoch}", active[j])
                     totals[j] += value * idx.shape[1]
                 t += 1
-                _adam_in_place(group.flat, group.grad, group.m, group.v, group.tmp, opt, t)
+                _adam_in_place(group.flat, group.grad, group.m, group.v, group.tmp, lr, t)
             stopping = []
             for j, i in enumerate(active):
                 reports[i].epoch_losses.append(totals[j] / n)
-                if on_epoch is not None and on_epoch(i, epoch, reports[i].epoch_losses[-1]):
+                if on_epoch is not None and on_epoch(i):
                     stopping.append(j)
             if stopping:
                 group = group.keep([j for j in range(len(active)) if j not in stopping])
@@ -524,14 +521,14 @@ def _run_epochs(members: list[Member], loss, epochs, batch_size, opt, on_epoch=N
     return reports
 
 
-def train_supervised(members: list[Member], epochs, batch_size, opt: AdamParams) -> list[TrainReport]:
+def train_supervised(members: list[Member], epochs, batch_size, lr: float) -> list[TrainReport]:
     """Minibatch cross-entropy descent of any members toward their labels (``_run_epochs``), with a fresh Adam state."""
-    return _run_epochs(members, _cross_entropy, epochs, batch_size, opt)
+    return _run_epochs(members, _cross_entropy, epochs, batch_size, lr)
 
 
-def train_distill(members: list[Member], epochs, batch_size, opt: AdamParams) -> list[TrainReport]:
+def train_distill(members: list[Member], epochs, batch_size, lr: float) -> list[TrainReport]:
     """Minibatch MAE descent of any members toward their consensus targets (``_run_epochs``), rows kept paired."""
-    return _run_epochs(members, _distill_loss, epochs, batch_size, opt)
+    return _run_epochs(members, _distill_loss, epochs, batch_size, lr)
 
 
 def accuracy(net: Network, data) -> float:
@@ -543,7 +540,7 @@ def accuracy(net: Network, data) -> float:
 
 
 def train_to_convergence(
-    members: list[Member], batch_size, opt: AdamParams, max_epochs: int, patience: int, min_improvement: float
+    members: list[Member], batch_size, lr: float, max_epochs: int, patience: int, min_improvement: float
 ) -> list[TrainReport]:
     """Supervised training of any members (``_run_epochs``); each stops once its val accuracy stalls.
 
@@ -555,7 +552,7 @@ def train_to_convergence(
     best = [-1.0] * len(members)
     stall = [0] * len(members)
 
-    def stalled(i, _epoch, _loss):
+    def stalled(i):
         acc = accuracy(members[i].net, members[i].val)
         if acc > best[i] + min_improvement:
             best[i] = acc
@@ -564,7 +561,7 @@ def train_to_convergence(
         stall[i] += 1
         return stall[i] >= patience
 
-    return _run_epochs(members, _cross_entropy, max_epochs, batch_size, opt, on_epoch=stalled)
+    return _run_epochs(members, _cross_entropy, max_epochs, batch_size, lr, on_epoch=stalled)
 
 
 # --- gradient checking -------------------------------------------------------

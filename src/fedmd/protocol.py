@@ -42,7 +42,7 @@ from . import nn, transport
 from .data import Dataset
 from .errors import ChannelError, CodecError, ConfigError, DivergenceError, ProtocolError, ShapeError
 from .metrics import BASELINE, MetricsLog, MetricsRow
-from .nn import AdamParams, Network, TrainReport
+from .nn import Network, TrainReport
 from .transport import ConsensusBroadcast, RoundComplete, ScoreReport, SubsetAnnouncement
 
 
@@ -101,8 +101,8 @@ class CollaborationConfig:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0 <= self.seed <= 0xFFFFFFFF:
             raise ConfigError(f"seed must lie in 0..4294967295, got {self.seed}")
-        if not self.min_improvement >= 0:
-            raise ConfigError(f"min_improvement must be >= 0, got {self.min_improvement}")
+        if not 0 <= self.min_improvement < math.inf:
+            raise ConfigError(f"min_improvement must be finite and non-negative, got {self.min_improvement}")
         weights = (1.0,) * self.parties if self.weights is None else tuple(map(float, self.weights))
         if len(weights) != self.parties:
             raise ConfigError(f"{len(weights)} weights for {self.parties} parties")
@@ -117,16 +117,12 @@ class CollaborationConfig:
             weights = tuple(w / total for w in weights)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def opt(self) -> AdamParams:
-        return AdamParams(lr=self.lr)
-
 
 @dataclass
 class PartyState:
     """One participant: its id, its model and its private data.
 
-    The optimizer settings and the master seed are the run's, in
+    The learning rate and the master seed are the run's, in
     ``CollaborationConfig``; the party's id names all of its RNG streams,
     ``rng_stream(cfg.seed, party.id, …)``. Single-owner mutable: only the
     thread that runs its prologue and its ``party_loop`` trains it.
@@ -158,7 +154,7 @@ def pretrain_public(parties: list[PartyState], public: Dataset, cfg: Collaborati
         rng = rng_stream(cfg.seed, party.id, "transfer-public")
         members.append(nn.Member(party.net, public.features, public.labels, rng, rows, val))
     return nn.train_to_convergence(
-        members, cfg.transfer_batch_size, cfg.opt, cfg.max_epochs, cfg.patience, cfg.min_improvement
+        members, cfg.transfer_batch_size, cfg.lr, cfg.max_epochs, cfg.patience, cfg.min_improvement
     )
 
 
@@ -169,7 +165,7 @@ def fit_private(parties: list[PartyState], cfg: CollaborationConfig) -> list[Tra
         rng = rng_stream(cfg.seed, p.id, "transfer-private")
         members.append(nn.Member(p.net, p.private.features, p.private.labels, rng, val=p.private))
     return nn.train_to_convergence(
-        members, cfg.transfer_batch_size, cfg.opt, cfg.max_epochs, cfg.patience, cfg.min_improvement
+        members, cfg.transfer_batch_size, cfg.lr, cfg.max_epochs, cfg.patience, cfg.min_improvement
     )
 
 
@@ -291,13 +287,13 @@ def _digest_and_revisit(
     ]
     with _failing(parties, f"round {j}: digest failed"):
         digest_losses = [nn.distill_loss(r.scores, c.targets)[0] for r, c in zip(reports, consensus)]
-        nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, cfg.opt)
+        nn.train_distill(digest, cfg.digest_epochs, cfg.digest_batch_size, cfg.lr)
     revisit = [
         nn.Member(p.net, p.private.features, p.private.labels, rng_stream(cfg.seed, p.id, "revisit", j))
         for p in parties
     ]
     with _failing(parties, f"round {j}: revisit failed"):
-        revisits = nn.train_supervised(revisit, cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
+        revisits = nn.train_supervised(revisit, cfg.revisit_epochs, cfg.revisit_batch_size, cfg.lr)
     return [(d, r.epoch_losses[-1] if r.epoch_losses else None) for d, r in zip(digest_losses, revisits)]
 
 

@@ -273,9 +273,13 @@ class TcpListener:
 def serve(addr: tuple[str, int], backlog: int = 16, timeout: float = DEFAULT_TIMEOUT) -> TcpListener:
     """Bind and listen; ``backlog`` must hold every connect() made before the first accept()."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind(addr)
-    sock.listen(backlog)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind(addr)
+        sock.listen(backlog)
+    except OSError as exc:
+        sock.close()
+        raise OSError(f"cannot listen on {addr[0]}:{addr[1]}: {exc}") from exc
     return TcpListener(sock, timeout)
 
 

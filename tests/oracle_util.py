@@ -26,7 +26,7 @@ def converge(net, features, labels, val, rng, c) -> None:
     """Supervised epochs until ``val`` accuracy misses its best by ``min_improvement`` ``patience`` times running."""
     best, stall = -1.0, 0
 
-    def stalled(_epoch, _loss):
+    def stalled():
         nonlocal best, stall
         acc = accuracy(net, val)
         if acc > best + c.min_improvement:
@@ -36,7 +36,7 @@ def converge(net, features, labels, val, rng, c) -> None:
         return stall >= c.patience
 
     reference_run_epochs(
-        net, features, labels, reference_cross_entropy, c.max_epochs, c.transfer_batch_size, c.opt, rng, stalled
+        net, features, labels, reference_cross_entropy, c.max_epochs, c.transfer_batch_size, c.lr, rng, stalled
     )
 
 
@@ -64,12 +64,12 @@ def oracle_rows(cfg) -> list[tuple]:
         for k, (net, private) in enumerate(zip(nets, task.privates)):
             digest_loss = reference_distill_loss(scores[k], consensus)[0]
             reference_run_epochs(
-                net, x, consensus, reference_distill_loss, c.digest_epochs, c.digest_batch_size, c.opt,
+                net, x, consensus, reference_distill_loss, c.digest_epochs, c.digest_batch_size, c.lr,
                 rng_stream(c.seed, k, "digest", j),
             )
             revisit = reference_run_epochs(
                 net, private.features, private.labels, reference_cross_entropy, c.revisit_epochs,
-                c.revisit_batch_size, c.opt, rng_stream(c.seed, k, "revisit", j),
+                c.revisit_batch_size, c.lr, rng_stream(c.seed, k, "revisit", j),
             )
             revisit_loss = revisit.epoch_losses[-1] if revisit.epoch_losses else None
             rows.append((j, k, accuracy(net, test), digest_loss, revisit_loss))

@@ -64,10 +64,13 @@ def reference_distill_loss(logits, targets):
 REFERENCE_LOSSES = {nn._cross_entropy: reference_cross_entropy, nn._distill_loss: reference_distill_loss}
 
 
-def reference_run_epochs(net, inputs, targets, loss, epochs, batch_size, opt, rng, on_epoch=None):
-    """``epochs`` of minibatch Adam on ``loss``, ``reference_cross_entropy`` or ``reference_distill_loss``."""
+def reference_run_epochs(net, inputs, targets, loss, epochs, batch_size, lr, rng, on_epoch=None):
+    """``epochs`` of minibatch Adam at ``lr`` on ``loss``, ``reference_cross_entropy`` or ``reference_distill_loss``.
+
+    After each epoch, ``on_epoch()`` may return True to stop.
+    """
     n = inputs.shape[0]
-    state = nn.AdamState.fresh(net.parameters(), opt)
+    state = nn.AdamState.fresh(net.parameters(), lr)
     report = nn.TrainReport()
     for epoch in range(epochs):
         perm = rng.permutation(n)
@@ -82,18 +85,18 @@ def reference_run_epochs(net, inputs, targets, loss, epochs, batch_size, opt, rn
                 lyr.weight, lyr.bias = w, b
             total += value * len(idx)
         report.epoch_losses.append(total / n)
-        if on_epoch is not None and on_epoch(epoch, report.epoch_losses[-1]):
+        if on_epoch is not None and on_epoch():
             break
     return report
 
 
-def reference_group_run_epochs(members, loss, epochs, batch_size, opt, on_epoch=None):
+def reference_group_run_epochs(members, loss, epochs, batch_size, lr, on_epoch=None):
     """The reference loop run on each member of a group alone, on the reference of nn's batch ``loss``."""
     reports = []
     for i, mem in enumerate(members):
         rows = slice(None) if mem.rows is None else mem.rows
-        stop = None if on_epoch is None else (lambda epoch, value, i=i: on_epoch(i, epoch, value))
+        stop = None if on_epoch is None else (lambda i=i: on_epoch(i))
         reports.append(reference_run_epochs(
-            mem.net, mem.inputs[rows], mem.targets[rows], REFERENCE_LOSSES[loss], epochs, batch_size, opt, mem.rng, stop
+            mem.net, mem.inputs[rows], mem.targets[rows], REFERENCE_LOSSES[loss], epochs, batch_size, lr, mem.rng, stop
         ))
     return reports

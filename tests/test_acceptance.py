@@ -115,7 +115,7 @@ def test_criterion_3_adam_conformance():
         for step in range(100):
             g = grads[step] if grads is not None else 2.0 * a * (float(p[0]) - c)
             oracle_grads.append(g)
-            nn._adam_in_place(p, np.array([g], dtype=np.float64), m, v, tmp, nn.AdamParams(), step + 1)
+            nn._adam_in_place(p, np.array([g], dtype=np.float64), m, v, tmp, 0.001, step + 1)
             trajectory.append(float(p[0]))
         expected = adam_scalar_oracle(p0, oracle_grads)
         worst = max(worst, max(abs(a_ - b_) for a_, b_ in zip(trajectory, expected)))

@@ -146,7 +146,8 @@ def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, override):
     assert "fedmd: error: config:" in capsys.readouterr().err
 
 
-# NaN fails no ordered comparison, so each check must be written to fail it, and
+# NaN fails no ordered comparison, so each check must be written to fail it; an
+# infinite min_improvement would stop every member after `patience` epochs, and
 # an infinite spread must fail before it draws non-finite features; the Adam
 # decays and epsilon are fixed, so setting one is an unknown key
 @pytest.mark.parametrize(
@@ -155,6 +156,7 @@ def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, override):
         "lr=NaN",
         "min_improvement=NaN",
         "min_improvement=-1",
+        "min_improvement=Infinity",
         "weights=[NaN, 1]",
         "beta1=1.0",
         "beta2=NaN",
@@ -403,6 +405,17 @@ def test_bad_idx_data_exits_2_naming_the_fault(tmp_path, capsys, config, message
     assert out == ""
     assert err.startswith("fedmd: error: config: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_serve_on_a_port_in_use_is_an_io_error_naming_the_address(tmp_path, capsys):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = taken.getsockname()[1]
+        assert cli.main(["serve", f"127.0.0.1:{port}", write_config(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"fedmd: error: io: cannot listen on 127.0.0.1:{port}: [Errno 98] Address already in use\n"
 
 
 def test_out_dir_under_a_file_is_an_io_error(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_synth_blobs_tight_clusters_are_learnable():
     test = synth_blobs(6, 30, 8, 0.01, seed=9, sample_stream=1)
     net = nn.build_network(8, (32,), 6, np.random.default_rng(10))
     member = nn.Member(net, train.features, train.labels, np.random.default_rng(11))
-    nn.train_supervised([member], 100, 16, nn.AdamParams())
+    nn.train_supervised([member], 100, 16, 0.001)
     assert nn.accuracy(net, test) >= 0.98
 
 

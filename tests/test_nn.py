@@ -198,20 +198,20 @@ def adam_oracle(p0: float, grads: list, lr=0.001, b1=0.9, b2=0.999, eps=1e-8) ->
 def test_adam_zero_gradient_keeps_params():
     p = [np.array([1.0, -2.0]), np.array([[3.0]])]
     g = [np.zeros(2), np.zeros((1, 1))]
-    state = nn.AdamState.fresh(p, nn.AdamParams())
+    state = nn.AdamState.fresh(p, 0.001)
     p2, state2 = nn.adam_step(p, g, state)
     assert all(np.array_equal(a, b) for a, b in zip(p, p2))
     assert state2.t == 1
 
 
 def test_adam_first_step_hand_value():
-    p, _ = nn.adam_step([np.array([0.0])], [np.array([1.0])], nn.AdamState.fresh([np.array([0.0])], nn.AdamParams()))
+    p, _ = nn.adam_step([np.array([0.0])], [np.array([1.0])], nn.AdamState.fresh([np.array([0.0])], 0.001))
     assert p[0][0] == pytest.approx(-0.001 / (1 + 1e-8), abs=1e-12)
 
 
 def test_adam_two_steps_match_oracle():
     params = [np.array([0.0])]
-    state = nn.AdamState.fresh(params, nn.AdamParams())
+    state = nn.AdamState.fresh(params, 0.001)
     seen = []
     for _ in range(2):
         params, state = nn.adam_step(params, [np.array([1.0])], state)
@@ -226,7 +226,7 @@ def test_adam_is_pure(seed):
     rng = np.random.default_rng(seed)
     p = [rng.normal(size=3), rng.normal(size=(2, 2))]
     g = [rng.normal(size=3), rng.normal(size=(2, 2))]
-    state = nn.AdamState.fresh(p, nn.AdamParams())
+    state = nn.AdamState.fresh(p, 0.001)
     p_bak = [a.copy() for a in p]
     out1, st1 = nn.adam_step(p, g, state)
     out2, st2 = nn.adam_step(p, g, state)
@@ -237,7 +237,7 @@ def test_adam_is_pure(seed):
 
 
 def test_adam_shape_mismatch():
-    state = nn.AdamState.fresh([np.zeros(2)], nn.AdamParams())
+    state = nn.AdamState.fresh([np.zeros(2)], 0.001)
     with pytest.raises(ShapeError):
         nn.adam_step([np.zeros(2)], [np.zeros(3)], state)
 
@@ -250,7 +250,7 @@ def test_train_supervised_zero_epochs_is_noop():
     net = rand_net(np.random.default_rng(2), (3, 4, 2))
     before = [p.copy() for p in net.parameters()]
     member = nn.Member(net, data.features, data.labels, np.random.default_rng(3))
-    (report,) = nn.train_supervised([member], 0, 4, nn.AdamParams())
+    (report,) = nn.train_supervised([member], 0, 4, 0.001)
     assert report.epochs == 0 and report.epoch_losses == []
     assert all(np.array_equal(a, b) for a, b in zip(before, net.parameters()))
 
@@ -258,7 +258,7 @@ def test_train_supervised_zero_epochs_is_noop():
 def test_train_supervised_fits_separable_blobs():
     data = synth_blobs(2, 40, 4, 0.1, seed=5)
     net = rand_net(np.random.default_rng(6), (4, 8, 2))
-    nn.train_supervised([nn.Member(net, data.features, data.labels, np.random.default_rng(7))], 50, 8, nn.AdamParams())
+    nn.train_supervised([nn.Member(net, data.features, data.labels, np.random.default_rng(7))], 50, 8, 0.001)
     assert nn.accuracy(net, data) >= 0.95
 
 
@@ -268,7 +268,7 @@ def test_train_supervised_is_bitwise_deterministic():
     for _ in range(2):
         net = rand_net(np.random.default_rng(9), (4, 6, 3))
         member = nn.Member(net, data.features, data.labels, np.random.default_rng(10))
-        nn.train_supervised([member], 5, 4, nn.AdamParams())
+        nn.train_supervised([member], 5, 4, 0.001)
         runs.append([p.copy() for p in net.parameters()])
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
@@ -278,7 +278,7 @@ def test_train_supervised_rejects_empty_dataset():
     net = rand_net(np.random.default_rng(0), (3, 2))
     with pytest.raises(ConfigError, match="empty"):
         member = nn.Member(net, empty.features, empty.labels, np.random.default_rng(0))
-        nn.train_supervised([member], 1, 4, nn.AdamParams())
+        nn.train_supervised([member], 1, 4, 0.001)
 
 
 def test_train_supervised_divergence_names_epoch():
@@ -286,7 +286,7 @@ def test_train_supervised_divergence_names_epoch():
     net = rand_net(np.random.default_rng(4), (3, 4, 2))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch"):
         member = nn.Member(net, data.features, data.labels, np.random.default_rng(5))
-        nn.train_supervised([member], 5, 4, nn.AdamParams(lr=1e30))
+        nn.train_supervised([member], 5, 4, 1e30)
 
 
 def member(dims=(3, 4, 2), targets=None, **kw):
@@ -302,18 +302,18 @@ def member(dims=(3, 4, 2), targets=None, **kw):
         (lambda: nn.forward(rand_net(np.random.default_rng(0), (3, 2)), np.zeros(3)), ShapeError,
          r"^batch must be 2-d, got shape \(3,\)$"),
         (lambda: nn.cross_entropy(np.zeros((2, 3)), np.array([0])), ShapeError, r"^logits \(2, 3\) vs labels \(1,\)$"),
-        (lambda: nn.adam_step([np.zeros(2)], [], nn.AdamState.fresh([np.zeros(2)], nn.AdamParams())), ShapeError,
+        (lambda: nn.adam_step([np.zeros(2)], [], nn.AdamState.fresh([np.zeros(2)], 0.001)), ShapeError,
          "^param/grad/state length mismatch: 1/0/1$"),
-        (lambda: nn.train_supervised([member()], 1, 0, nn.AdamParams()), ConfigError,
+        (lambda: nn.train_supervised([member()], 1, 0, 0.001), ConfigError,
          "^batch_size must be >= 1, got 0$"),
-        (lambda: nn.train_supervised([member()], -1, 4, nn.AdamParams()), ConfigError, "^epochs must be >= 0, got -1$"),
-        (lambda: nn.train_supervised([member(), member((3, 4, 3))], 1, 4, nn.AdamParams()), ConfigError,
+        (lambda: nn.train_supervised([member()], -1, 4, 0.001), ConfigError, "^epochs must be >= 0, got -1$"),
+        (lambda: nn.train_supervised([member(), member((3, 4, 3))], 1, 4, 0.001), ConfigError,
          "^members of one call need one input dim and class count$"),
-        (lambda: nn.train_supervised([member(targets=np.zeros(9, np.int64))], 1, 4, nn.AdamParams()), ShapeError,
+        (lambda: nn.train_supervised([member(targets=np.zeros(9, np.int64))], 1, 4, 0.001), ShapeError,
          "^inputs rows 10 vs target rows 9$"),
-        (lambda: nn.train_supervised([member(rows=np.array([0, 10]))], 1, 4, nn.AdamParams()), IndexError,
+        (lambda: nn.train_supervised([member(rows=np.array([0, 10]))], 1, 4, 0.001), IndexError,
          r"^rows outside 0\.\.9$"),
-        (lambda: nn.train_distill([member(targets=np.zeros((10, 3), np.float32))], 1, 4, nn.AdamParams()), ShapeError,
+        (lambda: nn.train_distill([member(targets=np.zeros((10, 3), np.float32))], 1, 4, 0.001), ShapeError,
          r"^targets of shape \(3,\) for 2 classes$"),
     ],
     ids=[
@@ -345,7 +345,7 @@ def test_copy_and_original_train_independently(duplicate):
     partner = rand_net(np.random.default_rng(12), (4, 7, 3))
     nn.train_supervised(
         [nn.Member(n, data.features, data.labels, np.random.default_rng(k)) for k, n in enumerate((grouped, partner))],
-        1, 4, nn.AdamParams(),
+        1, 4, 0.001,
     )
     # after a grouped call, both networks' layers view that group's one parameter vector
     assert grouped.layers[0].weight.base is partner.layers[0].weight.base
@@ -356,7 +356,7 @@ def test_copy_and_original_train_independently(duplicate):
             untouched = [p.copy() for p in other.parameters()]
             start = [p.copy() for p in trained.parameters()]
             member = nn.Member(trained, data.features, data.labels, np.random.default_rng(10))
-            nn.train_supervised([member], 2, 4, nn.AdamParams())
+            nn.train_supervised([member], 2, 4, 0.001)
             assert all(np.array_equal(a, b) for a, b in zip(untouched, other.parameters()))
             assert not any(np.array_equal(a, b) for a, b in zip(start, trained.parameters()))
         assert share_no_parameter([net, twin, partner])
@@ -368,7 +368,7 @@ def test_train_distill_fixed_point_keeps_weights():
     inputs = rng.normal(size=(6, 3)).astype(np.float32)
     targets = nn.forward(net, inputs)
     before = [p.copy() for p in net.parameters()]
-    (report,) = nn.train_distill([nn.Member(net, inputs, targets, np.random.default_rng(13))], 2, 3, nn.AdamParams())
+    (report,) = nn.train_distill([nn.Member(net, inputs, targets, np.random.default_rng(13))], 2, 3, 0.001)
     assert report.epoch_losses[0] == 0.0
     assert all(np.array_equal(a, b) for a, b in zip(before, net.parameters()))
 
@@ -377,7 +377,7 @@ def test_train_distill_loss_strictly_decreases():
     net = mlp(([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
     inputs = np.array([[1.0, 1.0]], dtype=np.float32)
     targets = nn.forward(net, inputs) + 0.5
-    (report,) = nn.train_distill([nn.Member(net, inputs, targets, np.random.default_rng(14))], 10, 1, nn.AdamParams())
+    (report,) = nn.train_distill([nn.Member(net, inputs, targets, np.random.default_rng(14))], 10, 1, 0.001)
     losses = report.epoch_losses
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -385,7 +385,7 @@ def test_train_distill_loss_strictly_decreases():
 def test_train_distill_zero_epochs_is_noop():
     net = mlp(([[1.0]], [0.0]))
     ones = np.ones((2, 1), dtype=np.float32)
-    (report,) = nn.train_distill([nn.Member(net, ones, ones, np.random.default_rng(0))], 0, 1, nn.AdamParams())
+    (report,) = nn.train_distill([nn.Member(net, ones, ones, np.random.default_rng(0))], 0, 1, 0.001)
     assert report.epochs == 0
 
 
@@ -395,7 +395,7 @@ def test_train_distill_zero_epochs_is_noop():
 def test_accuracy_perfect_net():
     data = synth_blobs(2, 30, 4, 0.05, seed=20)
     net = rand_net(np.random.default_rng(21), (4, 16, 2))
-    nn.train_supervised([nn.Member(net, data.features, data.labels, np.random.default_rng(22))], 60, 8, nn.AdamParams())
+    nn.train_supervised([nn.Member(net, data.features, data.labels, np.random.default_rng(22))], 60, 8, 0.001)
     assert nn.accuracy(net, data) == 1.0
 
 
@@ -434,7 +434,7 @@ def test_train_to_convergence_stops_on_stall():
     net = rand_net(np.random.default_rng(31), (4, 8, 2))
     member = nn.Member(net, data.features, data.labels, np.random.default_rng(32), val=data)
     (report,) = nn.train_to_convergence(
-        [member], 8, nn.AdamParams(), max_epochs=100, patience=3, min_improvement=0.001
+        [member], 8, 0.001, max_epochs=100, patience=3, min_improvement=0.001
     )
     assert report.epochs < 100  # separable blobs saturate well before the cap
 
@@ -465,14 +465,14 @@ VAL = synth_blobs(6, 10, 16, 1.5, seed=3, sample_stream=1)
 TARGETS = (3.0 * np.random.default_rng(4).standard_normal((TRAIN.n, 6))).astype(np.float32)
 TRAJECTORIES = {
     "supervised": lambda net: nn.train_supervised(
-        [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(5))], 4, 32, nn.AdamParams()
+        [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(5))], 4, 32, 0.001
     )[0],
     "distill-mae": lambda net: nn.train_distill(
-        [nn.Member(net, TRAIN.features, TARGETS, np.random.default_rng(6))], 4, 32, nn.AdamParams()
+        [nn.Member(net, TRAIN.features, TARGETS, np.random.default_rng(6))], 4, 32, 0.001
     )[0],
     "convergence": lambda net: nn.train_to_convergence(
         [nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(8), val=VAL)],
-        32, nn.AdamParams(lr=0.01), max_epochs=60, patience=3, min_improvement=0.02,
+        32, 0.01, max_epochs=60, patience=3, min_improvement=0.02,
     )[0],
 }
 
@@ -538,10 +538,10 @@ def test_group_trains_exactly_like_its_members_alone(loss):
         batch_loss, train = nn._cross_entropy, nn.train_supervised
     else:
         batch_loss, train = nn._distill_loss, nn.train_distill
-    reports = nn._run_epochs(members, batch_loss, 4, 32, nn.AdamParams())
+    reports = nn._run_epochs(members, batch_loss, 4, 32, 0.001)
     for k, net in enumerate(alone):
         member = nn.Member(net, data[k].features, targets[k], np.random.default_rng(100 + k))
-        (ref,) = train([member], 4, 32, nn.AdamParams())
+        (ref,) = train([member], 4, 32, 0.001)
         assert reports[k].epoch_losses == ref.epoch_losses
         assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), net.parameters()))
     assert share_no_parameter(nets + alone)
@@ -551,19 +551,19 @@ def test_group_convergence_shrinks_and_matches_members_alone():
     nets = canonical_nets()
     alone = [net.copy() for net in nets]
     picks = [np.random.default_rng(200 + k).permutation(TRAIN.n)[:80] for k in range(len(nets))]
-    opt = nn.AdamParams(lr=0.01)
+    lr = 0.01
     kw = dict(max_epochs=60, patience=3, min_improvement=0.02)
     members = [
         nn.Member(net, TRAIN.features, TRAIN.labels, np.random.default_rng(300 + k), rows, VAL)
         for k, (net, rows) in enumerate(zip(nets, picks))
     ]
-    reports = nn.train_to_convergence(members, 32, opt, **kw)
+    reports = nn.train_to_convergence(members, 32, lr, **kw)
     epochs = [r.epochs for r in reports]
     assert len(set(epochs)) > 1 and max(epochs) < 60, epochs  # members leave at different epochs
     for k, net in enumerate(alone):
         own = TRAIN.take(picks[k])
         member = nn.Member(net, own.features, own.labels, np.random.default_rng(300 + k), val=VAL)
-        (ref,) = nn.train_to_convergence([member], 32, opt, **kw)
+        (ref,) = nn.train_to_convergence([member], 32, lr, **kw)
         assert reports[k].epoch_losses == ref.epoch_losses
         assert all(np.array_equal(a, b) for a, b in zip(nets[k].parameters(), net.parameters()))
     assert share_no_parameter(nets + alone)
@@ -578,7 +578,7 @@ def test_group_divergence_names_the_member_and_shares_no_parameter():
         for k, (net, x) in enumerate(zip(nets, (TRAIN.features, poisoned, TRAIN.features)))
     ]
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0") as err:
-        nn._run_epochs(members, nn._cross_entropy, 2, 32, nn.AdamParams())
+        nn._run_epochs(members, nn._cross_entropy, 2, 32, 0.001)
     assert err.value.member == 1
     assert share_no_parameter(nets)
 
@@ -586,7 +586,7 @@ def test_group_divergence_names_the_member_and_shares_no_parameter():
 def test_members_of_unequal_row_counts_train_in_one_call_each_as_alone():
     # 90, 80, 90, 80 and 60 rows: one call steps members 0 and 2, then 1 and 3, then 4
     picks = [None, np.arange(80), None, np.arange(10, 90), np.arange(60)]
-    opt = nn.AdamParams(lr=0.01)
+    lr = 0.01
     kw = dict(max_epochs=40, patience=3, min_improvement=0.02)
 
     def member(net, k, seed, features=TRAIN.features):
@@ -594,7 +594,7 @@ def test_members_of_unequal_row_counts_train_in_one_call_each_as_alone():
 
     def train(nets, ks, seed):
         members = [member(net, k, seed) for net, k in zip(nets, ks)]
-        return nn.train_to_convergence(members, 32, opt, **kw), nn._run_epochs(members, nn._cross_entropy, 3, 32, opt)
+        return nn.train_to_convergence(members, 32, lr, **kw), nn._run_epochs(members, nn._cross_entropy, 3, 32, lr)
 
     nets = canonical_nets()[:5]
     alone = [net.copy() for net in nets]
@@ -611,7 +611,7 @@ def test_members_of_unequal_row_counts_train_in_one_call_each_as_alone():
     poisoned[20, 0] = np.inf  # a row of member 3 only, in the second group
     members = [member(net, k, 500, poisoned if k == 3 else TRAIN.features) for k, net in enumerate(nets)]
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0") as err:
-        nn._run_epochs(members, nn._cross_entropy, 2, 32, opt)
+        nn._run_epochs(members, nn._cross_entropy, 2, 32, lr)
     assert err.value.member == 3
     assert share_no_parameter(nets)
 

@@ -112,7 +112,7 @@ def test_transfer_learn_snapshot_survives_further_training():
     transfer_learn([party], public, cfg)
     snapshot = [p.copy() for p in party.pretrained.parameters()]
     member = nn.Member(party.net, party.private.features, party.private.labels, np.random.default_rng(0))
-    nn.train_supervised([member], 3, 4, cfg.opt)
+    nn.train_supervised([member], 3, 4, cfg.lr)
     assert not all(np.array_equal(a, b) for a, b in zip(snapshot, party.net.parameters()))
     assert all(np.array_equal(a, b) for a, b in zip(snapshot, party.pretrained.parameters()))
 
@@ -880,10 +880,10 @@ def test_grouped_rounds_train_each_party_bitwise_as_alone(monkeypatch):
             digest_loss, _ = nn.distill_loss(report.scores, targets)
             rng = rng_stream(cfg.seed, p.id, "digest", j)
             member = nn.Member(p.net, public.features[selection.indices], targets, rng)
-            nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.opt)
+            nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.lr)
             rng = rng_stream(cfg.seed, p.id, "revisit", j)
             member = nn.Member(p.net, p.private.features, p.private.labels, rng)
-            (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
+            (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, cfg.lr)
             expected.append((j, p.id, nn.accuracy(p.net, test), digest_loss, revisit.epoch_losses[-1]))
     assert [(r.round, r.party, r.accuracy, r.digest_loss, r.revisit_loss) for r in rows] == expected
     for p, ref in zip(parties, alone):
@@ -903,10 +903,10 @@ def test_digest_trains_each_party_on_the_frames_it_received():
     for ref, party in zip(alone, parties):
         x = public.features[selections[ref.id].indices]
         member = nn.Member(ref.net, x, targets[ref.id], rng_stream(cfg.seed, ref.id, "digest", 1))
-        nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.opt)
+        nn.train_distill([member], cfg.digest_epochs, cfg.digest_batch_size, cfg.lr)
         rng = rng_stream(cfg.seed, ref.id, "revisit", 1)
         member = nn.Member(ref.net, ref.private.features, ref.private.labels, rng)
-        (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, cfg.opt)
+        (revisit,) = nn.train_supervised([member], cfg.revisit_epochs, cfg.revisit_batch_size, cfg.lr)
         assert losses[ref.id][1] == revisit.epoch_losses[-1]
         assert all(np.array_equal(a, b) for a, b in zip(party.net.parameters(), ref.net.parameters()))
 
