@@ -58,7 +58,7 @@ def _resolve_out_dir(cfg: experiments.ExperimentConfig) -> experiments.Experimen
 
 
 def _print_summary(log: MetricsLog, summary: dict) -> None:
-    print(f"run {summary.get('name', '')}  seed={summary['seed']}  config={summary['config_hash']}")
+    print(f"run {summary['name']}  seed={summary['seed']}  config={summary['config_hash']}")
     print("party  baseline    final     gain   pooled      gap")
     for k in log.parties():
         base = log.baseline_accuracy(k)
@@ -118,11 +118,12 @@ def _parse_addr(text: str, lowest_port: int) -> tuple[str, int]:
 def _cmd_serve(args) -> int:
     addr = _parse_addr(args.addr, 0)
     cfg = parse_config(args.config, args.override)
-    task = experiments.build_task(cfg)
     m = cfg.collab.parties
+    # bind first, so that a busy address is refused before any data is drawn
     listener = transport.serve(addr, backlog=m)
-    print(f"serving {m} parties on {listener.address[0]}:{listener.address[1]}")
     try:
+        task = experiments.build_task(cfg)
+        print(f"serving {m} parties on {listener.address[0]}:{listener.address[1]}")
         protocol.server_loop((listener.accept() for _ in range(m)), cfg.collab, task.public.n, task.test.num_classes)
     finally:
         listener.close()

@@ -134,10 +134,6 @@ class ExperimentConfig:
                 raise ConfigError(f"hidden widths must be >= 1, got {a}")
         object.__setattr__(self, "architectures", archs)
 
-    @property
-    def seed(self) -> int:
-        return self.collab.seed
-
 
 def derive_seed(seed: int, tag: str) -> int:
     """Deterministic child seed for one named purpose."""
@@ -164,7 +160,7 @@ def build_task(cfg: ExperimentConfig) -> TaskData:
     superclasses of its ``subclass_map`` (the pool first, so an uncovered
     subclass is the first refusal) and scores on superclasses.
     """
-    seed = cfg.seed
+    seed = cfg.collab.seed
     spec, part = cfg.data, cfg.partition
     num_supers = _noniid_superclasses(part.subclass_map) if part.mode == "noniid" else None
     if isinstance(spec, BlobsSpec):
@@ -261,11 +257,14 @@ def _run(cfg: ExperimentConfig, task: TaskData, parties: list[PartyState], trans
     log = run_fedmd(cfg.collab, parties, task.public, task.test, transport_kind)
     if cfg.pooled:
         log.rows.extend(baseline_pooled(cfg, task, parties))
-    log.config_hash = config_hash(cfg)
-    summary = summarize(log)
-    summary["name"] = cfg.name
-    summary["version"] = __version__
-    summary["config"] = config_to_dict(cfg)
+    summary = {
+        **summarize(log),
+        "config_hash": config_hash(cfg),
+        "seed": cfg.collab.seed,
+        "name": cfg.name,
+        "version": __version__,
+        "config": config_to_dict(cfg),
+    }
     if cfg.out_dir:
         write_outputs(cfg.out_dir, log, summary, cfg)
     return log, summary

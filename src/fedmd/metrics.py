@@ -27,11 +27,9 @@ class MetricsRow:
 
 @dataclass
 class MetricsLog:
-    """All rows of one run, with provenance metadata."""
+    """All rows of one run."""
 
     rows: list[MetricsRow] = field(default_factory=list)
-    config_hash: str = ""
-    seed: int = 0
 
     def parties(self) -> list[int]:
         return sorted({r.party for r in self.rows})
@@ -86,11 +84,8 @@ def summarize(log: MetricsLog) -> dict:
         pooled = log.pooled_accuracy(k)
         if pooled is not None:
             gaps[k] = pooled - final
-    summary = {
+    return {
         "per_party_gain": [gains[k] for k in parties],
         "mean_gain": sum(gains.values()) / len(gains),
         "mean_gap_to_pooled": (sum(gaps.values()) / len(gaps)) if gaps else None,
-        "config_hash": log.config_hash,
-        "seed": log.seed,
     }
-    return summary

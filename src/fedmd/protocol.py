@@ -518,4 +518,4 @@ def run_fedmd(
         if failure is not None:
             raise ProtocolError(f"server failed: {failure}") from failure
 
-    return MetricsLog(sorted(baselines, key=lambda m: m.party) + rounds, seed=cfg.seed)
+    return MetricsLog(sorted(baselines, key=lambda m: m.party) + rounds)

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, config handling, subcommands, and networked serve/join."""
 
+import gc
 import json
 import os
 import socket
@@ -13,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fedmd
 from fedmd import cli, experiments, protocol, transport
 from fedmd.errors import ChannelError, ConfigError
 
@@ -84,7 +86,7 @@ def test_parse_config_override_validation(tmp_path):
     assert cfg.collab.rounds == 3
     assert cfg.data.spread == 2.5
     cfg = cli.parse_config(path, ["seed=4294967295"])  # the largest seed builds and draws its task
-    assert cfg.seed == 4294967295 and experiments.build_task(cfg).public.n == 90
+    assert cfg.collab.seed == 4294967295 and experiments.build_task(cfg).public.n == 90
 
 
 def test_parse_config_missing_file_is_config_error(tmp_path):
@@ -94,15 +96,21 @@ def test_parse_config_missing_file_is_config_error(tmp_path):
 
 def test_run_writes_outputs_and_prints_summary(tmp_path, capsys):
     path = write_config(tmp_path, {"out_dir": str(tmp_path / "out")})
-    assert cli.main(["run", path]) == 0
+    assert cli.main(["run", path, "-o", "seed=7"]) == 0
     out = capsys.readouterr().out
     assert "mean gain" in out
     csv_text = (tmp_path / "out" / "metrics.csv").read_text()
     log = metrics_from_csv(csv_text)
     assert sorted(r.party for r in log.rows if r.round == "baseline") == log.parties()
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    for key in ("mean_gain", "per_party_gain", "mean_gap_to_pooled", "config_hash", "seed"):
-        assert key in summary
+    assert set(summary) == {
+        "per_party_gain", "mean_gain", "mean_gap_to_pooled", "config_hash", "seed", "name", "version", "config"
+    }
+    cfg = cli.parse_config(path, ["seed=7"])
+    assert summary["config_hash"] == experiments.config_hash(cfg)
+    assert summary["config"] == experiments.config_to_dict(cfg)
+    assert (summary["seed"], summary["name"], summary["version"]) == (7, "cli-tiny", fedmd.__version__)
+    assert out.startswith(f"run cli-tiny  seed=7  config={summary['config_hash']}\n")
 
 
 def test_out_dir_defaults_to_runs_name_whatever_the_environment_holds(tmp_path, monkeypatch):
@@ -407,7 +415,9 @@ def test_bad_idx_data_exits_2_naming_the_fault(tmp_path, capsys, config, message
     assert not (tmp_path / "out").exists()
 
 
-def test_serve_on_a_port_in_use_is_an_io_error_naming_the_address(tmp_path, capsys):
+def test_serve_on_a_port_in_use_is_an_io_error_naming_the_address(tmp_path, capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(experiments, "build_task", lambda cfg: builds.append(cfg))
     with socket.socket() as taken:
         taken.bind(("127.0.0.1", 0))
         taken.listen(1)
@@ -416,6 +426,18 @@ def test_serve_on_a_port_in_use_is_an_io_error_naming_the_address(tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"fedmd: error: io: cannot listen on 127.0.0.1:{port}: [Errno 98] Address already in use\n"
+    assert builds == []  # the address is refused before any data is drawn
+
+
+def test_serve_whose_task_fails_after_binding_closes_its_listener(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["serve", "127.0.0.1:0", write_config(tmp_path), "-o", "partition.per_class=1000"]) == 2
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "fedmd: error: config: class 0 has 12 samples, need 2000 for 2 parties x 1000\n"
 
 
 def test_out_dir_under_a_file_is_an_io_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ import os
 import sys
 
 import fedmd
+import fedmd.experiments  # noqa: F401  loads every module the tracer wraps, as perfbench does before installing it
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
 sys.path.insert(0, PERFBENCH)
