@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import experiments, nn, protocol, transport
+from . import experiments, protocol, transport
 from .data import parse_idx
 from .errors import ChannelError, ConfigError, IdxParseError, ProtocolError
 from .metrics import MetricsLog
@@ -78,17 +78,6 @@ def _cmd_run(args) -> int:
     _print_summary(log, summary)
     print(f"wrote {cfg.out_dir}/metrics.csv")
     return 0
-
-
-def _cmd_gradcheck(args) -> int:
-    cases = nn.gradient_check(num_nets=args.nets, seed=args.seed)
-    for kind in ("xent", "mae"):
-        worst = max((c.max_rel_err for c in cases if c.loss == kind), default=0.0)
-        print(f"{kind}: max relative error {worst:.3e} over "
-              f"{sum(1 for c in cases if c.loss == kind)} nets")
-    worst = max(c.max_rel_err for c in cases)
-    print(f"overall max relative error {worst:.3e} (tolerance {nn.GRADCHECK_TOLERANCE:.0e})")
-    return 0 if worst < nn.GRADCHECK_TOLERANCE else 1
 
 
 def _cmd_inspect_data(args) -> int:
@@ -172,11 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--override", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--transport", choices=("bus", "tcp"), default="bus")
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of the training gradients")
-    p.add_argument("--nets", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("inspect-data", help="print shape and label histogram of an IDX file")
     p.add_argument("path")

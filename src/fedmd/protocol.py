@@ -315,14 +315,17 @@ def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int
     the hello, before the sender is known). Subset indices must lie below
     ``below``; scores and consensus must be finite. A failure raises
     ``ProtocolError`` starting ``party K round J:``, a frame that does not
-    decode ``party K round J: undecodable <frame>: …`` (``party ?`` at a hello).
+    decode ``party K round J: undecodable <frame>: …`` and a failed channel
+    the ``ChannelError`` ``party K round J: <frame>: …`` (``party ?`` at a hello).
     """
     what = "hello" if round == 0 else _FRAMES[kind]
+    who = "?" if party is None else party
     try:
         msg = channel.recv()
     except CodecError as exc:
-        who = "?" if party is None else party
         raise ProtocolError(f"party {who} round {round}: undecodable {what}: {exc}") from exc
+    except ChannelError as exc:
+        raise ChannelError(f"party {who} round {round}: {what}: {exc}") from exc
     sender = party if party is not None else getattr(msg, "party", "?")
     where = f"party {sender} round {round}:"
     if not isinstance(msg, kind) or msg.round != round:
@@ -341,6 +344,15 @@ def expect(channel, kind, round: int, party: "int | None", shape=(), below: "int
     elif not np.isfinite(arr).all():
         raise ProtocolError(f"{where} non-finite {what}")
     return msg
+
+
+def _send(channel, msg, party: int) -> None:
+    """Send one frame; a failed channel raises ``ChannelError`` ``party K round J: <frame>: …``."""
+    try:
+        channel.send(msg)
+    except ChannelError as exc:
+        what = "hello" if msg.round == 0 else _FRAMES[type(msg)]
+        raise ChannelError(f"party {party} round {msg.round}: {what}: {exc}") from exc
 
 
 def server_loop(channels, cfg: CollaborationConfig, n0: int, num_classes: int) -> None:
@@ -373,14 +385,14 @@ def server_loop(channels, cfg: CollaborationConfig, n0: int, num_classes: int) -
         subset_size = min(cfg.subset_size, n0)
         for j in range(1, cfg.rounds + 1):
             selection = select_subset(n0, subset_size, rng_stream(cfg.seed, "subset", j), j)
-            for chan in by_id:
-                chan.send(selection)
+            for k, chan in enumerate(by_id):
+                _send(chan, selection, k)
             reports = [
                 expect(chan, ScoreReport, j, k, (subset_size, num_classes)) for k, chan in enumerate(by_id)
             ]
             consensus = aggregate(reports, cfg.weights)
-            for chan in by_id:
-                chan.send(consensus)
+            for k, chan in enumerate(by_id):
+                _send(chan, consensus, k)
             for k, chan in enumerate(by_id):
                 expect(chan, RoundComplete, j, k)
     finally:
@@ -417,7 +429,7 @@ def party_loop(
     try:
         chans = [channels[p.id] for p in parties]
         for party, chan in zip(parties, chans):
-            chan.send(ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32)))
+            _send(chan, ScoreReport(0, party.id, np.zeros((0, party.net.output_dim), dtype=np.float32)), party.id)
         for j in range(1, cfg.rounds + 1):
             selections = [
                 expect(chan, SubsetAnnouncement, j, p.id, (subset_size,), public.n) for p, chan in zip(parties, chans)
@@ -426,7 +438,7 @@ def party_loop(
             for party, chan, selection in zip(parties, chans, selections):
                 with _failing([party], f"round {j}: communicate failed"):
                     reports.append(compute_scores(party, public, selection))
-                chan.send(reports[-1])
+                _send(chan, reports[-1], party.id)
             consensus = [
                 expect(chan, ConsensusBroadcast, j, p.id, r.scores.shape) for p, chan, r in zip(parties, chans, reports)
             ]
@@ -435,8 +447,8 @@ def party_loop(
                 return _digest_and_revisit(parties, public, cfg, selections, reports, consensus)
 
             metrics.extend(fit_and_measure(parties, fit, test, j, "rounds"))
-            for chan in chans:
-                chan.send(RoundComplete(j))
+            for party, chan in zip(parties, chans):
+                _send(chan, RoundComplete(j), party.id)
     finally:
         for chan in channels.values():
             chan.close()

@@ -204,17 +204,9 @@ def test_baseline_pooled_kind(tmp_path):
     assert any(r.round == "pooled" for r in log.rows)
 
 
-def test_gradcheck_exit_0(capsys):
-    assert cli.main(["gradcheck", "--nets", "6"]) == 0
-    assert "max relative error" in capsys.readouterr().out
-
-
-# each is refused before any work: no net is checked and no socket opened.
+# each is refused before any work: no socket is opened.
 # serve takes port 0 for any free port; a party must name the server's
 BAD_COMMANDS = [
-    (["gradcheck", "--nets", "0"], "gradient check needs at least one net, got 0"),
-    (["gradcheck", "--nets", "-3"], "gradient check needs at least one net, got -3"),
-    (["gradcheck", "--seed", "-1"], "gradient check seed must be >= 0, got -1"),
     (["join", "127.0.0.1:70000", "0"], "port must lie in 1..65535, got 70000"),
     (["join", "127.0.0.1:0", "0"], "port must lie in 1..65535, got 0"),
     (["serve", "127.0.0.1:99999"], "port must lie in 0..65535, got 99999"),
@@ -231,8 +223,7 @@ def test_bad_command_arguments_exit_2_before_any_work(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(transport, "serve", no_socket)
     monkeypatch.setattr(transport, "connect", no_socket)
-    config = [] if args[0] == "gradcheck" else [write_config(tmp_path)]
-    assert cli.main([*args, *config]) == 2
+    assert cli.main([*args, write_config(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"fedmd: error: config: {message}\n"
@@ -572,19 +563,15 @@ def test_serve_join_matches_in_process_run(tmp_path):
             )
 
 
-def test_join_whose_prologue_fails_releases_the_server_and_the_other_join(tmp_path, monkeypatch, capsys):
-    cfg_path = write_config(tmp_path, {"out_dir": str(tmp_path / "net")})
+def serve_two_joins(cfg_path, join_1_overrides, timeout):
+    """``server_loop`` on a thread and two in-process joins of ``cfg_path``, join 1 with ``-o`` overrides.
+
+    Join 1 runs on a thread and join 0 on the caller's, and join 0 must exit
+    1. Returns join 1's exit code, and the server's failure and time
+    (``join_1``, ``server``, ``server_s``).
+    """
     cfg = cli.parse_config(cfg_path)
     task = experiments.build_task(cfg)
-    inner = protocol.transfer_learn
-
-    def transfer_learn(parties, *args):  # party 0's prologue fails, party 1's runs
-        if parties[0].id == 0:
-            raise ValueError("boom")
-        return inner(parties, *args)
-
-    monkeypatch.setattr(protocol, "transfer_learn", transfer_learn)
-    timeout = 20.0
     listener = transport.serve(("127.0.0.1", 0), backlog=2, timeout=timeout)
     addr = "{}:{}".format(*listener.address)
     done = {}
@@ -600,20 +587,47 @@ def test_join_whose_prologue_fails_releases_the_server_and_the_other_join(tmp_pa
             done["server_s"] = time.perf_counter() - t0
             listener.close()
 
-    threads = [
-        threading.Thread(target=serve, daemon=True),
-        threading.Thread(target=lambda: done.update(join_1=cli.main(["join", addr, "1", cfg_path])), daemon=True),
-    ]
+    def join_1():
+        done["join_1"] = cli.main(["join", addr, "1", cfg_path, *(a for o in join_1_overrides for a in ("-o", o))])
+
+    threads = [threading.Thread(target=serve, daemon=True), threading.Thread(target=join_1, daemon=True)]
     for t in threads:
         t.start()
     assert cli.main(["join", addr, "0", cfg_path]) == 1
     for t in threads:
         t.join(timeout=2 * timeout)
         assert not t.is_alive()
+    return done
+
+
+def test_join_whose_prologue_fails_releases_the_server_and_the_other_join(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, {"out_dir": str(tmp_path / "net")})
+    inner = protocol.transfer_learn
+
+    def transfer_learn(parties, *args):  # party 0's prologue fails, party 1's runs
+        if parties[0].id == 0:
+            raise ValueError("boom")
+        return inner(parties, *args)
+
+    monkeypatch.setattr(protocol, "transfer_learn", transfer_learn)
+    timeout = 20.0
+    done = serve_two_joins(cfg_path, [], timeout)
     err = capsys.readouterr().err.splitlines()
     assert "fedmd: error: protocol: party 0 failed during transfer: boom" in err
     assert isinstance(done["server"], ChannelError)
-    assert str(done["server"]) == "peer closed the channel"
+    assert str(done["server"]) == "party ? round 0: hello: peer closed the channel"
     assert done["server_s"] < timeout / 4
     assert done["join_1"] == 1  # released by the server's close, not by a timeout
     assert any(line.startswith("fedmd: error: channel: ") for line in err)
+
+
+def test_a_join_that_fails_in_the_rounds_is_named_by_the_server_and_the_other_join(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"out_dir": str(tmp_path / "net")})
+    done = serve_two_joins(cfg_path, ["subset_size=7"], 20.0)
+    assert done["join_1"] == 1
+    assert isinstance(done["server"], ChannelError)
+    assert str(done["server"]) == "party 1 round 1: scores: peer closed the channel"
+    assert sorted(capsys.readouterr().err.splitlines()) == [
+        "fedmd: error: channel: party 0 round 1: consensus: peer closed the channel",
+        "fedmd: error: protocol: party 1 round 1: subset of shape (32,), expected (7,)",
+    ]

@@ -14,6 +14,7 @@ from fedmd import cli, nn
 from fedmd.data import synth_blobs
 from fedmd.errors import ConfigError, DivergenceError, ShapeError
 
+from gradcheck_util import GRADCHECK_TOLERANCE, gradient_check
 from net_util import share_no_parameter
 from reference_util import reference_cross_entropy, reference_forward, reference_group_run_epochs
 
@@ -440,8 +441,8 @@ def test_train_to_convergence_stops_on_stall():
 
 
 def test_gradients_match_finite_differences():
-    cases = nn.gradient_check(num_nets=12, seed=123)
-    assert max(c.max_rel_err for c in cases) < nn.GRADCHECK_TOLERANCE
+    cases = gradient_check(num_nets=12, seed=123)
+    assert max(c.max_rel_err for c in cases) < GRADCHECK_TOLERANCE
     assert {c.loss for c in cases} == {"xent", "mae"}
 
 

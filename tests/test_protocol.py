@@ -702,7 +702,7 @@ def test_a_server_that_ends_before_the_rounds_fails_the_run_with_a_closed_channe
             chan.close()
 
     monkeypatch.setattr(protocol, "server_loop", server_loop)
-    with pytest.raises(ChannelError, match="^peer closed the channel$"):
+    with pytest.raises(ChannelError, match="^party 0 round 1: subset: peer closed the channel$"):
         run_fedmd(cfg, parties, public, test, transport_kind=kind)
     assert [t.name for t in threading.enumerate() if t.name.startswith("fedmd-")] == []
 
@@ -1061,6 +1061,30 @@ def test_server_loop_closes_every_end_on_rejection(make_pair):
     finally:
         for _, party_end in pairs:
             party_end.close()
+
+
+class SendFails:
+    """A channel end that delivers ``frames`` and fails every send, as a reset connection does."""
+
+    def __init__(self, *frames):
+        self.frames = list(frames)
+
+    def recv(self):
+        return self.frames.pop(0)
+
+    def send(self, msg):
+        raise ChannelError("send failed: boom")
+
+    def close(self):
+        pass
+
+
+def test_a_failed_send_names_its_party_round_and_frame():
+    cfg, parties, public, test = small_world(1, rounds=1)
+    with pytest.raises(ChannelError, match=r"^party 0 round 0: hello: send failed: boom$"):
+        party_loop(parties, public, test, cfg, {0: SendFails()})
+    with pytest.raises(ChannelError, match=r"^party 0 round 1: subset: send failed: boom$"):
+        server_loop([SendFails(hello(0))], cfg, 10, 3)
 
 
 # --- frames from a faulty peer --------------------------------------------------------
